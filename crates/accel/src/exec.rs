@@ -244,13 +244,13 @@ util::json_struct!(SchedRun {
 
 /// The complete inter-slice state of a schedule replay — every loop
 /// variable of [`Accelerator::run_schedule_at`], factored out so a run
-/// can pause at any arbitration-slice boundary, be snapshotted
-/// alongside its backend, and resume later. This is the checkpoint unit
-/// of the record/replay layer.
+/// can pause after any request-issuing arbitration slice, be
+/// snapshotted alongside its backend, and resume later. This is the
+/// checkpoint unit of the record/replay layer.
 ///
 /// A cursor is created by [`Accelerator::schedule_cursor`], advanced
-/// one arbitration slice at a time by [`Accelerator::advance_slice`],
-/// and turned into an [`ExecReport`] by
+/// to the end of the next request-issuing slice at a time by
+/// [`Accelerator::advance_slice`], and turned into an [`ExecReport`] by
 /// [`Accelerator::finish_schedule`]. While advancing it chains an
 /// FNV-1a fingerprint over every backend request it issues (address,
 /// kind, and the completion time the backend handed back), which is the
@@ -273,12 +273,89 @@ pub struct ScheduleCursor {
     stall_e: Joules,
     stall_n: u64,
     stream_fp: Fnv64,
-    // Transient fast-path caches. Deliberately excluded from snapshots
-    // (restore resets them): they only skip re-deriving bit-identical
-    // values, never change them.
-    memo_compute: Option<(u64, Picos, Joules, f64)>,
-    memo_stall: Option<(Picos, Joules, f64)>,
+    // Transient scheduling state and fast-path caches. Deliberately
+    // excluded from snapshots (restore rebuilds the order; the memos
+    // depend only on the configuration): they only skip re-deriving
+    // bit-identical values, never change them.
+    /// The non-parked agents sorted by `(time, index)`: the head runs
+    /// next, the runner-up bounds its slice.
+    order: Vec<usize>,
+    memo_compute: EnergyMemo<(Picos, Joules, f64)>,
+    memo_stall: EnergyMemo<(Joules, f64)>,
     buf: Vec<StreamOp>,
+}
+
+/// Slots of an [`EnergyMemo`] (a power of two).
+const MEMO_SLOTS: usize = 64;
+
+/// A direct-mapped memo of the per-step energy floats, keyed by a
+/// compute block's cycle count or a memory op's stall duration. Kernel
+/// loops repeat a handful of block sizes and hit patterns, and
+/// `Watts * Picos` plus `Joules::as_j` each round through f64 —
+/// memoizing on the key reproduces the identical per-step values while
+/// skipping the conversions for repeats. Every slot starts out holding
+/// key 0's true value, so a lookup never needs a valid bit.
+#[derive(Debug, Clone)]
+struct EnergyMemo<V> {
+    slots: Box<[(u64, V); MEMO_SLOTS]>,
+}
+
+impl<V: Copy> EnergyMemo<V> {
+    fn new(derive: impl Fn(u64) -> V) -> Self {
+        EnergyMemo {
+            slots: Box::new([(0, derive(0)); MEMO_SLOTS]),
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, key: u64, derive: impl Fn(u64) -> V) -> V {
+        let slot = &mut self.slots
+            [(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.ilog2())) as usize];
+        if slot.0 != key {
+            *slot = (key, derive(key));
+        }
+        slot.1
+    }
+}
+
+/// The non-parked agents of a replay sorted by `(time, index)` — exactly
+/// the order a full rescan with lowest-index tie-breaking would pick
+/// them in.
+fn ranked(times: &[Picos], parked: &[bool]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..times.len()).filter(|&i| !parked[i]).collect();
+    order.sort_by_key(|&i| (times[i], i));
+    order
+}
+
+/// Re-files the agent at the head of `order` after its slice: drops it
+/// once parked, otherwise moves it back to its `(time, index)` rank.
+fn refile_head(order: &mut Vec<usize>, times: &[Picos], parked: bool) {
+    let idx = order[0];
+    if parked {
+        order.remove(0);
+        return;
+    }
+    let key = (times[idx], idx);
+    let mut pos = 1;
+    while pos < order.len() && (times[order[pos]], order[pos]) < key {
+        order[pos - 1] = order[pos];
+        pos += 1;
+    }
+    order[pos - 1] = idx;
+}
+
+/// A compute block's duration and energy, as charged and as sampled.
+fn compute_energy(pe: &PeConfig, cycles: u64) -> (Picos, Joules, f64) {
+    let dt = pe.clock.cycles_to_time(cycles);
+    let e = pe.p_active * dt;
+    (dt, e, e.as_j())
+}
+
+/// A memory op's stall energy over `ps` picoseconds, as charged and as
+/// sampled.
+fn stall_energy(pe: &PeConfig, ps: u64) -> (Joules, f64) {
+    let e = pe.p_stall * Picos::from_ps(ps);
+    (e, e.as_j())
 }
 
 impl ScheduleCursor {
@@ -364,8 +441,13 @@ impl sim_core::Snapshot for ScheduleCursor {
         self.stall_e = field(data, "stall_e").map_err(m)?;
         self.stall_n = field(data, "stall_n").map_err(m)?;
         self.stream_fp = Fnv64::resume(field(data, "stream_fp").map_err(m)?);
-        self.memo_compute = None;
-        self.memo_stall = None;
+        if self.times.len() != self.agents.len() || self.parked.len() != self.agents.len() {
+            return Err(SnapshotError::shape(
+                CURSOR_KIND,
+                "agent clock and parked lists disagree with the agent count",
+            ));
+        }
+        self.order = ranked(&self.times, &self.parked);
         self.buf.clear();
         Ok(())
     }
@@ -782,8 +864,10 @@ impl Accelerator {
             })
             .collect();
 
-        let times = agents.iter().map(|a| a.time).collect();
+        let times: Vec<Picos> = agents.iter().map(|a| a.time).collect();
         let parked = vec![false; agents.len()];
+        let order = ranked(&times, &parked);
+        let pe = cfg.pe;
         ScheduleCursor {
             start,
             agents,
@@ -805,25 +889,27 @@ impl Accelerator {
             stall_e: Joules(0),
             stall_n: 0,
             stream_fp: Fnv64::new(),
-            // One-entry memos for the per-op energy floats: kernel loops
-            // repeat the same compute blocks and hit patterns, and
-            // `Watts * Picos` plus `Joules::as_j` each round through f64
-            // — memoizing on the duration reproduces the identical
-            // per-op values while skipping the conversions for repeats.
-            memo_compute: None,
-            memo_stall: None,
+            order,
+            memo_compute: EnergyMemo::new(|cycles| compute_energy(&pe, cycles)),
+            memo_stall: EnergyMemo::new(|ps| stall_energy(&pe, ps)),
             // Reused request slice handed to the backend per memory op.
             buf: Vec::with_capacity(16),
         }
     }
 
-    /// Advances the cursor by one arbitration slice: picks the globally
-    /// earliest agent and batch-advances its ops while it stays strictly
-    /// ahead of the runner-up — the same set of steps a rescan-per-op
-    /// loop would have given it. Returns `false` once every agent is
-    /// parked (nothing left to run).
+    /// Advances the cursor through the next arbitration slice that
+    /// issues backend requests. A slice runs the globally earliest agent
+    /// (ties go to the lowest index) and batch-advances its ops while it
+    /// stays ahead of the runner-up — the same set of steps a
+    /// rescan-per-op loop would have given it. Request-free slices run
+    /// back to back inside one call: their only effects are clocks,
+    /// counters and series samples, and every checkpoint and replay
+    /// window is placed by request count, so a caller that acts when
+    /// [`ScheduleCursor::mem_requests`] changes sees the same boundaries
+    /// either way. Returns `false` once every agent is parked (nothing
+    /// left to run).
     ///
-    /// Slice boundaries are the only legal snapshot points: between two
+    /// Call boundaries are the only legal snapshot points: between two
     /// calls the cursor holds no borrowed or half-applied state.
     pub fn advance_slice(
         &self,
@@ -839,128 +925,111 @@ impl Accelerator {
         let l1_hit = cfg.pe.clock.cycles_to_time(cfg.pe.l1_hit_cycles);
         let l2_hit = cfg.pe.clock.cycles_to_time(cfg.pe.l2_hit_cycles);
         let start = cur.start;
+        let issued_before = cur.mem_requests;
 
-        let n = cur.agents.len();
-        let mut best = usize::MAX;
-        let mut second = usize::MAX;
-        for i in 0..n {
-            if cur.parked[i] {
-                continue;
-            }
-            if best == usize::MAX || cur.times[i] < cur.times[best] {
-                second = best;
-                best = i;
-            } else if second == usize::MAX || cur.times[i] < cur.times[second] {
-                second = i;
-            }
-        }
-        if best == usize::MAX {
-            return false;
-        }
-        let idx = best;
-        let bound = (second != usize::MAX).then(|| (cur.times[second], second));
-        let sa = &sched.agents[idx];
-        let a = &mut cur.agents[idx];
-        loop {
-            if a.step == sa.step_count() {
-                // Kernel complete: the schedule's flush section holds
-                // the dirty-line traffic the engine would issue.
-                cur.buf.clear();
-                for ei in sa.flush_start()..sa.event_count() {
-                    match sa.event(ei) {
-                        ReplayEvent::Fill(addr) => {
-                            cur.buf.push(StreamOp {
-                                advance: Picos::ZERO,
-                                addr,
-                                write: false,
-                            });
-                            cur.bytes_from += l2_line as u64;
-                            cur.mem_requests += 1;
-                        }
-                        ReplayEvent::Writeback(addr) => {
-                            cur.buf.push(StreamOp {
-                                advance: Picos::ZERO,
-                                addr,
-                                write: true,
-                            });
-                            cur.bytes_to += l2_line as u64;
-                            cur.mem_requests += 1;
-                        }
-                        ReplayEvent::Hits { .. } => {
-                            unreachable!("flush section has no hits")
-                        }
-                    }
-                }
-                if !cur.buf.is_empty() {
-                    // The batch base ordinal; `run_stream` steps the
-                    // attribution cursor between ops, so per-request
-                    // indices match the per-op engine path.
-                    self.probe
-                        .attr_tag(AttrScope::Exec, cur.mem_requests - cur.buf.len() as u64);
-                    a.time = backend.run_stream(
-                        a.time,
-                        l2_line,
-                        cfg.pe.xbar_latency,
-                        &cur.buf,
-                        &mut cur.wq,
-                    );
-                    for op in &cur.buf {
-                        cur.stream_fp.mix_u64(op.addr);
-                        cur.stream_fp.mix_u64(op.write as u64);
-                    }
-                    cur.stream_fp.mix_u64(a.time.as_ps());
-                }
-                // Results must be durable before the completion
-                // message: drain the whole write queue.
-                let drain = cur.wq.iter().copied().fold(Picos::ZERO, Picos::max);
-                a.time = a.time.max(drain);
-                a.done = true;
-                cur.psc.sleep(a.time, idx + 1);
-                break;
-            }
-            match sa.step(a.step) {
-                ReplayStep::Compute { cycles, instrs } => {
-                    let (dt, e, e_j) = match cur.memo_compute {
-                        Some((c, dt, e, e_j)) if c == cycles => (dt, e, e_j),
-                        _ => {
-                            let dt = cfg.pe.clock.cycles_to_time(cycles);
-                            let e = cfg.pe.p_active * dt;
-                            let e_j = e.as_j();
-                            cur.memo_compute = Some((cycles, dt, e, e_j));
-                            (dt, e, e_j)
-                        }
-                    };
-                    cur.compute_e += e;
-                    cur.compute_n += 1;
-                    cur.power_series.add(a.time - start, e_j);
-                    cur.ipc_series.add(a.time + dt - start, instrs as f64);
-                    self.probe.span(
-                        Track::new("pe", idx as u32 + 1),
-                        "compute",
-                        a.time,
-                        a.time + dt,
-                    );
-                    a.stats.instructions += instrs;
-                    a.stats.compute_cycles += cycles;
-                    a.stats.compute_time += dt;
-                    a.time += dt;
-                }
-                ReplayStep::Mem { store, events } => {
-                    let t0 = a.time;
-                    'request: {
-                        // Fast path: most memory ops are a single
-                        // hit run — pure cache service time, no
-                        // backend traffic, no batch to assemble.
-                        if events == 1 {
-                            if let ReplayEvent::Hits { l1, l2 } = sa.event(a.event) {
-                                a.event += 1;
-                                a.time += l1_hit * l1 + l2_hit * l2;
-                                break 'request;
+        while let Some(&idx) = cur.order.first() {
+            // The agent keeps the floor while `(time, idx)` sorts before
+            // the runner-up's `(time, index)`: strictly earlier, or tied
+            // with the lower index — one picosecond past the runner-up's
+            // clock in that case.
+            let limit = match cur.order.get(1) {
+                Some(&j) => cur.times[j].as_ps() + u64::from(idx < j),
+                None => u64::MAX,
+            };
+            let sa = &sched.agents[idx];
+            let a = &mut cur.agents[idx];
+            loop {
+                if a.step == sa.step_count() {
+                    // Kernel complete: the schedule's flush section holds
+                    // the dirty-line traffic the engine would issue.
+                    cur.buf.clear();
+                    for ei in sa.flush_start()..sa.event_count() {
+                        match sa.event(ei) {
+                            ReplayEvent::Fill(addr) => {
+                                cur.buf.push(StreamOp {
+                                    advance: Picos::ZERO,
+                                    addr,
+                                    write: false,
+                                });
+                                cur.bytes_from += l2_line as u64;
+                                cur.mem_requests += 1;
+                            }
+                            ReplayEvent::Writeback(addr) => {
+                                cur.buf.push(StreamOp {
+                                    advance: Picos::ZERO,
+                                    addr,
+                                    write: true,
+                                });
+                                cur.bytes_to += l2_line as u64;
+                                cur.mem_requests += 1;
+                            }
+                            ReplayEvent::Hits { .. } => {
+                                unreachable!("flush section has no hits")
                             }
                         }
-                        // Fold hit runs into the next request's
-                        // advance; trailing hits land after the
-                        // batch returns.
+                    }
+                    if !cur.buf.is_empty() {
+                        // The batch base ordinal; `run_stream` steps the
+                        // attribution cursor between ops, so per-request
+                        // indices match the per-op engine path.
+                        self.probe
+                            .attr_tag(AttrScope::Exec, cur.mem_requests - cur.buf.len() as u64);
+                        a.time = backend.run_stream(
+                            a.time,
+                            l2_line,
+                            cfg.pe.xbar_latency,
+                            &cur.buf,
+                            &mut cur.wq,
+                        );
+                        for op in &cur.buf {
+                            cur.stream_fp.mix_u64(op.addr);
+                            cur.stream_fp.mix_u64(op.write as u64);
+                        }
+                        cur.stream_fp.mix_u64(a.time.as_ps());
+                    }
+                    // Results must be durable before the completion
+                    // message: drain the whole write queue.
+                    let drain = cur.wq.iter().copied().fold(Picos::ZERO, Picos::max);
+                    a.time = a.time.max(drain);
+                    a.done = true;
+                    cur.psc.sleep(a.time, idx + 1);
+                    break;
+                }
+                let mem_op = match sa.step(a.step) {
+                    ReplayStep::Compute { cycles, instrs } => {
+                        let (dt, e, e_j) =
+                            cur.memo_compute.get(cycles, |c| compute_energy(&cfg.pe, c));
+                        cur.compute_e += e;
+                        cur.compute_n += 1;
+                        cur.power_series.add(a.time - start, e_j);
+                        cur.ipc_series.add(a.time + dt - start, instrs as f64);
+                        self.probe.span(
+                            Track::new("pe", idx as u32 + 1),
+                            "compute",
+                            a.time,
+                            a.time + dt,
+                        );
+                        a.stats.instructions += instrs;
+                        a.stats.compute_cycles += cycles;
+                        a.stats.compute_time += dt;
+                        a.time += dt;
+                        None
+                    }
+                    ReplayStep::HitRun { store, l1, l2 } => {
+                        // Fast path: most memory ops are a single hit
+                        // run — pure cache service time, no backend
+                        // traffic, no batch to assemble, and the step
+                        // word carries the run, so the op's one event
+                        // word is skipped unread.
+                        let t0 = a.time;
+                        a.event += 1;
+                        a.time += l1_hit * l1 + l2_hit * l2;
+                        Some((store, t0))
+                    }
+                    ReplayStep::Mem { store, events } => {
+                        let t0 = a.time;
+                        // Fold hit runs into the next request's advance;
+                        // trailing hits land after the batch returns.
                         let mut pending = Picos::ZERO;
                         cur.buf.clear();
                         let end = a.event + events as usize;
@@ -1009,17 +1078,14 @@ impl Accelerator {
                             cur.stream_fp.mix_u64(a.time.as_ps());
                         }
                         a.time += pending;
+                        Some((store, t0))
                     }
+                };
+                if let Some((store, t0)) = mem_op {
                     let dt = a.time - t0;
-                    let (e, e_j) = match cur.memo_stall {
-                        Some((d, e, e_j)) if d == dt => (e, e_j),
-                        _ => {
-                            let e = cfg.pe.p_stall * dt;
-                            let e_j = e.as_j();
-                            cur.memo_stall = Some((dt, e, e_j));
-                            (e, e_j)
-                        }
-                    };
+                    let (e, e_j) = cur
+                        .memo_stall
+                        .get(dt.as_ps(), |ps| stall_energy(&cfg.pe, ps));
                     cur.stall_e += e;
                     cur.stall_n += 1;
                     cur.power_series.add(t0 - start, e_j);
@@ -1037,18 +1103,20 @@ impl Accelerator {
                         a.stats.loads += 1;
                     }
                 }
+                a.step += 1;
+                if a.time.as_ps() >= limit {
+                    break;
+                }
             }
-            a.step += 1;
-            // Keep going while this agent would win the rescan: the
-            // scheduler tie-breaks equal clocks by lowest index.
-            match bound {
-                Some((bt, bi)) if !(a.time < bt || (a.time == bt && idx < bi)) => break,
-                _ => {}
+            let done = a.done;
+            cur.times[idx] = a.time;
+            cur.parked[idx] = done;
+            refile_head(&mut cur.order, &cur.times, done);
+            if cur.mem_requests != issued_before {
+                return true;
             }
         }
-        cur.times[idx] = cur.agents[idx].time;
-        cur.parked[idx] = cur.agents[idx].done;
-        true
+        false
     }
 
     /// Turns a completed cursor into the [`ExecReport`]
@@ -1610,6 +1678,78 @@ mod sched_replay_tests {
     }
 
     #[test]
+    fn prop_tied_clocks_replay_like_the_rescan_walker() {
+        // Every agent runs the same op sequence with no launch stagger,
+        // so clocks start tied and stay tied through every hit-only
+        // stretch, and the lowest-index rule decides most slices. Half
+        // the cases first hold each agent back by 0–3 cycles, so agents
+        // split into tied groups and a trailing agent keeps landing
+        // exactly on a clock that others already share. Agents share one
+        // address range or each work on their own; either way the order
+        // tied agents reach the controller in shows up in its state and
+        // in the write queue's. The replay's ordered agent list must pick
+        // exactly what the trace walker's full rescan picks, down to the
+        // last series sample.
+        use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
+        let accel = Accelerator::new(AccelConfig {
+            launch_overhead: Picos::ZERO,
+            ..AccelConfig::default()
+        });
+        util::for_each_case!(24, |rng| {
+            let agents = rng.range_usize(1, accel.agents());
+            let stride = if rng.chance(0.5) { 1 << 24 } else { 0 };
+            let ops: Vec<(u64, u64, u32)> = (0..rng.range_u64(20, 240))
+                .map(|_| {
+                    (
+                        rng.range_u64(0, 2),
+                        rng.range_u64(0, 1 << 14),
+                        rng.range_u64(1, 300) as u32,
+                    )
+                })
+                .collect();
+            let staggered = rng.chance(0.5);
+            let traces: Vec<Trace> = (0..agents as u64)
+                .map(|a| {
+                    let mut t = Trace::new();
+                    let held = if staggered { rng.range_u64(0, 3) } else { 0 };
+                    if held > 0 {
+                        // `alu(4k)` issues in exactly k cycles.
+                        t.compute(InstrBlock::alu(4 * held));
+                    }
+                    for &(kind, addr, len) in &ops {
+                        match kind {
+                            0 => t.load(a * stride + addr, len),
+                            1 => t.store(a * stride + addr, len),
+                            _ => t.compute(InstrBlock::mac(len as u64 % 5, addr % 3)),
+                        }
+                    }
+                    t
+                })
+                .collect();
+            let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
+            let start = Picos::from_ns(rng.range_u64(0, 1_000));
+
+            let direct = accel.run_at(start, &traces, &mut FixedMem);
+            let replay = accel.run_schedule_at(start, &sched, &mut FixedMem);
+            assert_eq!(
+                report_json(&direct),
+                report_json(&replay),
+                "{agents} agents, fixed"
+            );
+
+            let mut pram_a = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+            let direct = accel.run_at(start, &traces, &mut pram_a);
+            let mut pram_b = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+            let replay = accel.run_schedule_at(start, &sched, &mut pram_b);
+            assert_eq!(
+                report_json(&direct),
+                report_json(&replay),
+                "{agents} agents, pram"
+            );
+        });
+    }
+
+    #[test]
     fn replay_handles_single_agent_and_empty_compute() {
         let accel = Accelerator::new(AccelConfig::default());
         let mut t = Trace::new();
@@ -1641,7 +1781,7 @@ mod sched_replay_tests {
         let traces = stress_traces(2);
         let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
 
-        // Straight run (counting its arbitration slices).
+        // Straight run (counting its request-issuing slices).
         let mut pram_a = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
         let mut cur_a = accel.schedule_cursor(Picos::ZERO, &sched, &mut pram_a);
         let mut slices = 0u64;

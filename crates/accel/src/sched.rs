@@ -52,6 +52,18 @@ pub enum ReplayStep {
         /// Event-stream words this op consumes.
         events: u64,
     },
+    /// A memory op served by a single run of cache hits, decoded from
+    /// the step word itself. It still owns one event-stream word (the
+    /// same [`ReplayEvent::Hits`]), so the executor steps past it
+    /// without reading it.
+    HitRun {
+        /// Whether the op is a store (loads otherwise).
+        store: bool,
+        /// L1 hits in the run.
+        l1: u64,
+        /// Fill-path L2 hits in the run.
+        l2: u64,
+    },
 }
 
 /// One decoded word of an agent's event stream: what happens, in order,
@@ -76,14 +88,20 @@ pub enum ReplayEvent {
 
 // Packed word layout (one `u64` per step / event). Tag in bits[0:2].
 const TAG_COMPUTE: u64 = 0; // cycles in bits[2:33], instrs in bits[33:64]
-const TAG_LOAD: u64 = 1; // event-word count in bits[2:64]
-const TAG_STORE: u64 = 2; // event-word count in bits[2:64]
+const TAG_LOAD: u64 = 1; // see MEM_HIT_RUN
+const TAG_STORE: u64 = 2; // see MEM_HIT_RUN
 const TAG_COMPUTE_BIG: u64 = 3; // index into `big` in bits[2:64]
 const TAG_HITS: u64 = 0; // l1 count in bits[2:33], l2 count in bits[33:64]
 const TAG_FILL: u64 = 1; // address in bits[2:64]
 const TAG_WB: u64 = 2; // address in bits[2:64]
 const HALF_BITS: u64 = 31;
 const HALF_MASK: u64 = (1 << HALF_BITS) - 1;
+// Load/store step flag in bit 2. Set: the op is one hit run, l1 count in
+// bits[3:33], l2 count in bits[33:63]. Clear: event-word count in
+// bits[3:64].
+const MEM_HIT_RUN: u64 = 1 << 2;
+const RUN_BITS: u64 = 30;
+const RUN_MASK: u64 = (1 << RUN_BITS) - 1;
 
 #[inline]
 fn pack2(tag: u64, lo: u64, hi: u64) -> Option<u64> {
@@ -125,7 +143,8 @@ pub struct AgentSchedule {
     /// [`AgentSchedule::step`]).
     steps: Vec<u64>,
     /// Packed per-op event stream (decode with [`AgentSchedule::event`]);
-    /// each `Mem` step consumes the next `events` words.
+    /// each `Mem` step consumes the next `events` words, each `HitRun`
+    /// step one.
     events: Vec<u64>,
     /// Overflow storage for compute blocks whose cycles/instrs exceed the
     /// packed 31-bit fields.
@@ -153,14 +172,21 @@ impl AgentSchedule {
                 cycles: (w >> 2) & HALF_MASK,
                 instrs: w >> (2 + HALF_BITS),
             },
-            TAG_LOAD => ReplayStep::Mem {
-                store: false,
-                events: w >> 2,
-            },
-            TAG_STORE => ReplayStep::Mem {
-                store: true,
-                events: w >> 2,
-            },
+            tag @ (TAG_LOAD | TAG_STORE) => {
+                let store = tag == TAG_STORE;
+                if w & MEM_HIT_RUN != 0 {
+                    ReplayStep::HitRun {
+                        store,
+                        l1: (w >> 3) & RUN_MASK,
+                        l2: w >> (3 + RUN_BITS),
+                    }
+                } else {
+                    ReplayStep::Mem {
+                        store,
+                        events: w >> 3,
+                    }
+                }
+            }
             _ => {
                 let (cycles, instrs) = self.big[(w >> 2) as usize];
                 ReplayStep::Compute { cycles, instrs }
@@ -201,9 +227,21 @@ impl AgentSchedule {
         self.steps.push(w);
     }
 
-    fn push_mem(&mut self, store: bool, events: u64) {
+    /// Closes a memory op whose event words start at `first_event`. An
+    /// op that is a single hit run also carries the run in its step
+    /// word (its event word stays, so event indices do not move).
+    fn push_mem(&mut self, store: bool, first_event: usize) {
         let tag = if store { TAG_STORE } else { TAG_LOAD };
-        self.steps.push(pack_addr(tag, events));
+        let hit_run = match self.events[first_event..] {
+            [w] if w & 3 == TAG_HITS => {
+                let (l1, l2) = ((w >> 2) & HALF_MASK, w >> (2 + HALF_BITS));
+                (l1 <= RUN_MASK && l2 <= RUN_MASK)
+                    .then_some(tag | MEM_HIT_RUN | l1 << 3 | l2 << (3 + RUN_BITS))
+            }
+            _ => None,
+        };
+        let events = (self.events.len() - first_event) as u64;
+        self.steps.push(hit_run.unwrap_or(tag | events << 3));
     }
 
     fn push_hits(&mut self, l1: u64, l2: u64) {
@@ -381,7 +419,7 @@ fn replay_agent(trace: &Trace, l1_cfg: CacheConfig, l2_cfg: CacheConfig) -> Agen
                 // arbitration bound check).
                 s.push_hits(run_l1, run_l2);
                 (run_l1, run_l2) = (0, 0);
-                s.push_mem(is_store, (s.events.len() - events_before) as u64);
+                s.push_mem(is_store, events_before);
             }
         }
     }
@@ -522,6 +560,47 @@ mod tests {
         let a = MemSchedule::build(&traces, cfg.l1, cfg.l2);
         let b = MemSchedule::build(&traces, cfg.l1, cfg.l2);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn single_hit_run_ops_carry_the_run_in_the_step_word() {
+        let mut t = Trace::new();
+        t.load(0, 8); // L1 + L2 miss: a fill
+        t.store(8, 8); // same L1 line: one L1 hit
+        t.load(0, 200); // four L1 lines in the filled L2 line: 1 + 3 hits
+        t.load(0, 400); // seven L1 lines: hits, a fill at 256, hits
+        let s = MemSchedule::build(&[t], CacheConfig::l1(), CacheConfig::l2());
+        let a = &s.agents[0];
+        assert!(matches!(a.step(0), ReplayStep::Mem { store: false, .. }));
+        assert_eq!(
+            a.step(1),
+            ReplayStep::HitRun {
+                store: true,
+                l1: 1,
+                l2: 0
+            }
+        );
+        assert_eq!(
+            a.step(2),
+            ReplayStep::HitRun {
+                store: false,
+                l1: 1,
+                l2: 3
+            }
+        );
+        assert!(matches!(
+            a.step(3),
+            ReplayStep::Mem {
+                store: false,
+                events: 3
+            }
+        ));
+        // The run's event word stays in the stream, so event indices and
+        // cursor images do not depend on the inline copy.
+        let ReplayStep::Mem { events, .. } = a.step(0) else {
+            unreachable!()
+        };
+        assert_eq!(a.event(events as usize), ReplayEvent::Hits { l1: 1, l2: 0 });
     }
 
     #[test]

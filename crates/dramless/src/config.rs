@@ -1,5 +1,6 @@
 //! System configurations (Table I).
 
+use crate::spec::SpecError;
 use std::fmt;
 
 /// The evaluated accelerated-system designs.
@@ -265,6 +266,40 @@ impl Default for SystemParams {
 }
 
 impl SystemParams {
+    /// Checks the knobs every run divides by or sizes from, so a
+    /// malformed parameter block (a hand-edited recording, say) fails
+    /// with a typed error instead of a panic deep inside a run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError`] describing the first offending knob.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.agents == 0 {
+            return Err(SpecError::new("params.agents must be >= 1"));
+        }
+        // The bucket width is kept in picoseconds.
+        let max_bucket_us = u64::MAX / 1_000_000;
+        if !(1..=max_bucket_us).contains(&self.sample_bucket_us) {
+            return Err(SpecError::new(format!(
+                "params.sample_bucket_us must be in 1..={max_bucket_us}, got {}",
+                self.sample_bucket_us
+            )));
+        }
+        if self.page_bytes < 2 {
+            return Err(SpecError::new(format!(
+                "params.page_bytes must be >= 2, got {}",
+                self.page_bytes
+            )));
+        }
+        if !self.capacity_pressure.is_finite() || self.capacity_pressure <= 0.0 {
+            return Err(SpecError::new(format!(
+                "params.capacity_pressure must be finite and > 0, got {}",
+                self.capacity_pressure
+            )));
+        }
+        Ok(())
+    }
+
     /// Page-size scale factor relative to the paper's 16 KB pages.
     pub fn page_scale_divisor(&self) -> u64 {
         (16 * 1024 / self.page_bytes).max(1) as u64

@@ -339,8 +339,9 @@ fn checkpoint_of(
 ///
 /// # Errors
 ///
-/// [`ReplayError::Spec`] when the spec does not compose, and
-/// [`ReplayError::Snapshot`] when a backend cannot be imaged.
+/// [`ReplayError::Spec`] when the spec does not compose or `params`
+/// are malformed, and [`ReplayError::Snapshot`] when a backend cannot
+/// be imaged.
 ///
 /// # Panics
 ///
@@ -353,6 +354,7 @@ pub fn record_cell(
     checkpoint_every: u64,
 ) -> Result<CellRecording, ReplayError> {
     assert!(checkpoint_every > 0, "checkpoint cadence must be >= 1");
+    params.validate()?;
     let mut spec = spec.clone();
     spec.telemetry = None;
     let built = workload.build_cached(params.agents);
@@ -475,13 +477,14 @@ fn reprepare(
 /// [`ReplayError::Divergence`] the moment a recorded digest is not
 /// reproduced; [`ReplayError::NoRequestStream`] for analytic-tier
 /// cells; [`ReplayError::BadWindow`] for an empty window or one that
-/// starts past the recorded stream; plus the composition/restore
-/// errors.
+/// starts past the recorded stream; [`ReplayError::Spec`] for malformed
+/// `params`; plus the composition/restore errors.
 pub fn replay_window(
     rec: &CellRecording,
     params: &SystemParams,
     window: Range<u64>,
 ) -> Result<WindowReport, ReplayError> {
+    params.validate()?;
     let label = cell_label(rec);
     if rec.spec.tier == FidelityTier::Analytic {
         return Err(ReplayError::NoRequestStream { cell: label });
@@ -611,6 +614,7 @@ pub fn verify_cell(
     rec: &CellRecording,
     params: &SystemParams,
 ) -> Result<WindowReport, ReplayError> {
+    params.validate()?;
     match rec.spec.tier {
         FidelityTier::Accurate => replay_window(rec, params, 0..u64::MAX),
         FidelityTier::Analytic => {

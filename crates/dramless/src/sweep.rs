@@ -181,13 +181,14 @@ pub fn sweep_systems_with_stats(
 
 /// The general engine: any `(identity, spec)` list × workloads.
 ///
-/// Every spec is validated with a probe [`build_system`] before any
-/// cell is submitted, so a malformed spec fails the whole call up front
-/// instead of panicking a worker mid-sweep.
+/// The parameters and every spec (with a probe [`build_system`]) are
+/// validated before any cell is submitted, so a malformed input fails
+/// the whole call up front instead of panicking a worker mid-sweep.
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] if any spec's axes are incompatible.
+/// Returns [`SpecError`] if the parameters are malformed or any spec's
+/// axes are incompatible.
 pub fn sweep_systems_on(
     pool: &Pool,
     systems: &[(SystemId, SystemSpec)],
@@ -197,6 +198,7 @@ pub fn sweep_systems_on(
     let start = Instant::now();
     let agents = params.agents;
 
+    params.validate()?;
     for (id, spec) in systems {
         build_system(spec, params, params.page_bytes as u64)
             .map_err(|e| SpecError::new(format!("{}: {}", id.name(), e.message())))?;
@@ -347,5 +349,12 @@ mod tests {
         let workloads = [Workload::of(Kernel::Trisolv, Scale(0.1))];
         let err = sweep_specs(&[bad], &workloads, &SystemParams::default());
         assert!(err.is_err());
+
+        let no_agents = SystemParams {
+            agents: 0,
+            ..SystemParams::default()
+        };
+        let err = sweep_specs(&[SystemKind::DramLess.spec()], &workloads, &no_agents);
+        assert!(err.unwrap_err().message().contains("params.agents"));
     }
 }

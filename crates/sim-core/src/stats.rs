@@ -250,20 +250,31 @@ impl TimeSeries {
 
     /// Accumulates `value` into the bucket containing instant `at`.
     pub fn add(&mut self, at: Picos, value: f64) {
-        // Producers overwhelmingly append in non-decreasing time order
-        // (the execution engine always advances the earliest agent) and
-        // mostly land in the tail bucket, so test the tail's time range
-        // first — it avoids the 64-bit division on the hot path (the
-        // engine calls this twice per executed op).
+        // Producers overwhelmingly append in near time order (the
+        // execution engine always advances the earliest agent) and land
+        // in the tail bucket, or in the one before it when interleaved
+        // agents straddle a bucket boundary. Test those two buckets'
+        // time ranges first — it avoids the 64-bit division on the hot
+        // path (the engine calls this twice per executed op).
         let ps = at.as_ps();
-        if let Some(&mut (last, ref mut v)) = self.data.last_mut() {
-            let start = last * self.bucket_width.as_ps();
-            if ps >= start && ps - start < self.bucket_width.as_ps() {
-                *v += value;
-                return;
+        let width = self.bucket_width.as_ps();
+        let n = self.data.len();
+        if n > 0 {
+            let start = self.data[n - 1].0 * width;
+            if ps >= start {
+                if ps - start < width {
+                    self.data[n - 1].1 += value;
+                    return;
+                }
+            } else if n > 1 {
+                let start = self.data[n - 2].0 * width;
+                if ps >= start && ps - start < width {
+                    self.data[n - 2].1 += value;
+                    return;
+                }
             }
         }
-        let idx = ps / self.bucket_width.as_ps();
+        let idx = ps / width;
         match self.data.last_mut() {
             Some(&mut (last, _)) if last < idx => self.data.push((idx, value)),
             None => self.data.push((idx, value)),
@@ -403,6 +414,60 @@ mod tests {
         let b = ts.buckets();
         assert_eq!(b.len(), 3);
         assert!(b.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn prop_series_equals_an_ordered_map_fold() {
+        // Every bucket must receive exactly its own adds, in call order,
+        // whichever lookup path finds it: the f64 sums are compared bit
+        // for bit against a plain map fold over the same add sequence.
+        use std::collections::btree_map::{BTreeMap, Entry};
+        util::for_each_case!(64, |rng| {
+            let width = rng.range_u64(1, 50_000);
+            let mut series = TimeSeries::new(Picos::from_ps(width));
+            let mut reference: BTreeMap<u64, f64> = BTreeMap::new();
+            let mut t = rng.range_u64(0, 20 * width);
+            for _ in 0..rng.range_u64(0, 500) {
+                t = match rng.range_u64(0, 4) {
+                    // In order.
+                    0 => t + rng.range_u64(0, 2 * width),
+                    // Out of order, anywhere.
+                    1 => rng.range_u64(0, 40 * width),
+                    // Back and forth across the tail bucket's lower edge,
+                    // as interleaved agents straddling a boundary do.
+                    2 => {
+                        let edge = series.horizon().as_ps().saturating_sub(width);
+                        if rng.chance(0.5) {
+                            edge.saturating_sub(rng.range_u64(1, width))
+                        } else {
+                            edge + rng.range_u64(0, width - 1)
+                        }
+                    }
+                    // Exactly on a bucket edge near the tail.
+                    3 => {
+                        let tail = series.horizon().as_ps() / width;
+                        rng.range_u64(tail.saturating_sub(4), tail + 1) * width
+                    }
+                    // Straight back a little.
+                    _ => t.saturating_sub(rng.range_u64(0, width)),
+                };
+                let v = rng.range_f64(-1.0, 1.0) * 10f64.powi(rng.range_u64(0, 12) as i32 - 6);
+                series.add(Picos::from_ps(t), v);
+                match reference.entry(t / width) {
+                    Entry::Vacant(e) => {
+                        e.insert(v);
+                    }
+                    Entry::Occupied(mut e) => *e.get_mut() += v,
+                }
+            }
+            let got: Vec<(u64, u64)> = series
+                .buckets()
+                .iter()
+                .map(|&(start, v)| (start.as_ps() / width, v.to_bits()))
+                .collect();
+            let want: Vec<(u64, u64)> = reference.iter().map(|(&i, v)| (i, v.to_bits())).collect();
+            assert_eq!(got, want);
+        });
     }
 
     #[test]

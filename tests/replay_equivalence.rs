@@ -231,3 +231,143 @@ fn prop_checkpoint_restore_resume_equals_straight_run() {
         }
     });
 }
+
+#[test]
+fn malformed_recording_params_fail_typed_instead_of_panicking() {
+    // Zero agents used to panic in the trace recorder and a zero bucket
+    // width in `TimeSeries`; both must now surface as typed spec errors
+    // from the library and a plain exit 1 from the CLI.
+    let rec = replay::record_run(
+        &[(
+            SystemId::Preset(SystemKind::DramLess),
+            SystemKind::DramLess.spec(),
+        )],
+        &[small()],
+        &params(),
+        60,
+    )
+    .unwrap();
+    let breakages = [
+        (
+            "agents",
+            SystemParams {
+                agents: 0,
+                ..params()
+            },
+        ),
+        (
+            "sample_bucket_us",
+            SystemParams {
+                sample_bucket_us: 0,
+                ..params()
+            },
+        ),
+    ];
+    for (knob, bad_params) in breakages {
+        let mut bad = rec.clone();
+        bad.params = bad_params;
+        let text = bad.to_json_string();
+        let back = <replay::Recording as util::json::FromJson>::from_json_str(&text).unwrap();
+        for result in [
+            replay::verify(&back).map(|_| ()),
+            replay::replay(&back, 0, 0..1).map(|_| ()),
+        ] {
+            match result {
+                Err(ReplayError::Spec(e)) => assert!(e.message().contains(knob), "{knob}: {e}"),
+                other => panic!("{knob}: expected a spec error, got {other:?}"),
+            }
+        }
+        let path =
+            std::env::temp_dir().join(format!("dramless-bad-{knob}-{}.json", std::process::id()));
+        std::fs::write(&path, &text).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dramless-sim"))
+            .arg("replay")
+            .arg(&path)
+            .output()
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{knob}: {stderr}");
+        assert!(stderr.contains(knob), "{knob}: {stderr}");
+    }
+}
+
+/// The checkpoint list `record_cell` produced for DRAM-less gemver at
+/// `Scale(1.0)` with a checkpoint every 64 requests, before request-free
+/// arbitration slices were fused into request-issuing ones: `(requests,
+/// stream digest)` per checkpoint.
+const GEMVER_CHECKPOINTS: [(u64, u64); 38] = [
+    (0, 0xcbf29ce484222325),
+    (64, 0x3843b6fd8f29d653),
+    (128, 0x5fbc1d0fc1d88a46),
+    (192, 0x80d4114e5de146d9),
+    (256, 0x0988309239444288),
+    (320, 0x210c4d328803147e),
+    (384, 0x1a72c48e22aa25c3),
+    (449, 0x57c38f1828892135),
+    (513, 0x49473bda6b93991e),
+    (577, 0x05bee1c3dbf88df7),
+    (642, 0x269b9d05df336b9c),
+    (706, 0xad323695b5c326b5),
+    (770, 0xf64efb149cde0482),
+    (834, 0x8a11adb77da72175),
+    (906, 0x49321a3ae0e427e6),
+    (970, 0xa6ab11afde70a81e),
+    (1034, 0x7cd47754ceb86537),
+    (1098, 0xfda61fe295d86bda),
+    (1162, 0x55abecd63c2c0e0c),
+    (1226, 0xe6ee582bfcfd3e5c),
+    (1290, 0x6d820fb5ac10010f),
+    (1354, 0x45888a30149748f0),
+    (1420, 0x277d54df55607101),
+    (1484, 0xf1271a95cd78890c),
+    (1548, 0x64195965a611c4c4),
+    (1612, 0x4e05cff25809cf5a),
+    (1680, 0x956f6e7b85901451),
+    (1744, 0xf7a9c4be4dfb263e),
+    (1808, 0x57d70e99f9b6183e),
+    (1872, 0xf58d1fd786b6035d),
+    (1936, 0x3559f07217a5c6aa),
+    (2000, 0x49def5a6ddde5611),
+    (2064, 0xb0bfa0ef312eae03),
+    (2128, 0x2918710cf338a001),
+    (2192, 0x3b5f185672ff45ce),
+    (2256, 0x79db58b61c4382d5),
+    (2320, 0xa2dd86dcf21f89e1),
+    (2384, 0xcc5b9fa7d26c45e1),
+];
+
+#[test]
+fn checkpoints_land_on_the_golden_request_counts_and_images() {
+    let w = Workload::of(Kernel::Gemver, Scale(1.0));
+    let rec = replay::record_cell(
+        SystemId::Preset(SystemKind::DramLess),
+        &SystemKind::DramLess.spec(),
+        &w,
+        &params(),
+        64,
+    )
+    .unwrap();
+    let got: Vec<(u64, u64)> = rec
+        .checkpoints
+        .iter()
+        .map(|c| (c.requests, c.stream))
+        .collect();
+    assert_eq!(got, GEMVER_CHECKPOINTS);
+    assert_eq!(
+        (
+            rec.fingerprint.requests,
+            rec.fingerprint.stream,
+            rec.fingerprint.report
+        ),
+        (2426, 0x37ea_9f2c_e453_a9b9, 0xa4f5_0ee8_0b6f_42b6)
+    );
+    // The cursor image at every checkpoint, byte for byte. Backend
+    // images serialize their sparse cell maps in hash order, so a full
+    // replay that re-verifies every checkpoint's digest checks them.
+    let cursors: Vec<_> = rec.checkpoints.iter().map(|c| c.exec.clone()).collect();
+    let images = util::fingerprint::fnv1a(cursors.to_json().render(false).as_bytes());
+    assert_eq!(images, 0xf6a4_4306_d06a_e8c2);
+    let rep = replay::verify_cell(&rec, &params()).unwrap();
+    assert_eq!(rep.verified_checkpoints, GEMVER_CHECKPOINTS.len() - 1);
+}
