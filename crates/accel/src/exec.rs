@@ -23,7 +23,7 @@ use sim_core::snapshot::{SnapshotError, StateImage};
 use sim_core::stats::TimeSeries;
 use sim_core::time::Picos;
 use util::fingerprint::Fnv64;
-use util::telemetry::{MetricSet, Track};
+use util::telemetry::{LatencyHistogram, MetricSet, Track};
 
 /// Accelerator construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -283,6 +283,10 @@ pub struct ScheduleCursor {
     memo_compute: EnergyMemo<(Picos, Joules, f64)>,
     memo_stall: EnergyMemo<(Joules, f64)>,
     buf: Vec<StreamOp>,
+    /// `pe.mem_op` samples of the current call, filled only while the
+    /// probe is live and drained into it before `advance_slice`
+    /// returns — empty at every snapshot point.
+    mem_op: LatencyHistogram,
 }
 
 /// Slots of an [`EnergyMemo`] (a power of two).
@@ -894,6 +898,7 @@ impl Accelerator {
             memo_stall: EnergyMemo::new(|ps| stall_energy(&pe, ps)),
             // Reused request slice handed to the backend per memory op.
             buf: Vec::with_capacity(16),
+            mem_op: LatencyHistogram::new(),
         }
     }
 
@@ -910,7 +915,8 @@ impl Accelerator {
     /// left to run).
     ///
     /// Call boundaries are the only legal snapshot points: between two
-    /// calls the cursor holds no borrowed or half-applied state.
+    /// calls the cursor holds no borrowed or half-applied state, and
+    /// the call's `pe.mem_op` samples are already in the probe.
     pub fn advance_slice(
         &self,
         cur: &mut ScheduleCursor,
@@ -926,8 +932,12 @@ impl Accelerator {
         let l2_hit = cfg.pe.clock.cycles_to_time(cfg.pe.l2_hit_cycles);
         let start = cur.start;
         let issued_before = cur.mem_requests;
+        let probed = self.probe.is_enabled();
 
-        while let Some(&idx) = cur.order.first() {
+        let more = loop {
+            let Some(&idx) = cur.order.first() else {
+                break false;
+            };
             // The agent keeps the floor while `(time, idx)` sorts before
             // the runner-up's `(time, index)`: strictly earlier, or tied
             // with the lower index — one picosecond past the runner-up's
@@ -1093,7 +1103,9 @@ impl Accelerator {
                     if !dt.is_zero() {
                         self.probe
                             .span(Track::new("pe", idx as u32 + 1), "mem", t0, a.time);
-                        self.probe.latency("pe.mem_op", dt);
+                        if probed {
+                            cur.mem_op.record_ps(dt.as_ps());
+                        }
                     }
                     a.stats.instructions += 1;
                     a.stats.stall_time += dt;
@@ -1113,10 +1125,14 @@ impl Accelerator {
             cur.parked[idx] = done;
             refile_head(&mut cur.order, &cur.times, done);
             if cur.mem_requests != issued_before {
-                return true;
+                break true;
             }
+        };
+        if cur.mem_op.count() > 0 {
+            self.probe.latencies("pe.mem_op", &cur.mem_op);
+            cur.mem_op = LatencyHistogram::new();
         }
-        false
+        more
     }
 
     /// Turns a completed cursor into the [`ExecReport`]
@@ -1768,6 +1784,33 @@ mod sched_replay_tests {
         let traces = stress_traces(1);
         let sched = MemSchedule::build(&traces, CacheConfig::l1_paper(), accel.config().l2);
         accel.run_schedule_at(Picos::ZERO, &sched, &mut FixedMem);
+    }
+
+    #[test]
+    fn mem_op_samples_reach_the_probe_by_every_call_boundary() {
+        // The replay gathers `pe.mem_op` samples per `advance_slice`
+        // call and hands them to the probe before returning: the cursor
+        // holds none between calls, and the hub ends up with exactly
+        // the samples the per-op walker records.
+        use sim_core::probe::Telemetry;
+        let traces = stress_traces(3);
+        let (walker_hub, replay_hub) = (Telemetry::new(0), Telemetry::new(0));
+        let mut walker = Accelerator::new(AccelConfig::default());
+        walker.set_probe(walker_hub.probe());
+        walker.run(&traces, &mut FixedMem);
+        let mut accel = Accelerator::new(AccelConfig::default());
+        accel.set_probe(replay_hub.probe());
+        let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
+        let mut cur = accel.schedule_cursor(Picos::ZERO, &sched, &mut FixedMem);
+        while accel.advance_slice(&mut cur, &sched, &mut FixedMem) {
+            assert_eq!(cur.mem_op.count(), 0, "samples left in the cursor");
+        }
+        assert_eq!(cur.mem_op.count(), 0);
+        let (want, got) = (walker_hub.finish().1, replay_hub.finish().1);
+        let want = want
+            .histogram("pe.mem_op")
+            .expect("the walker recorded mem ops");
+        assert_eq!(got.histogram("pe.mem_op"), Some(want));
     }
 
     #[test]

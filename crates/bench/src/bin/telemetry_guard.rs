@@ -176,6 +176,9 @@ fn time_disabled_probe_call() -> f64 {
 /// How many probe calls the smoke sweep makes when telemetry is on:
 /// spans + instants from the trace bookkeeping, plus one latency call
 /// per histogram sample — all doubled as margin for counter bumps.
+/// Per-sample is an over-count for `pe.mem_op`: the schedule replay
+/// gathers those samples locally and hands them to the probe once per
+/// `advance_slice` call, so the bound stays conservative.
 fn count_probe_calls() -> u64 {
     let (kinds, workloads, params) = smoke_grid();
     let specs: Vec<SystemSpec> = kinds

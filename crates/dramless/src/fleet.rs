@@ -838,7 +838,7 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
     let horizon_ps = spec.duration_ms * 1_000_000_000;
 
     // The serving loop: serial, seeded, one global timeline.
-    let telemetry = Telemetry::with_attribution(0);
+    let telemetry = Telemetry::counting(0, true);
     let probe = telemetry.probe();
     let mut accels: Vec<AccelState> = (0..spec.accelerators)
         .map(|_| AccelState::new(spec.slots_per_accel))

@@ -110,8 +110,10 @@ pub enum Control {
 /// uninstrumented build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySpec {
-    /// Ring-buffer capacity of the event tracer: the trace keeps the
-    /// *last* `trace_events` events and counts the overflow.
+    /// Ring-buffer capacity of the event tracer: a traced run
+    /// ([`crate::simulate_spec_traced`]) keeps the *last* `trace_events`
+    /// events, and every run reports the overflow as
+    /// `trace.events_dropped`.
     pub trace_events: usize,
     /// Per-request latency attribution: every memory request carries a
     /// [`sim_core::probe::LatencySpan`] and the report gains a

@@ -818,12 +818,13 @@ pub(crate) fn finalize_run(
 }
 
 /// Runs one cell, honouring the spec's telemetry knob, and returns the
-/// outcome plus the (possibly empty) event trace.
+/// outcome plus the event trace — empty unless `keep_trace`.
 fn run_cell(
     id: SystemId,
     spec: &SystemSpec,
     built: &BuiltWorkload,
     params: &SystemParams,
+    keep_trace: bool,
 ) -> Result<(RunOutcome, Vec<TraceEvent>), SpecError> {
     let model = match spec.tier {
         sim_core::mem::FidelityTier::Accurate => None,
@@ -831,18 +832,23 @@ fn run_cell(
             Some(crate::analytic::ExecModel::for_spec(spec, built, params)?)
         }
     };
-    run_cell_with_model(id, spec, built, params, model.as_ref())
+    run_cell_with_model(id, spec, built, params, model.as_ref(), keep_trace)
 }
 
 /// The shared tail of [`run_cell`]: composes the system and drives the
 /// phase runner with an optional pre-built analytic model (the
 /// `calibrate` binary injects candidate coefficients through this).
+///
+/// Only a `keep_trace` caller gets events back; every other run counts
+/// its trace calls instead of storing them ([`Telemetry::counting`]),
+/// which leaves the outcome — metrics included — unchanged.
 pub(crate) fn run_cell_with_model(
     id: SystemId,
     spec: &SystemSpec,
     built: &BuiltWorkload,
     params: &SystemParams,
     model: Option<&crate::analytic::ExecModel>,
+    keep_trace: bool,
 ) -> Result<(RunOutcome, Vec<TraceEvent>), SpecError> {
     let sys = build_system(spec, params, built.character.footprint)?;
     let armed = spec.faults.is_some();
@@ -852,10 +858,10 @@ pub(crate) fn run_cell_with_model(
             Vec::new(),
         )),
         Some(t) => {
-            let tel = if t.attribution {
-                Telemetry::with_attribution(t.trace_events)
-            } else {
-                Telemetry::new(t.trace_events)
+            let tel = match (keep_trace, t.attribution) {
+                (false, attribution) => Telemetry::counting(t.trace_events, attribution),
+                (true, true) => Telemetry::with_attribution(t.trace_events),
+                (true, false) => Telemetry::new(t.trace_events),
             };
             let mut out = run_composed(id, sys, built, params, Some(&tel), armed, model);
             out.attr = tel.attribution();
@@ -870,8 +876,8 @@ pub(crate) fn run_cell_with_model(
 /// sweep engine and the preset wrappers both bottom out here.
 ///
 /// When the spec's telemetry knob is on, the outcome carries the
-/// per-component metric set; the event trace is discarded here (use
-/// [`simulate_spec_traced`] to keep it).
+/// per-component metric set; trace events are only counted, never
+/// stored (use [`simulate_spec_traced`] to keep them).
 ///
 /// # Errors
 ///
@@ -882,7 +888,7 @@ pub fn simulate_spec_as(
     built: &BuiltWorkload,
     params: &SystemParams,
 ) -> Result<RunOutcome, SpecError> {
-    Ok(run_cell(id, spec, built, params)?.0)
+    Ok(run_cell(id, spec, built, params, false)?.0)
 }
 
 /// Runs `spec` with telemetry forced on and returns both the outcome
@@ -910,6 +916,7 @@ pub fn simulate_spec_traced(
         &traced,
         built,
         params,
+        true,
     )
 }
 

@@ -994,8 +994,6 @@ const CTRL_VERSION: u32 = 1;
 impl sim_core::Snapshot for PramController {
     fn snapshot(&self) -> StateImage {
         use util::json::ToJson;
-        let mut announced: Vec<u64> = self.announced.iter().copied().collect();
-        announced.sort_unstable();
         let faults = match &self.faults {
             Some(fs) => FaultState::to_json(fs),
             None => util::json::Json::Null,
@@ -1008,11 +1006,8 @@ impl sim_core::Snapshot for PramController {
                 "program_buffer_free".to_string(),
                 self.program_buffer_free.to_json(),
             ),
-            ("announced".to_string(), announced.to_json()),
-            (
-                "last_touch".to_string(),
-                sim_core::snapshot::sorted_pairs(self.last_touch.iter().map(|(k, v)| (*k, *v))),
-            ),
+            ("announced".to_string(), self.announced.to_json()),
+            ("last_touch".to_string(), self.last_touch.to_json()),
             ("wear".to_string(), self.wear.to_json()),
             ("faults".to_string(), faults),
             ("stats".to_string(), self.stats.to_json()),
@@ -1036,17 +1031,14 @@ impl sim_core::Snapshot for PramController {
         if channels.len() != self.channels.len() {
             return Err(SnapshotError::shape(CTRL_KIND, "channel count differs"));
         }
-        let announced: Vec<u64> = field(data, "announced").map_err(m)?;
-        let last_touch = sim_core::snapshot::pairs_from::<Picos>(
-            data.get("last_touch").unwrap_or(&util::json::Json::Null),
-        )
-        .map_err(m)?;
+        let announced = field(data, "announced").map_err(m)?;
+        let last_touch = field(data, "last_touch").map_err(m)?;
         let faults: Option<FaultState> = field(data, "faults").map_err(m)?;
         self.channels = channels;
         self.channel_serial = field(data, "channel_serial").map_err(m)?;
         self.program_buffer_free = field(data, "program_buffer_free").map_err(m)?;
-        self.announced = announced.into_iter().collect();
-        self.last_touch = last_touch.into_iter().collect();
+        self.announced = announced;
+        self.last_touch = last_touch;
         self.wear = field(data, "wear").map_err(m)?;
         self.faults = faults.map(Box::new);
         self.stats = field(data, "stats").map_err(m)?;

@@ -1,12 +1,18 @@
 //! The runtime-switchable observability facade.
 //!
-//! A [`Telemetry`] hub owns one [`EventTracer`] ring buffer and one
-//! [`MetricSet`]; components hold cheap [`Probe`] clones and record
-//! spans, instants and latency samples against simulated [`Picos`]
-//! time. A disabled probe (the default everywhere) is a `None` — every
-//! recording call is a single enum check with no allocation and no
-//! locking, so production sweeps pay effectively nothing for the
-//! instrumentation being compiled in.
+//! A [`Telemetry`] hub owns one trace sink and one [`MetricSet`];
+//! components hold cheap [`Probe`] clones and record spans, instants
+//! and latency samples against simulated [`Picos`] time. A disabled
+//! probe (the default everywhere) is a `None` — every recording call is
+//! a single enum check with no allocation and no locking, so production
+//! sweeps pay effectively nothing for the instrumentation being
+//! compiled in.
+//!
+//! The trace sink is an [`EventTracer`] ring only when the caller will
+//! read the events back ([`Telemetry::new`],
+//! [`Telemetry::with_attribution`]). A caller that discards the trace
+//! builds a [`Telemetry::counting`] hub, whose trace calls bump one
+//! counter: no lock, no event, no ring write and no sort at `finish`.
 //!
 //! One hub is created *per simulated cell* (inside the spec runner),
 //! never shared across cells, so traced sweeps stay deterministic at
@@ -16,7 +22,9 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
-use util::telemetry::{AttrCollector, AttrRecord, EventTracer, MetricSet, TraceEvent, Track};
+use util::telemetry::{
+    AttrCollector, AttrRecord, EventTracer, LatencyHistogram, MetricSet, TraceEvent, Track,
+};
 
 use crate::time::Picos;
 
@@ -43,11 +51,37 @@ struct AttrState {
 /// Sentinel for "no tenant tagged" in [`AttrState::tenant`].
 const NO_TENANT: u64 = u64::MAX;
 
+/// Where a hub's `span`/`span_args`/`instant` calls go.
+#[derive(Debug)]
+enum TraceSink {
+    /// A bounded ring whose surviving events [`Telemetry::finish`]
+    /// returns.
+    Ring(Mutex<EventTracer>),
+    /// Calls counted, never stored: the caller discards the trace.
+    /// `finish` reports the `trace.events_*` counters a ring of
+    /// `capacity` would have, so metrics are the same either way.
+    Count { capacity: u64, offered: AtomicU64 },
+}
+
 #[derive(Debug)]
 struct Hub {
-    tracer: Mutex<EventTracer>,
+    trace: TraceSink,
     metrics: Mutex<MetricSet>,
     attr: Option<AttrState>,
+}
+
+impl Hub {
+    /// Offers one trace event; `event` is built only when a ring keeps
+    /// it.
+    #[inline]
+    fn trace(&self, event: impl FnOnce() -> TraceEvent) {
+        match &self.trace {
+            TraceSink::Count { offered, .. } => {
+                offered.fetch_add(1, Ordering::Relaxed);
+            }
+            TraceSink::Ring(tracer) => tracer.lock().expect("tracer lock").record(event()),
+        }
+    }
 }
 
 /// A per-run telemetry hub: the owning side of a set of [`Probe`]s.
@@ -65,19 +99,36 @@ impl Telemetry {
     /// events (metrics are unbounded — they are a small fixed set of
     /// names).
     pub fn new(trace_capacity: usize) -> Self {
-        Self::build(trace_capacity, false)
+        Self::build(Self::ring(trace_capacity), false)
     }
 
     /// A hub that additionally collects per-request latency
     /// attribution ([`Probe::attr_record`] and friends become live).
     pub fn with_attribution(trace_capacity: usize) -> Self {
-        Self::build(trace_capacity, true)
+        Self::build(Self::ring(trace_capacity), true)
     }
 
-    fn build(trace_capacity: usize, attribution: bool) -> Self {
+    /// A hub for a caller that discards the trace: trace calls are
+    /// counted instead of stored, and [`finish`](Self::finish) returns
+    /// no events. Its metrics — `trace.events_recorded` and
+    /// `trace.events_dropped` included — equal those of a storing hub
+    /// with the same `trace_capacity`.
+    pub fn counting(trace_capacity: usize, attribution: bool) -> Self {
+        let trace = TraceSink::Count {
+            capacity: trace_capacity as u64,
+            offered: AtomicU64::new(0),
+        };
+        Self::build(trace, attribution)
+    }
+
+    fn ring(trace_capacity: usize) -> TraceSink {
+        TraceSink::Ring(Mutex::new(EventTracer::new(trace_capacity)))
+    }
+
+    fn build(trace: TraceSink, attribution: bool) -> Self {
         Telemetry {
             hub: Arc::new(Hub {
-                tracer: Mutex::new(EventTracer::new(trace_capacity)),
+                trace,
                 metrics: Mutex::new(MetricSet::new()),
                 attr: attribution.then(|| AttrState {
                     collector: Mutex::new(AttrCollector::default()),
@@ -102,21 +153,32 @@ impl Telemetry {
         self.hub.metrics.lock().expect("metrics lock").merge(other);
     }
 
-    /// Drains the hub: time-sorted surviving events plus the metrics
-    /// recorded through probes, including `trace.events_recorded` /
+    /// Drains the hub: time-sorted surviving events (none from a
+    /// [`counting`](Self::counting) hub) plus the metrics recorded
+    /// through probes, including `trace.events_recorded` /
     /// `trace.events_dropped` bookkeeping.
     ///
     /// Outstanding probe clones keep working but feed a fresh, empty
     /// buffer; `finish` is called once, after the run completes.
     pub fn finish(&self) -> (Vec<TraceEvent>, MetricSet) {
-        let tracer = std::mem::replace(
-            &mut *self.hub.tracer.lock().expect("tracer lock"),
-            EventTracer::new(0),
-        );
+        let (events, recorded, dropped) = match &self.hub.trace {
+            TraceSink::Ring(tracer) => {
+                let tracer = std::mem::replace(
+                    &mut *tracer.lock().expect("tracer lock"),
+                    EventTracer::new(0),
+                );
+                let (recorded, dropped) = (tracer.recorded(), tracer.dropped());
+                (tracer.finish(), recorded, dropped)
+            }
+            TraceSink::Count { capacity, offered } => {
+                let n = offered.swap(0, Ordering::Relaxed);
+                (Vec::new(), n, n.saturating_sub(*capacity))
+            }
+        };
         let mut metrics = std::mem::take(&mut *self.hub.metrics.lock().expect("metrics lock"));
-        metrics.add("trace.events_recorded", tracer.recorded());
-        metrics.add("trace.events_dropped", tracer.dropped());
-        (tracer.finish(), metrics)
+        metrics.add("trace.events_recorded", recorded);
+        metrics.add("trace.events_dropped", dropped);
+        (events, metrics)
     }
 
     /// The latency-attribution summary, when this hub was created with
@@ -164,7 +226,7 @@ impl Probe {
     #[inline]
     pub fn span(&self, track: Track, name: &'static str, start: Picos, end: Picos) {
         if let Some(hub) = &self.0 {
-            hub.tracer.lock().expect("tracer lock").record(TraceEvent {
+            hub.trace(|| TraceEvent {
                 ts_ps: start.as_ps(),
                 dur_ps: end.as_ps().saturating_sub(start.as_ps()),
                 track,
@@ -185,7 +247,7 @@ impl Probe {
         args: &[(&'static str, u64)],
     ) {
         if let Some(hub) = &self.0 {
-            hub.tracer.lock().expect("tracer lock").record(TraceEvent {
+            hub.trace(|| TraceEvent {
                 ts_ps: start.as_ps(),
                 dur_ps: end.as_ps().saturating_sub(start.as_ps()),
                 track,
@@ -199,7 +261,7 @@ impl Probe {
     #[inline]
     pub fn instant(&self, track: Track, name: &'static str, at: Picos) {
         if let Some(hub) = &self.0 {
-            hub.tracer.lock().expect("tracer lock").record(TraceEvent {
+            hub.trace(|| TraceEvent {
                 ts_ps: at.as_ps(),
                 dur_ps: 0,
                 track,
@@ -217,6 +279,19 @@ impl Probe {
                 .lock()
                 .expect("metrics lock")
                 .record_latency_ps(name, dur.as_ps());
+        }
+    }
+
+    /// Adds every sample of `samples` into the latency histogram `name`
+    /// — for layers that accumulate samples locally and drain them in
+    /// batches (same buckets as one [`latency`](Self::latency) call per
+    /// sample).
+    pub fn latencies(&self, name: &str, samples: &LatencyHistogram) {
+        if let Some(hub) = &self.0 {
+            hub.metrics
+                .lock()
+                .expect("metrics lock")
+                .merge_latency(name, samples);
         }
     }
 
@@ -405,6 +480,47 @@ mod tests {
         assert_eq!(metrics.counter("trace.events_recorded"), Some(2));
         assert_eq!(metrics.counter("trace.events_dropped"), Some(0));
         assert_eq!(metrics.histogram("pram.read").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn counting_hub_reports_the_ring_counters_without_events() {
+        for capacity in [0, 2, 16] {
+            let ring = Telemetry::new(capacity);
+            let count = Telemetry::counting(capacity, false);
+            for hub in [&ring, &count] {
+                let p = hub.probe();
+                let track = Track::new("pe", 1);
+                p.span(track, "compute", Picos::ZERO, Picos::from_ns(4));
+                p.span_args(
+                    track,
+                    "mem",
+                    Picos::from_ns(4),
+                    Picos::from_ns(9),
+                    &[("bytes", 64)],
+                );
+                p.instant(track, "hit", Picos::from_ns(9));
+                p.span(track, "compute", Picos::from_ns(9), Picos::from_ns(12));
+            }
+            let (kept, ring_metrics) = ring.finish();
+            let (none, count_metrics) = count.finish();
+            assert_eq!(kept.len(), capacity.min(4));
+            assert!(none.is_empty());
+            assert_eq!(count_metrics, ring_metrics, "capacity {capacity}");
+            assert_eq!(count_metrics.counter("trace.events_recorded"), Some(4));
+        }
+    }
+
+    #[test]
+    fn batched_latencies_land_in_the_per_sample_buckets() {
+        let (one_by_one, batched) = (Telemetry::new(0), Telemetry::new(0));
+        let mut local = LatencyHistogram::new();
+        for ns in [1, 3, 700, 700, 90_000] {
+            one_by_one.probe().latency("pe.mem_op", Picos::from_ns(ns));
+            local.record_ps(Picos::from_ns(ns).as_ps());
+        }
+        batched.probe().latencies("pe.mem_op", &local);
+        Probe::disabled().latencies("pe.mem_op", &local);
+        assert_eq!(batched.finish().1, one_by_one.finish().1);
     }
 
     #[test]

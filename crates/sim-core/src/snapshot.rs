@@ -23,7 +23,7 @@
 //!   ledgers) is *not* captured; restore leaves it untouched or resets
 //!   it, and the contract above pins that this cannot change outputs.
 
-use util::json::{FromJson, Json, JsonError, ToJson};
+use util::json::{Json, JsonError};
 
 /// A versioned, JSON-serializable image of one component's state.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,32 +221,10 @@ macro_rules! snapshot_via_json {
     };
 }
 
-/// Serializes any map-like sequence of `(u64, V)` pairs sorted by key,
-/// so images are byte-stable regardless of hash-map iteration order.
-pub fn sorted_pairs<V: ToJson>(iter: impl Iterator<Item = (u64, V)>) -> Json {
-    let mut pairs: Vec<(u64, V)> = iter.collect();
-    pairs.sort_by_key(|(k, _)| *k);
-    Json::Arr(
-        pairs
-            .into_iter()
-            .map(|(k, v)| Json::Arr(vec![Json::U64(k), v.to_json()]))
-            .collect(),
-    )
-}
-
-/// Parses what [`sorted_pairs`] wrote.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] when the value is not an array of
-/// `[key, value]` pairs.
-pub fn pairs_from<V: FromJson>(v: &Json) -> Result<Vec<(u64, V)>, JsonError> {
-    Vec::<(u64, V)>::from_json(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use util::json::{FromJson, ToJson};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Counter {
@@ -295,14 +273,5 @@ mod tests {
         let img = StateImage::new("test/counter", 1, Json::U64(7));
         let back = StateImage::from_json_str(&img.to_json_string()).unwrap();
         assert_eq!(back, img);
-    }
-
-    #[test]
-    fn sorted_pairs_are_order_independent() {
-        let a = sorted_pairs([(3u64, 30u64), (1, 10), (2, 20)].into_iter());
-        let b = sorted_pairs([(1u64, 10u64), (2, 20), (3, 30)].into_iter());
-        assert_eq!(a, b);
-        let back = pairs_from::<u64>(&a).unwrap();
-        assert_eq!(back, vec![(1, 10), (2, 20), (3, 30)]);
     }
 }

@@ -243,10 +243,7 @@ impl<P: PageStore> CachedStore<P> {
             ("store".to_string(), store.to_json()),
             ("dram".to_string(), self.dram.to_json()),
             ("capacity_pages".to_string(), self.capacity_pages.to_json()),
-            (
-                "resident".to_string(),
-                sim_core::snapshot::sorted_pairs(self.resident.iter().map(|(k, v)| (*k, *v))),
-            ),
+            ("resident".to_string(), self.resident.to_json()),
             ("clock".to_string(), self.clock.to_json()),
             ("stats".to_string(), self.stats.to_json()),
         ]);
@@ -259,13 +256,10 @@ impl<P: PageStore> CachedStore<P> {
         let data = image.expect(CACHE_KIND, CACHE_VERSION)?;
         let m = |e| SnapshotError::malformed(CACHE_KIND, e);
         let store: StateImage = field(data, "store").map_err(m)?;
-        let resident = sim_core::snapshot::pairs_from::<(bool, u64)>(
-            data.get("resident").unwrap_or(&Json::Null),
-        )
-        .map_err(m)?;
+        let resident = field(data, "resident").map_err(m)?;
         self.dram = field(data, "dram").map_err(m)?;
         self.capacity_pages = field(data, "capacity_pages").map_err(m)?;
-        self.resident = resident.into_iter().collect();
+        self.resident = resident;
         self.clock = field(data, "clock").map_err(m)?;
         self.stats = field(data, "stats").map_err(m)?;
         Ok(store)

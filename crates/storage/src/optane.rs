@@ -125,12 +125,10 @@ const PRAM_SSD_VERSION: u32 = 1;
 impl sim_core::Snapshot for PramSsd {
     fn snapshot(&self) -> StateImage {
         use util::json::ToJson;
-        let mut written: Vec<u64> = self.written.iter().copied().collect();
-        written.sort_unstable();
         let data = util::json::Json::Obj(vec![
             ("params".to_string(), self.params.to_json()),
             ("lanes".to_string(), self.lanes.to_json()),
-            ("written".to_string(), written.to_json()),
+            ("written".to_string(), self.written.to_json()),
             ("energy".to_string(), self.energy.to_json()),
             ("requests".to_string(), self.requests.to_json()),
         ]);
@@ -141,10 +139,10 @@ impl sim_core::Snapshot for PramSsd {
         use util::json::field;
         let data = image.expect(PRAM_SSD_KIND, PRAM_SSD_VERSION)?;
         let m = |e| SnapshotError::malformed(PRAM_SSD_KIND, e);
-        let written: Vec<u64> = field(data, "written").map_err(m)?;
+        let written = field(data, "written").map_err(m)?;
         self.params = field(data, "params").map_err(m)?;
         self.lanes = field(data, "lanes").map_err(m)?;
-        self.written = written.into_iter().collect();
+        self.written = written;
         self.energy = field(data, "energy").map_err(m)?;
         self.requests = field(data, "requests").map_err(m)?;
         Ok(())

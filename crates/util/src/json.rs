@@ -27,7 +27,7 @@
 //! assert_eq!(Point::from_json_str(&text).unwrap(), p);
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 /// A parsed or constructed JSON value.
@@ -779,10 +779,16 @@ impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
     }
 }
 
-impl<K: ToJson, V: ToJson, S> ToJson for HashMap<K, V, S> {
+// Hash containers serialize in key order, like `BTreeMap`: iteration
+// order follows the hasher's keys and the insertion history, so
+// emitting it would make identical contents render as different bytes.
+impl<K: ToJson + Ord, V: ToJson, S> ToJson for HashMap<K, V, S> {
     fn to_json(&self) -> Json {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
         Json::Arr(
-            self.iter()
+            pairs
+                .into_iter()
                 .map(|(k, v)| Json::Arr(vec![k.to_json(), v.to_json()]))
                 .collect(),
         )
@@ -798,6 +804,25 @@ where
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let pairs: Vec<(K, V)> = Vec::from_json(v)?;
         Ok(pairs.into_iter().collect())
+    }
+}
+
+impl<T: ToJson + Ord, S> ToJson for HashSet<T, S> {
+    fn to_json(&self) -> Json {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        Json::Arr(items.into_iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T, S> FromJson for HashSet<T, S>
+where
+    T: FromJson + std::hash::Hash + Eq,
+    S: std::hash::BuildHasher + Default,
+{
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let items: Vec<T> = Vec::from_json(v)?;
+        Ok(items.into_iter().collect())
     }
 }
 
@@ -977,6 +1002,28 @@ mod tests {
         let back: BTreeMap<u32, String> =
             BTreeMap::from_json(&Json::parse(&m.to_json_string()).unwrap()).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn hash_containers_render_in_key_order() {
+        // Two maps with independently keyed hashers, filled in opposite
+        // orders, iterate differently but must render identically — as
+        // the key-ordered BTreeMap does.
+        let keys: Vec<u64> = (0..200).map(|i| i * 7919 % 1009).collect();
+        let forward: HashMap<u64, u64> = keys.iter().map(|&k| (k, k * 3)).collect();
+        let backward: HashMap<u64, u64> = keys.iter().rev().map(|&k| (k, k * 3)).collect();
+        let ordered: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k * 3)).collect();
+        assert_eq!(forward.to_json_string(), ordered.to_json_string());
+        assert_eq!(backward.to_json_string(), ordered.to_json_string());
+        let back: HashMap<u64, u64> = HashMap::from_json_str(&forward.to_json_string()).unwrap();
+        assert_eq!(back, forward);
+
+        let set: HashSet<u64> = keys.iter().copied().collect();
+        let mut sorted: Vec<u64> = set.iter().copied().collect();
+        sorted.sort_unstable();
+        assert_eq!(set.to_json_string(), sorted.to_json_string());
+        let back: HashSet<u64> = HashSet::from_json_str(&set.to_json_string()).unwrap();
+        assert_eq!(back, set);
     }
 
     #[test]

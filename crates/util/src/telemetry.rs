@@ -365,19 +365,23 @@ impl MetricSet {
     ///
     /// Panics if `name` is already registered as a non-counter.
     pub fn add(&mut self, name: &str, delta: u64) {
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert(MetricValue::Counter(0))
-        {
-            MetricValue::Counter(c) => *c += delta,
-            other => panic!("metric {name} is not a counter: {other:?}"),
-        }
+        self.update(
+            name,
+            || MetricValue::Counter(0),
+            |value| match value {
+                MetricValue::Counter(c) => *c += delta,
+                other => panic!("metric {name} is not a counter: {other:?}"),
+            },
+        );
     }
 
     /// Sets the gauge `name` to `v` (last write wins).
     pub fn gauge(&mut self, name: &str, v: f64) {
-        self.entries.insert(name.to_string(), MetricValue::Gauge(v));
+        self.update(
+            name,
+            || MetricValue::Gauge(v),
+            |value| *value = MetricValue::Gauge(v),
+        );
     }
 
     /// Records a latency sample (picoseconds) into histogram `name`.
@@ -386,14 +390,48 @@ impl MetricSet {
     ///
     /// Panics if `name` is already registered as a non-histogram.
     pub fn record_latency_ps(&mut self, name: &str, ps: u64) {
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert_with(|| MetricValue::Histogram(Box::new(LatencyHistogram::new())))
-        {
-            MetricValue::Histogram(h) => h.record_ps(ps),
-            other => panic!("metric {name} is not a histogram: {other:?}"),
-        }
+        self.update_histogram(name, |h| h.record_ps(ps));
+    }
+
+    /// Adds every sample of `samples` into histogram `name` — the same
+    /// buckets as recording each sample through
+    /// [`record_latency_ps`](Self::record_latency_ps), for callers that
+    /// accumulate locally and drain in batches. An empty `samples`
+    /// still registers the name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a non-histogram.
+    pub fn merge_latency(&mut self, name: &str, samples: &LatencyHistogram) {
+        self.update_histogram(name, |h| h.merge(samples));
+    }
+
+    fn update_histogram(&mut self, name: &str, f: impl FnOnce(&mut LatencyHistogram)) {
+        self.update(
+            name,
+            || MetricValue::Histogram(Box::default()),
+            |value| match value {
+                MetricValue::Histogram(h) => f(h),
+                other => panic!("metric {name} is not a histogram: {other:?}"),
+            },
+        );
+    }
+
+    /// Applies `f` to the entry `name`, registering it as `init()` first
+    /// if absent. The lookup comes before any allocation: recording
+    /// paths mostly hit names that already exist, so the key `String`
+    /// is built once per name rather than once per sample.
+    fn update(
+        &mut self,
+        name: &str,
+        init: impl FnOnce() -> MetricValue,
+        f: impl FnOnce(&mut MetricValue),
+    ) {
+        let value = match self.entries.get_mut(name) {
+            Some(value) => value,
+            None => self.entries.entry(name.to_string()).or_insert_with(init),
+        };
+        f(value);
     }
 
     /// Counter value, if `name` is a counter.

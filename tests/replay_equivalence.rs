@@ -128,6 +128,48 @@ fn faulted_runs_record_and_resume_mid_cell_byte_identically() {
 }
 
 #[test]
+fn recordings_are_byte_reproducible_and_images_re_snapshot_exactly() {
+    // Hash-keyed device state (PRAM cell rows, fault ledgers, retire
+    // maps) must render in key order: two recordings of one seeded,
+    // faulted cell in one process are byte-identical, although every
+    // map gets its own hasher keys.
+    let mut spec = SystemKind::DramLess.spec();
+    spec.faults = Some(FaultPlan::seeded(7));
+    let p = params();
+    let record = || {
+        replay::record_cell(
+            SystemId::Preset(SystemKind::DramLess),
+            &spec,
+            &small(),
+            &p,
+            40,
+        )
+        .unwrap()
+    };
+    let rec = record();
+    assert!(
+        record().to_json_string() == rec.to_json_string(),
+        "two recordings of one seeded cell differ"
+    );
+
+    // A faulted controller restored from an image re-snapshots to the
+    // same bytes: the insertion history a restore leaves behind must
+    // not reach the image.
+    let footprint = small().build_cached(p.agents).character.footprint;
+    for c in &rec.checkpoints {
+        assert_eq!(c.backend.kind, "pram-ctrl/controller");
+        let mut sys = dramless::build_system(&spec, &p, footprint).unwrap();
+        sys.backend.restore_state(&c.backend).unwrap();
+        let again = sys.backend.snapshot_state().unwrap();
+        assert!(
+            again.to_json_string() == c.backend.to_json_string(),
+            "controller image at request {} changed across restore",
+            c.requests
+        );
+    }
+}
+
+#[test]
 fn window_replay_reproduces_recorded_fingerprints_and_rejects_tampering() {
     let mut spec = SystemKind::DramLess.spec();
     spec.faults = Some(FaultPlan::seeded(11));

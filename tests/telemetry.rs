@@ -4,12 +4,14 @@
 //! [`RunOutcome`] metrics, and suite JSON with metrics round-trips
 //! byte-stably.
 
+use dramless::system::simulate_spec_as;
 use dramless::{
-    simulate_spec_built, simulate_spec_traced, Buffer, Control, Datapath, Medium, SuiteResult,
-    SystemKind, SystemParams, SystemSpec, TelemetrySpec,
+    simulate_spec_built, simulate_spec_traced, Buffer, Control, Datapath, FaultPlan, Medium,
+    SuiteResult, SystemId, SystemKind, SystemParams, SystemSpec, TelemetrySpec,
 };
 use pram_ctrl::SchedulerKind;
-use util::json::{FromJson, Json};
+use util::json::{FromJson, Json, ToJson};
+use util::pool::Pool;
 use util::telemetry::chrome_trace;
 use workloads::{Kernel, Scale, Workload};
 
@@ -232,4 +234,114 @@ fn aggregate_metrics_quantiles_match_concatenated_samples() {
             "aggregated q={q} diverged from the concatenated-sample quantile"
         );
     }
+}
+
+#[test]
+fn counted_traces_report_exactly_what_stored_traces_report() {
+    // Only `simulate_spec_traced` hands events back; every other run
+    // counts its trace calls instead of storing them. Both must attach
+    // the same metrics (the two trace counters included) and the same
+    // attribution, at ring capacities of 0, 64 and 65 536 events.
+    let w = Workload::of(Kernel::Gemver, Scale(0.1));
+    let p = params();
+    let built = w.build(p.agents);
+    for kind in [
+        SystemKind::DramLess,
+        SystemKind::PageBuffer,
+        SystemKind::Hetero,
+    ] {
+        for attribution in [false, true] {
+            for trace_events in [0, 64, 65_536] {
+                let spec = SystemSpec {
+                    telemetry: Some(TelemetrySpec {
+                        trace_events,
+                        attribution,
+                    }),
+                    ..kind.spec()
+                };
+                let cell = format!("{kind} attribution={attribution} ring={trace_events}");
+                let counted = simulate_spec_as(SystemId::Preset(kind), &spec, &built, &p).unwrap();
+                let (traced, events) = simulate_spec_traced(&spec, &built, &p).unwrap();
+                assert_eq!(
+                    counted.metrics.to_json_string(),
+                    traced.metrics.to_json_string(),
+                    "{cell}: metrics differ"
+                );
+                assert_eq!(
+                    counted.attr.to_json_string(),
+                    traced.attr.to_json_string(),
+                    "{cell}: attribution differs"
+                );
+                assert_eq!(counted.attr.is_some(), attribution, "{cell}");
+                let recorded = traced.metrics.counter("trace.events_recorded").unwrap();
+                let ring = trace_events as u64;
+                assert!(recorded > 64, "{cell}: too few events to fill a ring");
+                assert_eq!(events.len() as u64, recorded.min(ring), "{cell}");
+                assert_eq!(
+                    traced.metrics.counter("trace.events_dropped"),
+                    Some(recorded.saturating_sub(ring)),
+                    "{cell}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn attributed_faulted_grid_matches_its_golden_report() {
+    // Byte pin for the probed path: every evaluated preset on the five
+    // tail-forensics kernels, faults armed and attribution on, swept on
+    // one thread. The report carries each cell's metrics (trace
+    // counters and `pe.mem_op` included) and attribution block; the
+    // digest was taken before trace calls were counted instead of
+    // stored, so any drift in how probes reach the report fails here.
+    const GOLDEN: u64 = 0xaaf9_e0da_1d52_b72b;
+    let kernels = [
+        Kernel::Gemver,
+        Kernel::Trisolv,
+        Kernel::Lu,
+        Kernel::Seidel,
+        Kernel::Jaco2d,
+    ];
+    let workloads: Vec<Workload> = kernels
+        .iter()
+        .map(|&k| Workload::of(k, Scale(0.5)))
+        .collect();
+    let systems: Vec<(SystemId, SystemSpec)> = SystemKind::EVALUATED
+        .iter()
+        .map(|&k| {
+            let spec = SystemSpec {
+                faults: Some(FaultPlan::seeded(5)),
+                telemetry: Some(TelemetrySpec {
+                    trace_events: 4_096,
+                    attribution: true,
+                }),
+                ..k.spec()
+            };
+            (SystemId::Preset(k), spec)
+        })
+        .collect();
+    let p = SystemParams {
+        seed: 3,
+        ..SystemParams::default()
+    };
+    let (suite, _) =
+        dramless::sweep::sweep_systems_on(&Pool::new(1), &systems, &workloads, &p).unwrap();
+    assert_eq!(suite.outcomes.len(), 55);
+    assert!(suite
+        .outcomes
+        .iter()
+        .all(|o| o.attr.is_some() && o.degraded.is_some()));
+    assert!(
+        suite
+            .outcomes
+            .iter()
+            .any(|o| o.metrics.counter("trace.events_dropped") > Some(0)),
+        "the ring must overflow somewhere, or the drop count goes unpinned"
+    );
+    let got = util::fingerprint::fnv1a(suite.to_json().as_bytes());
+    assert_eq!(
+        got, GOLDEN,
+        "attributed grid report drifted (got 0x{got:016x})"
+    );
 }
