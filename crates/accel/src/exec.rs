@@ -1,21 +1,27 @@
 //! The accelerator execution engine.
 //!
-//! [`Accelerator::run`] replays per-agent kernel [`Trace`]s against a
-//! [`MemoryBackend`], reproducing the paper's execution model (Figure 9b):
-//! the server wakes each agent through the PSC, plants the kernel boot
-//! address, and the agents then alternate compute bursts with memory
-//! operations. Loads and stores walk the agent's private L1/L2; L2
+//! [`Accelerator::run_schedule_at`] executes one kernel by replaying its
+//! [`MemSchedule`] against a [`MemoryBackend`], reproducing the paper's
+//! execution model (Figure 9b): the server wakes each agent through the
+//! PSC, plants the kernel boot address, and the agents then alternate
+//! compute bursts with memory operations. The schedule already walked
+//! every load and store through the agent's private L1/L2; the L2
 //! misses cross the crossbar to the server's MCU and become backend
-//! requests. The engine records everything the paper's figures need —
-//! per-agent IPC over time, power over time, execution-time decomposition
-//! and an energy ledger.
+//! requests, which the replay issues in global time order through the
+//! real backend. The engine records everything the paper's figures need
+//! — per-agent IPC over time, power over time, execution-time
+//! decomposition and an energy ledger.
+//!
+//! The same replay runs in resumable steps —
+//! [`Accelerator::schedule_cursor`], [`Accelerator::advance_slice`],
+//! [`Accelerator::finish_schedule`] — which is what record/replay
+//! checkpoints. Unit tests check it against `walker`, a per-op trace
+//! walker kept only as a test reference.
 
-use crate::cache::{Cache, CacheConfig, CacheLevelStats};
+use crate::cache::{CacheConfig, CacheLevelStats};
 use crate::pe::{PeConfig, PeStats};
 use crate::psc::{PowerSleepController, PscParams};
 use crate::sched::{MemSchedule, ReplayEvent, ReplayStep};
-use crate::trace::{Trace, TraceIter, TraceOp};
-use crate::xbar::{Crossbar, XbarConfig};
 use sim_core::energy::{EnergyBook, Joules};
 use sim_core::mem::{MemoryBackend, StreamOp};
 use sim_core::probe::{AttrScope, Probe};
@@ -49,10 +55,6 @@ pub struct AccelConfig {
     /// Outstanding posted write-backs the server's MCU can hold before a
     /// PE must stall on further evictions.
     pub mcu_write_queue: usize,
-    /// Optional contended crossbar (Fig. 6a ablation). `None` charges
-    /// the fixed [`PeConfig::xbar_latency`] per off-PE request, which is
-    /// how the generously-provisioned real crossbar behaves.
-    pub xbar: Option<XbarConfig>,
 }
 
 util::json_struct!(AccelConfig {
@@ -65,7 +67,6 @@ util::json_struct!(AccelConfig {
     sample_bucket,
     announce_stores,
     mcu_write_queue,
-    xbar,
 });
 
 impl Default for AccelConfig {
@@ -80,7 +81,6 @@ impl Default for AccelConfig {
             sample_bucket: Picos::from_us(20),
             announce_stores: true,
             mcu_write_queue: 16,
-            xbar: None,
         }
     }
 }
@@ -176,51 +176,6 @@ impl ExecReport {
 pub struct Accelerator {
     config: AccelConfig,
     probe: Probe,
-}
-
-/// The server MCU's posted-write queue: slots hold the completion time
-/// of in-flight write-backs. Posting returns the instant the requester
-/// would have to wait for (the freed slot's previous occupancy) — zero
-/// backpressure while slots are free.
-struct WriteQueue {
-    slots: Vec<Picos>,
-}
-
-impl WriteQueue {
-    fn new(depth: usize) -> Self {
-        WriteQueue {
-            slots: vec![Picos::ZERO; depth.max(1)],
-        }
-    }
-
-    /// Issues a posted write; returns when the PE may proceed (the time
-    /// the reused slot freed).
-    fn post(&mut self, backend: &mut dyn MemoryBackend, now: Picos, addr: u64, len: u32) -> Picos {
-        let slot = (0..self.slots.len())
-            .min_by_key(|&i| self.slots[i])
-            .expect("queue is non-empty");
-        let wait_until = self.slots[slot];
-        let issue = now.max(wait_until);
-        let acc = backend.write(issue, addr, len);
-        self.slots[slot] = acc.end;
-        wait_until
-    }
-
-    /// When every in-flight write has completed.
-    fn drain_at(&self) -> Picos {
-        self.slots.iter().copied().fold(Picos::ZERO, Picos::max)
-    }
-}
-
-/// Per-agent execution state during a run. Ops decode straight off the
-/// packed trace stream — nothing materializes a `Vec<TraceOp>`.
-struct AgentRun<'t> {
-    ops: TraceIter<'t>,
-    time: Picos,
-    l1: Cache,
-    l2: Cache,
-    stats: PeStats,
-    done: bool,
 }
 
 /// Replay cursor of one agent: where it is in its step and event
@@ -489,303 +444,16 @@ impl Accelerator {
         self.config.pes - 1
     }
 
-    /// Executes one kernel: `traces[i]` runs on agent `i`, starting at
-    /// simulated time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more traces than agents are supplied, or no traces.
-    pub fn run(&self, traces: &[Trace], backend: &mut dyn MemoryBackend) -> ExecReport {
-        self.run_at(Picos::ZERO, traces, backend)
-    }
-
-    /// Executes one kernel starting at absolute simulated time `start`,
-    /// so the execution phase composes with earlier phases (offload,
-    /// staging) that already reserved backend resources. All report
-    /// times (total, series timestamps) are relative to `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more traces than agents are supplied, or no traces.
-    pub fn run_at(
-        &self,
-        start: Picos,
-        traces: &[Trace],
-        backend: &mut dyn MemoryBackend,
-    ) -> ExecReport {
-        assert!(!traces.is_empty(), "no kernel traces supplied");
-        assert!(
-            traces.len() <= self.agents(),
-            "{} traces but only {} agents",
-            traces.len(),
-            self.agents()
-        );
-        let cfg = &self.config;
-        let mut psc = PowerSleepController::new(cfg.psc, cfg.pes);
-        let mut energy = EnergyBook::new();
-        // Runs typically span a few hundred sample buckets; reserving up
-        // front keeps the per-op series appends reallocation-free.
-        let series_cap = 512;
-        let mut ipc_series = TimeSeries::with_capacity(cfg.sample_bucket, series_cap);
-        let mut power_series = TimeSeries::with_capacity(cfg.sample_bucket, series_cap);
-
-        // Server (PE 0) schedules the agents (Fig. 9b steps 3-6).
-        let mut launch = start;
-        let mut agents: Vec<AgentRun> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, trace)| {
-                launch += cfg.launch_overhead;
-                let ready = psc.wake(launch, i + 1);
-                if cfg.announce_stores {
-                    let targets = trace.store_targets(32);
-                    if !targets.is_empty() {
-                        backend.announce_overwrites(ready, &targets);
-                    }
-                }
-                AgentRun {
-                    ops: trace.iter(),
-                    time: ready,
-                    l1: Cache::new(cfg.l1),
-                    l2: Cache::new(cfg.l2),
-                    stats: PeStats::default(),
-                    done: false,
-                }
-            })
-            .collect();
-
-        let mut bytes_from = 0u64;
-        let mut bytes_to = 0u64;
-        let mut mem_requests = 0u64;
-        let l2_line = cfg.l2.line;
-        let l1_line = cfg.l1.line;
-        // The MCU write queue: posted write-backs drain in the
-        // background; a PE only stalls when every slot is occupied past
-        // its current time.
-        let mut wq = WriteQueue::new(cfg.mcu_write_queue);
-        // Optional contended crossbar; otherwise fixed-latency traversal.
-        let mut xbar = cfg.xbar.map(Crossbar::new);
-        let mut cross = |at: Picos, bytes: u32, fixed: Picos| -> Picos {
-            match xbar.as_mut() {
-                Some(x) => x.transfer(at, bytes),
-                None => at + fixed,
-            }
-        };
-
-        // Advance the globally-earliest agent so backend arbitration sees
-        // requests in time order. The scheduler keeps the agent clocks in
-        // a flat array (structure-of-arrays: one cache-line scan instead
-        // of striding over the fat per-agent structs) and finds the
-        // earliest agent *and the runner-up* in a single pass — the
-        // chosen agent can then batch-advance ops locally for as long as
-        // it stays strictly ahead of the runner-up, which is exactly the
-        // set of steps a rescan-per-op loop would have given it.
-        let n = agents.len();
-        let mut times: Vec<Picos> = agents.iter().map(|a| a.time).collect();
-        let mut parked: Vec<bool> = vec![false; n];
-        loop {
-            let mut best = usize::MAX;
-            let mut second = usize::MAX;
-            for i in 0..n {
-                if parked[i] {
-                    continue;
-                }
-                if best == usize::MAX || times[i] < times[best] {
-                    second = best;
-                    best = i;
-                } else if second == usize::MAX || times[i] < times[second] {
-                    second = i;
-                }
-            }
-            if best == usize::MAX {
-                break;
-            }
-            let idx = best;
-            let bound = (second != usize::MAX).then(|| (times[second], second));
-            let a = &mut agents[idx];
-            loop {
-                let Some(op) = a.ops.next() else {
-                    // Kernel complete: flush caches (dirty results must
-                    // land in memory before the completion message).
-                    let l1_dirty = a.l1.flush();
-                    for addr in l1_dirty {
-                        let out = a.l2.access(addr, true);
-                        if let Some(fill) = out.fill {
-                            self.probe.attr_tag(AttrScope::Exec, mem_requests);
-                            let acc = backend.read(a.time, fill, l2_line);
-                            a.time = acc.end + cfg.pe.xbar_latency;
-                            bytes_from += l2_line as u64;
-                            mem_requests += 1;
-                        }
-                        if let Some(wb) = out.writeback {
-                            self.probe.attr_tag(AttrScope::Exec, mem_requests);
-                            let free_at = wq.post(backend, a.time, wb, l2_line);
-                            a.time = a.time.max(free_at);
-                            bytes_to += l2_line as u64;
-                            mem_requests += 1;
-                        }
-                    }
-                    for addr in a.l2.flush() {
-                        self.probe.attr_tag(AttrScope::Exec, mem_requests);
-                        let free_at = wq.post(backend, a.time, addr, l2_line);
-                        a.time = a.time.max(free_at);
-                        bytes_to += l2_line as u64;
-                        mem_requests += 1;
-                    }
-                    // Results must be durable before the completion
-                    // message: drain the whole write queue.
-                    a.time = a.time.max(wq.drain_at());
-                    a.done = true;
-                    psc.sleep(a.time, idx + 1);
-                    break;
-                };
-                match op {
-                    TraceOp::Compute(block) => {
-                        let dt = cfg.pe.clock.cycles_to_time(block.cycles());
-                        let e = cfg.pe.p_active * dt;
-                        energy.charge("pe.compute", e);
-                        power_series.add(a.time - start, e.as_j());
-                        ipc_series.add(a.time + dt - start, block.total() as f64);
-                        self.probe.span(
-                            Track::new("pe", idx as u32 + 1),
-                            "compute",
-                            a.time,
-                            a.time + dt,
-                        );
-                        a.stats.instructions += block.total();
-                        a.stats.compute_cycles += block.cycles();
-                        a.stats.compute_time += dt;
-                        a.time += dt;
-                    }
-                    TraceOp::Load { addr, len } | TraceOp::Store { addr, len } => {
-                        let is_store = matches!(op, TraceOp::Store { .. });
-                        let t0 = a.time;
-                        // Touch every L1 line the access covers. The
-                        // range is computed inline (same math as
-                        // `Cache::lines_touched`) because borrowing the
-                        // cache for an iterator here would alias the
-                        // mutable accesses below — and collecting into a
-                        // Vec per memory op dominated sweep allocations.
-                        let line_bytes = l1_line as u64;
-                        let first = addr / line_bytes;
-                        let last = (addr + len.max(1) as u64 - 1) / line_bytes;
-                        for line in (first..=last).map(|l| l * line_bytes) {
-                            let l1_out = a.l1.access(line, is_store);
-                            if l1_out.hit {
-                                a.time += cfg.pe.clock.cycles_to_time(cfg.pe.l1_hit_cycles);
-                                continue;
-                            }
-                            // L1 victim write-back goes to L2.
-                            if let Some(wb) = l1_out.writeback {
-                                let out = a.l2.access(wb, true);
-                                if let Some(fill) = out.fill {
-                                    self.probe.attr_tag(AttrScope::Exec, mem_requests);
-                                    let acc = backend.read(a.time, fill, l2_line);
-                                    a.time = cross(acc.end, l2_line, cfg.pe.xbar_latency);
-                                    bytes_from += l2_line as u64;
-                                    mem_requests += 1;
-                                }
-                                if let Some(l2wb) = out.writeback {
-                                    self.probe.attr_tag(AttrScope::Exec, mem_requests);
-                                    let free_at = wq.post(backend, a.time, l2wb, l2_line);
-                                    a.time = a.time.max(free_at);
-                                    bytes_to += l2_line as u64;
-                                    mem_requests += 1;
-                                }
-                            }
-                            // Fill the L1 line from L2.
-                            let out = a.l2.access(line, false);
-                            if out.hit {
-                                a.time += cfg.pe.clock.cycles_to_time(cfg.pe.l2_hit_cycles);
-                            } else {
-                                if let Some(l2wb) = out.writeback {
-                                    self.probe.attr_tag(AttrScope::Exec, mem_requests);
-                                    let free_at = wq.post(backend, a.time, l2wb, l2_line);
-                                    a.time = a.time.max(free_at);
-                                    bytes_to += l2_line as u64;
-                                    mem_requests += 1;
-                                }
-                                let fill = out.fill.expect("miss always fills");
-                                self.probe.attr_tag(AttrScope::Exec, mem_requests);
-                                let acc = backend.read(a.time, fill, l2_line);
-                                a.time = cross(acc.end, l2_line, cfg.pe.xbar_latency);
-                                bytes_from += l2_line as u64;
-                                mem_requests += 1;
-                            }
-                        }
-                        let dt = a.time - t0;
-                        let e = cfg.pe.p_stall * dt;
-                        energy.charge("pe.stall", e);
-                        power_series.add(t0 - start, e.as_j());
-                        ipc_series.add(a.time - start, 1.0);
-                        if !dt.is_zero() {
-                            self.probe
-                                .span(Track::new("pe", idx as u32 + 1), "mem", t0, a.time);
-                            self.probe.latency("pe.mem_op", dt);
-                        }
-                        a.stats.instructions += 1;
-                        a.stats.stall_time += dt;
-                        if is_store {
-                            a.stats.stores += 1;
-                        } else {
-                            a.stats.loads += 1;
-                        }
-                    }
-                }
-                // Keep going while this agent would win the rescan: the
-                // scheduler tie-breaks equal clocks by lowest index.
-                match bound {
-                    Some((bt, bi)) if !(a.time < bt || (a.time == bt && idx < bi)) => break,
-                    _ => {}
-                }
-            }
-            times[idx] = a.time;
-            parked[idx] = a.done;
-        }
-
-        let total_time = agents.iter().map(|a| a.time).fold(Picos::ZERO, Picos::max) - start;
-        // Server PE: orchestration power over the whole run; parked PEs:
-        // sleep power.
-        energy.charge("pe.server", cfg.pe.p_stall * total_time);
-        let parked = (cfg.pes - 1 - agents.len()) as u64;
-        energy.charge("pe.sleep", (cfg.pe.p_sleep * total_time).scaled(parked));
-
-        let mut l1 = CacheLevelStats::default();
-        let mut l2 = CacheLevelStats::default();
-        for a in &agents {
-            l1.hits += a.l1.stats().hits;
-            l1.misses += a.l1.stats().misses;
-            l1.writebacks += a.l1.stats().writebacks;
-            l2.hits += a.l2.stats().hits;
-            l2.misses += a.l2.stats().misses;
-            l2.writebacks += a.l2.stats().writebacks;
-        }
-
-        ExecReport {
-            total_time,
-            instructions: agents.iter().map(|a| a.stats.instructions).sum(),
-            compute_time: agents.iter().map(|a| a.stats.compute_time).sum(),
-            stall_time: agents.iter().map(|a| a.stats.stall_time).sum(),
-            pe_stats: agents.iter().map(|a| a.stats).collect(),
-            l1,
-            l2,
-            ipc_series,
-            power_series,
-            energy,
-            bytes_from_mem: bytes_from,
-            bytes_to_mem: bytes_to,
-            mem_requests,
-        }
-    }
-
     /// Executes one kernel by replaying a prebuilt [`MemSchedule`]
-    /// instead of re-decoding traces and re-simulating the caches.
+    /// (`sched.agents[i]` runs on agent `i`) starting at absolute
+    /// simulated time `start`, so the execution phase composes with
+    /// earlier phases (offload, staging) that already reserved backend
+    /// resources. All report times (total, series timestamps) are
+    /// relative to `start`.
     ///
-    /// Produces a report bit-identical to
-    /// [`Accelerator::run_at`]`(start, traces, backend)` for the traces
-    /// the schedule was built from — the schedule already froze the
-    /// backend request stream and the per-op hit timing, so the replay
-    /// keeps the same closed-loop issue/completion arbitration while
+    /// The schedule already froze the backend request stream and the
+    /// per-op hit timing, so the replay keeps the closed-loop
+    /// issue/completion arbitration of a per-op trace walk while
     /// skipping the trace decode, the cache simulation and the per-label
     /// energy map lookups. Backend requests cross the boundary through
     /// the batched [`MemoryBackend::run_stream`] entry, one slice per
@@ -793,10 +461,8 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics if the schedule is empty or has more agents than PEs, if
-    /// its cache geometry differs from this accelerator's, or if a
-    /// contended crossbar is configured (the replay models only the
-    /// fixed-latency crossbar, which is every preset).
+    /// Panics if the schedule is empty or has more agents than PEs, or
+    /// if its cache geometry differs from this accelerator's.
     pub fn run_schedule_at(
         &self,
         start: Picos,
@@ -817,7 +483,7 @@ impl Accelerator {
     ///
     /// Panics under the same conditions as
     /// [`Accelerator::run_schedule_at`] (empty schedule, too many
-    /// agents, mismatched cache geometry, contended crossbar).
+    /// agents, mismatched cache geometry).
     pub fn schedule_cursor(
         &self,
         start: Picos,
@@ -833,10 +499,6 @@ impl Accelerator {
         );
         let cfg = &self.config;
         assert!(
-            cfg.xbar.is_none(),
-            "schedule replay supports only the fixed-latency crossbar"
-        );
-        assert!(
             sched.l1 == cfg.l1 && sched.l2 == cfg.l2,
             "schedule built under a different cache geometry"
         );
@@ -845,8 +507,8 @@ impl Accelerator {
         // front keeps the per-op series appends reallocation-free.
         let series_cap = 512;
 
-        // Server (PE 0) schedules the agents — identical launch path to
-        // `run_at`, with the announce payload memoized in the schedule.
+        // Server (PE 0) schedules the agents (Fig. 9b steps 3-6); the
+        // announce payload is memoized in the schedule.
         let mut launch = start;
         let agents: Vec<SchedRun> = sched
             .agents
@@ -951,7 +613,7 @@ impl Accelerator {
             loop {
                 if a.step == sa.step_count() {
                     // Kernel complete: the schedule's flush section holds
-                    // the dirty-line traffic the engine would issue.
+                    // the dirty-line traffic of the cache flush.
                     cur.buf.clear();
                     for ei in sa.flush_start()..sa.event_count() {
                         match sa.event(ei) {
@@ -981,7 +643,7 @@ impl Accelerator {
                     if !cur.buf.is_empty() {
                         // The batch base ordinal; `run_stream` steps the
                         // attribution cursor between ops, so per-request
-                        // indices match the per-op engine path.
+                        // indices stay one per backend request.
                         self.probe
                             .attr_tag(AttrScope::Exec, cur.mem_requests - cur.buf.len() as u64);
                         a.time = backend.run_stream(
@@ -1186,10 +848,334 @@ impl Accelerator {
     }
 }
 
+/// The per-op trace walker: the reference the schedule replay is
+/// checked against. It decodes each agent's trace and walks its L1/L2
+/// op by op, issuing backend requests as misses and evictions occur,
+/// and picks the next agent by a full earliest/runner-up rescan — what
+/// [`MemSchedule::build`] and the replay's ordered agent list each
+/// reproduce in a faster form.
+#[cfg(test)]
+pub(crate) mod walker {
+    use super::*;
+    use crate::cache::Cache;
+    use crate::trace::{Trace, TraceIter, TraceOp};
+
+    /// The server MCU's posted-write queue: slots hold the completion time
+    /// of in-flight write-backs. Posting returns the instant the requester
+    /// would have to wait for (the freed slot's previous occupancy) — zero
+    /// backpressure while slots are free.
+    struct WriteQueue {
+        slots: Vec<Picos>,
+    }
+
+    impl WriteQueue {
+        fn new(depth: usize) -> Self {
+            WriteQueue {
+                slots: vec![Picos::ZERO; depth.max(1)],
+            }
+        }
+
+        /// Issues a posted write; returns when the PE may proceed (the time
+        /// the reused slot freed).
+        fn post(
+            &mut self,
+            backend: &mut dyn MemoryBackend,
+            now: Picos,
+            addr: u64,
+            len: u32,
+        ) -> Picos {
+            let slot = (0..self.slots.len())
+                .min_by_key(|&i| self.slots[i])
+                .expect("queue is non-empty");
+            let wait_until = self.slots[slot];
+            let issue = now.max(wait_until);
+            let acc = backend.write(issue, addr, len);
+            self.slots[slot] = acc.end;
+            wait_until
+        }
+
+        /// When every in-flight write has completed.
+        fn drain_at(&self) -> Picos {
+            self.slots.iter().copied().fold(Picos::ZERO, Picos::max)
+        }
+    }
+
+    /// Per-agent execution state during a run. Ops decode straight off the
+    /// packed trace stream — nothing materializes a `Vec<TraceOp>`.
+    struct AgentRun<'t> {
+        ops: TraceIter<'t>,
+        time: Picos,
+        l1: Cache,
+        l2: Cache,
+        stats: PeStats,
+        done: bool,
+    }
+
+    /// Runs `traces[i]` on agent `i` from absolute time `start`; the
+    /// report must equal [`Accelerator::run_schedule_at`]'s on the
+    /// schedule built from the same traces, byte for byte.
+    pub(crate) fn run_at(
+        accel: &Accelerator,
+        start: Picos,
+        traces: &[Trace],
+        backend: &mut dyn MemoryBackend,
+    ) -> ExecReport {
+        let cfg = &accel.config;
+        let mut psc = PowerSleepController::new(cfg.psc, cfg.pes);
+        let mut energy = EnergyBook::new();
+        // Runs typically span a few hundred sample buckets; reserving up
+        // front keeps the per-op series appends reallocation-free.
+        let series_cap = 512;
+        let mut ipc_series = TimeSeries::with_capacity(cfg.sample_bucket, series_cap);
+        let mut power_series = TimeSeries::with_capacity(cfg.sample_bucket, series_cap);
+
+        // Server (PE 0) schedules the agents (Fig. 9b steps 3-6).
+        let mut launch = start;
+        let mut agents: Vec<AgentRun> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, trace)| {
+                launch += cfg.launch_overhead;
+                let ready = psc.wake(launch, i + 1);
+                if cfg.announce_stores {
+                    let targets = trace.store_targets(32);
+                    if !targets.is_empty() {
+                        backend.announce_overwrites(ready, &targets);
+                    }
+                }
+                AgentRun {
+                    ops: trace.iter(),
+                    time: ready,
+                    l1: Cache::new(cfg.l1),
+                    l2: Cache::new(cfg.l2),
+                    stats: PeStats::default(),
+                    done: false,
+                }
+            })
+            .collect();
+
+        let mut bytes_from = 0u64;
+        let mut bytes_to = 0u64;
+        let mut mem_requests = 0u64;
+        let l2_line = cfg.l2.line;
+        let l1_line = cfg.l1.line;
+        // The MCU write queue: posted write-backs drain in the
+        // background; a PE only stalls when every slot is occupied past
+        // its current time.
+        let mut wq = WriteQueue::new(cfg.mcu_write_queue);
+
+        // Advance the globally-earliest agent so backend arbitration sees
+        // requests in time order. The scheduler keeps the agent clocks in
+        // a flat array (structure-of-arrays: one cache-line scan instead
+        // of striding over the fat per-agent structs) and finds the
+        // earliest agent *and the runner-up* in a single pass — the
+        // chosen agent can then batch-advance ops locally for as long as
+        // it stays strictly ahead of the runner-up, which is exactly the
+        // set of steps a rescan-per-op loop would have given it.
+        let n = agents.len();
+        let mut times: Vec<Picos> = agents.iter().map(|a| a.time).collect();
+        let mut parked: Vec<bool> = vec![false; n];
+        loop {
+            let mut best = usize::MAX;
+            let mut second = usize::MAX;
+            for i in 0..n {
+                if parked[i] {
+                    continue;
+                }
+                if best == usize::MAX || times[i] < times[best] {
+                    second = best;
+                    best = i;
+                } else if second == usize::MAX || times[i] < times[second] {
+                    second = i;
+                }
+            }
+            if best == usize::MAX {
+                break;
+            }
+            let idx = best;
+            let bound = (second != usize::MAX).then(|| (times[second], second));
+            let a = &mut agents[idx];
+            loop {
+                let Some(op) = a.ops.next() else {
+                    // Kernel complete: flush caches (dirty results must
+                    // land in memory before the completion message).
+                    let l1_dirty = a.l1.flush();
+                    for addr in l1_dirty {
+                        let out = a.l2.access(addr, true);
+                        if let Some(fill) = out.fill {
+                            accel.probe.attr_tag(AttrScope::Exec, mem_requests);
+                            let acc = backend.read(a.time, fill, l2_line);
+                            a.time = acc.end + cfg.pe.xbar_latency;
+                            bytes_from += l2_line as u64;
+                            mem_requests += 1;
+                        }
+                        if let Some(wb) = out.writeback {
+                            accel.probe.attr_tag(AttrScope::Exec, mem_requests);
+                            let free_at = wq.post(backend, a.time, wb, l2_line);
+                            a.time = a.time.max(free_at);
+                            bytes_to += l2_line as u64;
+                            mem_requests += 1;
+                        }
+                    }
+                    for addr in a.l2.flush() {
+                        accel.probe.attr_tag(AttrScope::Exec, mem_requests);
+                        let free_at = wq.post(backend, a.time, addr, l2_line);
+                        a.time = a.time.max(free_at);
+                        bytes_to += l2_line as u64;
+                        mem_requests += 1;
+                    }
+                    // Results must be durable before the completion
+                    // message: drain the whole write queue.
+                    a.time = a.time.max(wq.drain_at());
+                    a.done = true;
+                    psc.sleep(a.time, idx + 1);
+                    break;
+                };
+                match op {
+                    TraceOp::Compute(block) => {
+                        let dt = cfg.pe.clock.cycles_to_time(block.cycles());
+                        let e = cfg.pe.p_active * dt;
+                        energy.charge("pe.compute", e);
+                        power_series.add(a.time - start, e.as_j());
+                        ipc_series.add(a.time + dt - start, block.total() as f64);
+                        accel.probe.span(
+                            Track::new("pe", idx as u32 + 1),
+                            "compute",
+                            a.time,
+                            a.time + dt,
+                        );
+                        a.stats.instructions += block.total();
+                        a.stats.compute_cycles += block.cycles();
+                        a.stats.compute_time += dt;
+                        a.time += dt;
+                    }
+                    TraceOp::Load { addr, len } | TraceOp::Store { addr, len } => {
+                        let is_store = matches!(op, TraceOp::Store { .. });
+                        let t0 = a.time;
+                        // Touch every L1 line the access covers. The
+                        // range is computed inline (same math as
+                        // `Cache::lines_touched`) because borrowing the
+                        // cache for an iterator here would alias the
+                        // mutable accesses below — and collecting into a
+                        // Vec per memory op dominated sweep allocations.
+                        let line_bytes = l1_line as u64;
+                        let first = addr / line_bytes;
+                        let last = (addr + len.max(1) as u64 - 1) / line_bytes;
+                        for line in (first..=last).map(|l| l * line_bytes) {
+                            let l1_out = a.l1.access(line, is_store);
+                            if l1_out.hit {
+                                a.time += cfg.pe.clock.cycles_to_time(cfg.pe.l1_hit_cycles);
+                                continue;
+                            }
+                            // L1 victim write-back goes to L2.
+                            if let Some(wb) = l1_out.writeback {
+                                let out = a.l2.access(wb, true);
+                                if let Some(fill) = out.fill {
+                                    accel.probe.attr_tag(AttrScope::Exec, mem_requests);
+                                    let acc = backend.read(a.time, fill, l2_line);
+                                    a.time = acc.end + cfg.pe.xbar_latency;
+                                    bytes_from += l2_line as u64;
+                                    mem_requests += 1;
+                                }
+                                if let Some(l2wb) = out.writeback {
+                                    accel.probe.attr_tag(AttrScope::Exec, mem_requests);
+                                    let free_at = wq.post(backend, a.time, l2wb, l2_line);
+                                    a.time = a.time.max(free_at);
+                                    bytes_to += l2_line as u64;
+                                    mem_requests += 1;
+                                }
+                            }
+                            // Fill the L1 line from L2.
+                            let out = a.l2.access(line, false);
+                            if out.hit {
+                                a.time += cfg.pe.clock.cycles_to_time(cfg.pe.l2_hit_cycles);
+                            } else {
+                                if let Some(l2wb) = out.writeback {
+                                    accel.probe.attr_tag(AttrScope::Exec, mem_requests);
+                                    let free_at = wq.post(backend, a.time, l2wb, l2_line);
+                                    a.time = a.time.max(free_at);
+                                    bytes_to += l2_line as u64;
+                                    mem_requests += 1;
+                                }
+                                let fill = out.fill.expect("miss always fills");
+                                accel.probe.attr_tag(AttrScope::Exec, mem_requests);
+                                let acc = backend.read(a.time, fill, l2_line);
+                                a.time = acc.end + cfg.pe.xbar_latency;
+                                bytes_from += l2_line as u64;
+                                mem_requests += 1;
+                            }
+                        }
+                        let dt = a.time - t0;
+                        let e = cfg.pe.p_stall * dt;
+                        energy.charge("pe.stall", e);
+                        power_series.add(t0 - start, e.as_j());
+                        ipc_series.add(a.time - start, 1.0);
+                        if !dt.is_zero() {
+                            accel
+                                .probe
+                                .span(Track::new("pe", idx as u32 + 1), "mem", t0, a.time);
+                            accel.probe.latency("pe.mem_op", dt);
+                        }
+                        a.stats.instructions += 1;
+                        a.stats.stall_time += dt;
+                        if is_store {
+                            a.stats.stores += 1;
+                        } else {
+                            a.stats.loads += 1;
+                        }
+                    }
+                }
+                // Keep going while this agent would win the rescan: the
+                // scheduler tie-breaks equal clocks by lowest index.
+                match bound {
+                    Some((bt, bi)) if !(a.time < bt || (a.time == bt && idx < bi)) => break,
+                    _ => {}
+                }
+            }
+            times[idx] = a.time;
+            parked[idx] = a.done;
+        }
+
+        let total_time = agents.iter().map(|a| a.time).fold(Picos::ZERO, Picos::max) - start;
+        // Server PE: orchestration power over the whole run; parked PEs:
+        // sleep power.
+        energy.charge("pe.server", cfg.pe.p_stall * total_time);
+        let parked = (cfg.pes - 1 - agents.len()) as u64;
+        energy.charge("pe.sleep", (cfg.pe.p_sleep * total_time).scaled(parked));
+
+        let mut l1 = CacheLevelStats::default();
+        let mut l2 = CacheLevelStats::default();
+        for a in &agents {
+            l1.hits += a.l1.stats().hits;
+            l1.misses += a.l1.stats().misses;
+            l1.writebacks += a.l1.stats().writebacks;
+            l2.hits += a.l2.stats().hits;
+            l2.misses += a.l2.stats().misses;
+            l2.writebacks += a.l2.stats().writebacks;
+        }
+
+        ExecReport {
+            total_time,
+            instructions: agents.iter().map(|a| a.stats.instructions).sum(),
+            compute_time: agents.iter().map(|a| a.stats.compute_time).sum(),
+            stall_time: agents.iter().map(|a| a.stats.stall_time).sum(),
+            pe_stats: agents.iter().map(|a| a.stats).collect(),
+            l1,
+            l2,
+            ipc_series,
+            power_series,
+            energy,
+            bytes_from_mem: bytes_from,
+            bytes_to_mem: bytes_to,
+            mem_requests,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::InstrBlock;
+    use crate::trace::{InstrBlock, Trace};
     use sim_core::energy::EnergyBook;
     use sim_core::mem::Access;
 
@@ -1240,8 +1226,12 @@ mod tests {
         }
     }
 
-    fn accel() -> Accelerator {
-        Accelerator::new(AccelConfig::default())
+    /// Runs `traces` on the default accelerator from time zero, the way
+    /// every cell does: build the schedule, replay it.
+    fn run(traces: &[Trace], mem: &mut FixedMem) -> ExecReport {
+        let accel = Accelerator::new(AccelConfig::default());
+        let sched = MemSchedule::build(traces, accel.config().l1, accel.config().l2);
+        accel.run_schedule_at(Picos::ZERO, &sched, mem)
     }
 
     fn compute_trace(instrs: u64) -> Trace {
@@ -1258,7 +1248,7 @@ mod tests {
     #[test]
     fn pure_compute_has_no_memory_traffic() {
         let mut mem = FixedMem::new(Picos::from_ns(100), Picos::from_ns(100));
-        let r = accel().run(&[compute_trace(8_000)], &mut mem);
+        let r = run(&[compute_trace(8_000)], &mut mem);
         assert_eq!(r.mem_requests, 0);
         assert_eq!(r.instructions, 8_000);
         assert!(r.stall_time.is_zero());
@@ -1272,7 +1262,7 @@ mod tests {
         t.load(0, 8);
         t.load(8, 8); // same L1 line
         let mut mem = FixedMem::new(Picos::from_us(1), Picos::from_us(1));
-        let r = accel().run(&[t], &mut mem);
+        let r = run(&[t], &mut mem);
         assert_eq!(r.l1.misses, 1);
         assert_eq!(r.l1.hits, 1);
         assert_eq!(mem.reads, 1); // one L2 fill
@@ -1287,8 +1277,8 @@ mod tests {
         }
         let mut fast = FixedMem::new(Picos::from_ns(100), Picos::from_ns(100));
         let mut slow = FixedMem::new(Picos::from_us(50), Picos::from_us(50));
-        let rf = accel().run(&[t.clone()], &mut fast);
-        let rs = accel().run(&[t], &mut slow);
+        let rf = run(&[t.clone()], &mut fast);
+        let rs = run(&[t], &mut slow);
         assert!(rs.total_time > rf.total_time * 10);
         assert!(rs.total_ipc() < rf.total_ipc());
     }
@@ -1297,9 +1287,9 @@ mod tests {
     fn agents_run_in_parallel() {
         let t = compute_trace(80_000);
         let mut mem = FixedMem::new(Picos::from_ns(100), Picos::from_ns(100));
-        let one = accel().run(std::slice::from_ref(&t), &mut mem);
+        let one = run(std::slice::from_ref(&t), &mut mem);
         let mut mem2 = FixedMem::new(Picos::from_ns(100), Picos::from_ns(100));
-        let four = accel().run(&[t.clone(), t.clone(), t.clone(), t.clone()], &mut mem2);
+        let four = run(&[t.clone(), t.clone(), t.clone(), t.clone()], &mut mem2);
         // Four agents do 4x the work in barely more wall-clock time.
         assert_eq!(four.instructions, one.instructions * 4);
         assert!(four.total_time < one.total_time * 2);
@@ -1310,7 +1300,7 @@ mod tests {
         let mut t = Trace::new();
         t.store(0, 8);
         let mut mem = FixedMem::new(Picos::from_ns(100), Picos::from_ns(100));
-        let r = accel().run(&[t], &mut mem);
+        let r = run(&[t], &mut mem);
         assert!(mem.writes >= 1, "dirty line must reach memory");
         assert!(r.bytes_to_mem >= 256);
     }
@@ -1321,7 +1311,7 @@ mod tests {
         t.store(0, 32);
         t.store(4096, 32);
         let mut mem = FixedMem::new(Picos::from_ns(100), Picos::from_ns(100));
-        accel().run(&[t], &mut mem);
+        run(&[t], &mut mem);
         assert_eq!(mem.announced, 2);
     }
 
@@ -1329,7 +1319,7 @@ mod tests {
     fn ipc_series_accumulates_all_instructions() {
         let t = compute_trace(4_000);
         let mut mem = FixedMem::new(Picos::from_ns(100), Picos::from_ns(100));
-        let r = accel().run(&[t.clone(), t], &mut mem);
+        let r = run(&[t.clone(), t], &mut mem);
         assert_eq!(r.ipc_series.total() as u64, r.instructions);
     }
 
@@ -1340,7 +1330,7 @@ mod tests {
             t.load(i * 256, 8);
         }
         let mut mem = FixedMem::new(Picos::from_us(1), Picos::from_us(1));
-        let r = accel().run(&[t], &mut mem);
+        let r = run(&[t], &mut mem);
         assert!(r.bandwidth_bytes_per_sec() > 0.0);
         assert_eq!(r.bytes_from_mem, 16 * 256);
     }
@@ -1351,256 +1341,21 @@ mod tests {
         let t = compute_trace(1);
         let traces = vec![t; 8]; // 8 traces, 7 agents
         let mut mem = FixedMem::new(Picos::ZERO, Picos::ZERO);
-        accel().run(&traces, &mut mem);
+        run(&traces, &mut mem);
     }
 
     #[test]
     #[should_panic(expected = "no kernel traces")]
     fn empty_run_rejected() {
         let mut mem = FixedMem::new(Picos::ZERO, Picos::ZERO);
-        accel().run(&[], &mut mem);
-    }
-}
-
-/// The outcome of a multi-kernel queue run (§IV: the server schedules
-/// several downloaded kernels across the agents).
-#[derive(Debug, Clone)]
-pub struct JobsReport {
-    /// Completion instant of each job, relative to the queue start.
-    pub job_done: Vec<Picos>,
-    /// Per-job execution reports.
-    pub reports: Vec<ExecReport>,
-}
-
-util::json_struct!(JobsReport { job_done, reports });
-
-impl JobsReport {
-    /// Wall-clock completion of the whole queue.
-    pub fn total_time(&self) -> Picos {
-        self.job_done.iter().copied().fold(Picos::ZERO, Picos::max)
-    }
-
-    /// Instructions retired across all jobs.
-    pub fn instructions(&self) -> u64 {
-        self.reports.iter().map(|r| r.instructions).sum()
-    }
-}
-
-impl Accelerator {
-    /// Runs a queue of kernels back to back on a shared memory backend —
-    /// the Figure 10 model where one image carries several applications
-    /// and the server dispatches each to the agents in turn, parking them
-    /// through the PSC between jobs.
-    ///
-    /// Backend state (PRAM contents, row buffers, program backlogs)
-    /// carries across jobs, so a later kernel sees the earlier kernels'
-    /// data and contention — which is the point of keeping everything
-    /// resident in the accelerator's PRAM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is empty or any job exceeds the agent count.
-    pub fn run_jobs(
-        &self,
-        start: Picos,
-        jobs: &[Vec<Trace>],
-        backend: &mut dyn MemoryBackend,
-    ) -> JobsReport {
-        assert!(!jobs.is_empty(), "no jobs queued");
-        let mut t = start;
-        let mut job_done = Vec::with_capacity(jobs.len());
-        let mut reports = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let report = self.run_at(t, job, backend);
-            t += report.total_time;
-            job_done.push(t - start);
-            reports.push(report);
-        }
-        JobsReport { job_done, reports }
-    }
-}
-
-#[cfg(test)]
-mod job_tests {
-    use super::*;
-    use crate::trace::InstrBlock;
-    use sim_core::energy::EnergyBook;
-    use sim_core::mem::Access;
-
-    struct FlatMem(Picos);
-    impl MemoryBackend for FlatMem {
-        fn read(&mut self, at: Picos, _a: u64, _l: u32) -> Access {
-            Access {
-                start: at,
-                end: at + self.0,
-            }
-        }
-        fn write(&mut self, at: Picos, _a: u64, _l: u32) -> Access {
-            Access {
-                start: at,
-                end: at + self.0,
-            }
-        }
-        fn energy(&self) -> EnergyBook {
-            EnergyBook::new()
-        }
-        fn label(&self) -> &'static str {
-            "flat"
-        }
-    }
-
-    fn job(instrs: u64) -> Vec<Trace> {
-        let mut t = Trace::new();
-        t.compute(InstrBlock {
-            m: instrs / 4,
-            l: instrs / 4,
-            s: instrs / 4,
-            d: instrs / 4,
-        });
-        t.load(0, 8);
-        vec![t]
-    }
-
-    #[test]
-    fn jobs_run_back_to_back() {
-        let accel = Accelerator::new(AccelConfig::default());
-        let mut mem = FlatMem(Picos::from_ns(100));
-        let r = accel.run_jobs(Picos::ZERO, &[job(8_000), job(8_000), job(8_000)], &mut mem);
-        assert_eq!(r.reports.len(), 3);
-        assert_eq!(r.instructions(), 3 * 8_001);
-        // Completions are strictly increasing and the total matches.
-        assert!(r.job_done.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(r.total_time(), *r.job_done.last().expect("jobs"));
-    }
-
-    #[test]
-    fn queue_total_is_sum_of_job_times() {
-        let accel = Accelerator::new(AccelConfig::default());
-        let mut mem = FlatMem(Picos::from_ns(100));
-        let r = accel.run_jobs(Picos::ZERO, &[job(4_000), job(12_000)], &mut mem);
-        let sum: Picos = r.reports.iter().map(|x| x.total_time).sum();
-        assert_eq!(r.total_time(), sum);
-    }
-
-    #[test]
-    fn jobs_share_backend_contention() {
-        // A slow memory charged by job 1 delays job 2's start indirectly
-        // through the shared timeline (the PRAM write wall carries over).
-        use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
-        let accel = Accelerator::new(AccelConfig::default());
-        let mut pram = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
-        let store_job = {
-            let mut t = Trace::new();
-            for i in 0..64u64 {
-                t.store(i * 256, 8);
-            }
-            vec![t]
-        };
-        let r = accel.run_jobs(Picos::ZERO, &[store_job.clone(), store_job], &mut pram);
-        // Second identical job is no faster than the first (program
-        // backlog persists; overwrites cost more than first writes).
-        assert!(r.reports[1].total_time >= r.reports[0].total_time / 2);
-        assert_eq!(r.reports.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "no jobs queued")]
-    fn empty_queue_rejected() {
-        let accel = Accelerator::new(AccelConfig::default());
-        let mut mem = FlatMem(Picos::ZERO);
-        accel.run_jobs(Picos::ZERO, &[], &mut mem);
-    }
-}
-
-#[cfg(test)]
-mod xbar_tests {
-    use super::*;
-    use crate::trace::InstrBlock;
-    use crate::xbar::XbarConfig;
-    use sim_core::energy::EnergyBook;
-    use sim_core::mem::Access;
-
-    struct FastMem;
-    impl MemoryBackend for FastMem {
-        fn read(&mut self, at: Picos, _a: u64, _l: u32) -> Access {
-            Access {
-                start: at,
-                end: at + Picos::from_ns(50),
-            }
-        }
-        fn write(&mut self, at: Picos, _a: u64, _l: u32) -> Access {
-            Access {
-                start: at,
-                end: at + Picos::from_ns(50),
-            }
-        }
-        fn energy(&self) -> EnergyBook {
-            EnergyBook::new()
-        }
-        fn label(&self) -> &'static str {
-            "fast"
-        }
-    }
-
-    fn miss_heavy_traces(agents: usize) -> Vec<Trace> {
-        (0..agents)
-            .map(|a| {
-                let mut t = Trace::new();
-                for i in 0..256u64 {
-                    // Distinct L2 lines per agent and iteration.
-                    t.load((a as u64) << 32 | (i * 4096), 8);
-                    t.compute(InstrBlock::alu(4));
-                }
-                t
-            })
-            .collect()
-    }
-
-    #[test]
-    fn contended_crossbar_slows_heavy_concurrent_misses() {
-        let traces = miss_heavy_traces(7);
-        let free = Accelerator::new(AccelConfig::default());
-        let narrow = Accelerator::new(AccelConfig {
-            xbar: Some(XbarConfig {
-                ports: 1,
-                hop_latency: Picos::from_ns(10),
-                bytes_per_sec: 2_000_000_000, // starved port
-            }),
-            ..Default::default()
-        });
-        let rf = free.run(&traces, &mut FastMem);
-        let rn = narrow.run(&traces, &mut FastMem);
-        assert!(
-            rn.total_time > rf.total_time,
-            "1-port starved crossbar must queue 7 agents: {} vs {}",
-            rn.total_time,
-            rf.total_time
-        );
-    }
-
-    #[test]
-    fn provisioned_crossbar_matches_fixed_latency_closely() {
-        let traces = miss_heavy_traces(3);
-        let fixed = Accelerator::new(AccelConfig::default());
-        let wide = Accelerator::new(AccelConfig {
-            xbar: Some(XbarConfig::default()),
-            ..Default::default()
-        });
-        let rf = fixed.run(&traces, &mut FastMem);
-        let rw = wide.run(&traces, &mut FastMem);
-        let ratio = rw.total_time.as_ns_f64() / rf.total_time.as_ns_f64();
-        assert!(
-            (0.8..1.3).contains(&ratio),
-            "a well-provisioned crossbar should be near the fixed model: {ratio:.2}"
-        );
+        run(&[], &mut mem);
     }
 }
 
 #[cfg(test)]
 mod sched_replay_tests {
     use super::*;
-    use crate::sched::MemSchedule;
-    use crate::trace::InstrBlock;
+    use crate::trace::{InstrBlock, Trace};
     use sim_core::energy::EnergyBook;
     use sim_core::mem::Access;
     use util::json::ToJson;
@@ -1664,7 +1419,7 @@ mod sched_replay_tests {
         let traces = stress_traces(3);
         let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
 
-        let direct = accel.run_at(Picos::from_us(7), &traces, &mut FixedMem);
+        let direct = walker::run_at(&accel, Picos::from_us(7), &traces, &mut FixedMem);
         let replay = accel.run_schedule_at(Picos::from_us(7), &sched, &mut FixedMem);
         assert_eq!(report_json(&direct), report_json(&replay));
     }
@@ -1681,7 +1436,7 @@ mod sched_replay_tests {
         let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
 
         let mut pram_a = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
-        let direct = accel.run_at(Picos::ZERO, &traces, &mut pram_a);
+        let direct = walker::run_at(&accel, Picos::ZERO, &traces, &mut pram_a);
         let mut pram_b = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
         let replay = accel.run_schedule_at(Picos::ZERO, &sched, &mut pram_b);
 
@@ -1745,7 +1500,7 @@ mod sched_replay_tests {
             let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
             let start = Picos::from_ns(rng.range_u64(0, 1_000));
 
-            let direct = accel.run_at(start, &traces, &mut FixedMem);
+            let direct = walker::run_at(&accel, start, &traces, &mut FixedMem);
             let replay = accel.run_schedule_at(start, &sched, &mut FixedMem);
             assert_eq!(
                 report_json(&direct),
@@ -1754,7 +1509,7 @@ mod sched_replay_tests {
             );
 
             let mut pram_a = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
-            let direct = accel.run_at(start, &traces, &mut pram_a);
+            let direct = walker::run_at(&accel, start, &traces, &mut pram_a);
             let mut pram_b = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
             let replay = accel.run_schedule_at(start, &sched, &mut pram_b);
             assert_eq!(
@@ -1772,7 +1527,7 @@ mod sched_replay_tests {
         t.compute(InstrBlock::alu(64));
         let traces = vec![t];
         let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
-        let direct = accel.run(&traces, &mut FixedMem);
+        let direct = walker::run_at(&accel, Picos::ZERO, &traces, &mut FixedMem);
         let replay = accel.run_schedule_at(Picos::ZERO, &sched, &mut FixedMem);
         assert_eq!(report_json(&direct), report_json(&replay));
     }
@@ -1795,9 +1550,9 @@ mod sched_replay_tests {
         use sim_core::probe::Telemetry;
         let traces = stress_traces(3);
         let (walker_hub, replay_hub) = (Telemetry::new(0), Telemetry::new(0));
-        let mut walker = Accelerator::new(AccelConfig::default());
-        walker.set_probe(walker_hub.probe());
-        walker.run(&traces, &mut FixedMem);
+        let mut reference = Accelerator::new(AccelConfig::default());
+        reference.set_probe(walker_hub.probe());
+        walker::run_at(&reference, Picos::ZERO, &traces, &mut FixedMem);
         let mut accel = Accelerator::new(AccelConfig::default());
         accel.set_probe(replay_hub.probe());
         let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);

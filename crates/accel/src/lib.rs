@@ -25,7 +25,6 @@ pub mod pe;
 pub mod psc;
 pub mod sched;
 pub mod trace;
-pub mod xbar;
 
 pub use cache::{Cache, CacheConfig, CacheLevelStats};
 pub use exec::{AccelConfig, Accelerator, ExecReport};
@@ -34,4 +33,3 @@ pub use pe::{PeConfig, PeStats};
 pub use psc::{PeState, PowerSleepController};
 pub use sched::{AgentSchedule, MemSchedule};
 pub use trace::{InstrBlock, Trace, TraceOp};
-pub use xbar::{Crossbar, XbarConfig};

@@ -1,19 +1,23 @@
-//! Timing-free memory schedules: the analytic tier's front half.
+//! Timing-free memory schedules: the front half of both fidelity tiers.
 //!
-//! A key structural fact of the execution engine ([`crate::exec`]): each
+//! A key structural fact of the execution model ([`crate::exec`]): each
 //! agent's L1/L2 are private and the replacement state advances only on
 //! that agent's own op stream — never on timing, never on the backend.
 //! So the *sequence* of backend requests an agent will make (which line
 //! fills, how many write-backs, where the hits land) is a pure function
-//! of `(trace, cache geometry)`. [`MemSchedule::build`] replays the
-//! exact cache walk `Accelerator::run_at` performs — including the
+//! of `(trace, cache geometry)`. [`MemSchedule::build`] performs the
+//! exact cache walk a per-op trace execution would — including the
 //! end-of-kernel flush — without a clock or a backend, and records the
-//! per-agent counts plus the ordered fill addresses.
+//! per-agent counts plus the ordered fill addresses. Unit tests hold it
+//! to the per-op trace walker kept as a test reference in
+//! `crate::exec`.
 //!
-//! The analytic tier ([`dramless::analytic`]) then prices this schedule
-//! with calibrated closed-form coefficients instead of simulating every
-//! request, and — because the schedule is system-independent — reuses
-//! one schedule across every system of a sweep row.
+//! The accurate tier replays this schedule through the real backend
+//! ([`crate::exec::Accelerator::run_schedule_at`]); the analytic tier
+//! ([`dramless::analytic`]) prices it with calibrated closed-form
+//! coefficients instead of simulating every request. Because the
+//! schedule is system-independent, both reuse one schedule across every
+//! system of a sweep row.
 //!
 //! [`dramless::analytic`]: https://docs.rs/dramless
 
@@ -305,8 +309,8 @@ pub struct MemSchedule {
 }
 
 impl MemSchedule {
-    /// Replays `traces` through private L1/L2 pairs, mirroring
-    /// `Accelerator::run_at`'s walk (write-allocate, write-back LRU,
+    /// Replays `traces` through private L1/L2 pairs, mirroring the
+    /// per-op trace walker's cache walk (write-allocate, write-back LRU,
     /// then the completion flush) with no clock and no backend.
     pub fn build(traces: &[Trace], l1: CacheConfig, l2: CacheConfig) -> Self {
         let agents = traces
@@ -451,7 +455,7 @@ fn replay_agent(trace: &Trace, l1_cfg: CacheConfig, l2_cfg: CacheConfig) -> Agen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{AccelConfig, Accelerator};
+    use crate::exec::{walker, AccelConfig, Accelerator};
     use crate::trace::InstrBlock;
     use sim_core::energy::EnergyBook;
     use sim_core::mem::{Access, MemoryBackend};
@@ -508,9 +512,9 @@ mod tests {
 
     #[test]
     fn schedule_matches_engine_counts_exactly() {
-        // The replay must agree with the real engine on every count the
-        // analytic tier consumes: fills (addresses AND order per agent),
-        // write-backs, cache stats, instructions.
+        // The schedule must agree with the per-op trace walker on every
+        // count the analytic tier consumes: fills (addresses AND order
+        // per agent), write-backs, cache stats, instructions.
         let cfg = AccelConfig::default();
         let traces = mixed_traces(3);
         let sched = MemSchedule::build(&traces, cfg.l1, cfg.l2);
@@ -520,7 +524,7 @@ mod tests {
             writes: 0,
             ops: Vec::new(),
         };
-        let report = Accelerator::new(cfg).run(&traces, &mut mem);
+        let report = walker::run_at(&Accelerator::new(cfg), Picos::ZERO, &traces, &mut mem);
 
         assert_eq!(sched.instructions(), report.instructions);
         assert_eq!(sched.fills(), mem.reads.len() as u64);
@@ -538,7 +542,7 @@ mod tests {
             assert_eq!(a.stores, report.pe_stats[i].stores, "agent {i}");
             assert_eq!(a.compute_cycles, report.pe_stats[i].compute_cycles);
         }
-        // Single-agent run: the engine's full request stream — fills and
+        // Single-agent run: the walker's full request stream — fills and
         // write-backs, interleaved with addresses — is the schedule's.
         let solo = mixed_traces(1);
         let sched1 = MemSchedule::build(&solo, cfg.l1, cfg.l2);
@@ -547,7 +551,7 @@ mod tests {
             writes: 0,
             ops: Vec::new(),
         };
-        Accelerator::new(cfg).run(&solo, &mut mem1);
+        walker::run_at(&Accelerator::new(cfg), Picos::ZERO, &solo, &mut mem1);
         assert_eq!(sched1.agents[0].ops, mem1.ops);
     }
 

@@ -76,7 +76,7 @@ pub use sim_core::mem::FidelityTier;
 pub use spec::{Buffer, Control, Datapath, Medium, SpecError, SystemSpec, TelemetrySpec};
 pub use sweep::{sweep_specs, sweep_with_stats, SweepStats};
 pub use system::{
-    build_system, run_suite, simulate, simulate_built, simulate_dramless_scheduler, simulate_spec,
+    build_system, simulate, simulate_built, simulate_dramless_scheduler, simulate_spec,
     simulate_spec_built, simulate_spec_traced, ComposedSystem,
 };
 pub use traffic::{ArrivalGen, ArrivalProcess, ClassMix, QosClass, Request, TenantModel};

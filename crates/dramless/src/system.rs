@@ -818,7 +818,9 @@ pub(crate) fn finalize_run(
 }
 
 /// Runs one cell, honouring the spec's telemetry knob, and returns the
-/// outcome plus the event trace — empty unless `keep_trace`.
+/// outcome plus the event trace — empty unless `keep_trace`. Malformed
+/// parameters fail with the same [`SystemParams::validate`] error a
+/// sweep gives.
 fn run_cell(
     id: SystemId,
     spec: &SystemSpec,
@@ -826,6 +828,7 @@ fn run_cell(
     params: &SystemParams,
     keep_trace: bool,
 ) -> Result<(RunOutcome, Vec<TraceEvent>), SpecError> {
+    params.validate()?;
     let model = match spec.tier {
         sim_core::mem::FidelityTier::Accurate => None,
         sim_core::mem::FidelityTier::Analytic => {
@@ -881,7 +884,8 @@ pub(crate) fn run_cell_with_model(
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] when [`build_system`] rejects the spec.
+/// Returns [`SpecError`] when the parameters are malformed or
+/// [`build_system`] rejects the spec.
 pub fn simulate_spec_as(
     id: SystemId,
     spec: &SystemSpec,
@@ -901,7 +905,8 @@ pub fn simulate_spec_as(
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] when the spec's axes are incompatible.
+/// Returns [`SpecError`] when the parameters are malformed or the
+/// spec's axes are incompatible.
 pub fn simulate_spec_traced(
     spec: &SystemSpec,
     built: &BuiltWorkload,
@@ -963,18 +968,6 @@ pub fn simulate_dramless_scheduler(
     };
     simulate_spec_as(SystemId::Preset(SystemKind::DramLess), &spec, built, params)
         .expect("the DRAM-less preset composes with any scheduler")
-}
-
-/// Runs every `(system, workload)` pair, building each workload once.
-///
-/// Delegates to the work-stealing [`crate::sweep`] engine; output order
-/// and content match the historical serial nested loop exactly.
-pub fn run_suite(
-    kinds: &[SystemKind],
-    workloads: &[Workload],
-    params: &SystemParams,
-) -> crate::report::SuiteResult {
-    crate::sweep::sweep(kinds, workloads, params)
 }
 
 /// Simulates `workload` on `kind`, returning the full outcome.
@@ -1134,6 +1127,44 @@ mod tests {
         for spec in cases {
             let err = build_system(&spec, &p, 1 << 20).err();
             assert!(err.is_some(), "{} should not compose", spec.display_name());
+        }
+    }
+
+    #[test]
+    fn malformed_params_fail_both_cell_runners_like_the_sweep() {
+        let w = tiny(Kernel::Trisolv);
+        let built = w.build(1);
+        let spec = SystemKind::DramLess.spec();
+        let cases = [
+            SystemParams {
+                agents: 0,
+                ..params()
+            },
+            SystemParams {
+                sample_bucket_us: 0,
+                ..params()
+            },
+            SystemParams {
+                page_bytes: 0,
+                ..params()
+            },
+            SystemParams {
+                capacity_pressure: 0.0,
+                ..params()
+            },
+            SystemParams {
+                capacity_pressure: f64::NAN,
+                ..params()
+            },
+        ];
+        let pool = util::pool::Pool::new(1);
+        let id = SystemId::Preset(SystemKind::DramLess);
+        let systems = [(id.clone(), spec.clone())];
+        for p in cases {
+            let want = crate::sweep::sweep_systems_on(&pool, &systems, &[w], &p).err();
+            assert!(want.is_some(), "the sweep accepted {p:?}");
+            assert_eq!(simulate_spec_as(id.clone(), &spec, &built, &p).err(), want);
+            assert_eq!(simulate_spec_traced(&spec, &built, &p).err(), want);
         }
     }
 

@@ -5,14 +5,11 @@
 //! Discrete-event simulation substrate shared by every crate in the
 //! DRAM-less reproduction.
 //!
-//! The crate provides four building blocks:
+//! Its main building blocks:
 //!
 //! * [`time`] — a picosecond-resolution simulated clock ([`Picos`]) with
 //!   exact representations of the paper's LPDDR2-NVM timing parameters
 //!   (e.g. `tCK = 2.5 ns = 2500 ps`).
-//! * [`event`] — a classic discrete-event queue ([`EventQueue`]) for
-//!   event-driven embedders (the accelerator's engine uses an
-//!   equivalent earliest-agent scan over a fixed agent set).
 //! * [`timeline`] — resource-occupancy timelines ([`Timeline`]) used by the
 //!   memory/storage subsystems to compute contention and overlap without a
 //!   full event queue.
@@ -38,7 +35,6 @@
 //! ```
 
 pub mod energy;
-pub mod event;
 pub mod fault;
 pub mod mem;
 pub mod probe;
@@ -49,7 +45,6 @@ pub mod time;
 pub mod timeline;
 
 pub use energy::{EnergyAccount, EnergyBook, Joules, Watts};
-pub use event::{Event, EventQueue};
 pub use fault::{FaultCounters, FaultPlan, PramFaults, ResiliencePolicy, SsdFaults};
 pub use mem::{Access, FidelityTier, MemoryBackend};
 pub use probe::{Probe, Telemetry};

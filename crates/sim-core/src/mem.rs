@@ -124,8 +124,8 @@ pub trait MemoryBackend {
     /// Services a batch of line requests in issue order, returning the
     /// agent's clock after the last one.
     ///
-    /// Semantics are pinned to the per-op engine path (the reference
-    /// implementation, kept in `accel::exec::run_at`):
+    /// Semantics are pinned to the per-op trace walk (the reference
+    /// implementation, kept as a test-only walker in `accel::exec`):
     ///
     /// * a read is a blocking fill — the clock advances to the access
     ///   end plus the crossbar hop `xbar`;

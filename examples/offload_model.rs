@@ -9,6 +9,7 @@
 use accel::exec::{AccelConfig, Accelerator};
 use accel::kernel::{KernelImage, Segment};
 use accel::psc::{PowerSleepController, PscParams};
+use accel::sched::MemSchedule;
 use host::PcieLink;
 use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
 use sim_core::{MemoryBackend, Picos};
@@ -91,7 +92,8 @@ fn main() {
     // -- Execute a real kernel on the woken agents.
     let accel = Accelerator::new(AccelConfig::default());
     let built = Workload::of(Kernel::Jaco2d, Scale::small()).build(accel.agents());
-    let report = accel.run_at(t, &built.traces, &mut pram);
+    let sched = MemSchedule::build(&built.traces, accel.config().l1, accel.config().l2);
+    let report = accel.run_schedule_at(t, &sched, &mut pram);
     println!(
         "\nexecution: {} instructions across {} agents in {}, total IPC {:.2}",
         report.instructions,

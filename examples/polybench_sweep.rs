@@ -7,7 +7,8 @@
 //! DRAMLESS_SCALE=1.5 cargo run --release --example polybench_sweep
 //! ```
 
-use dramless::{run_suite, SystemKind, SystemParams};
+use dramless::sweep::sweep;
+use dramless::{SystemKind, SystemParams};
 use workloads::{Scale, Workload};
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
         suite.len(),
         SystemKind::EVALUATED.len()
     );
-    let r = run_suite(&SystemKind::EVALUATED, &suite, &params);
+    let r = sweep(&SystemKind::EVALUATED, &suite, &params);
 
     // Table III-style characteristics.
     println!("\nworkload characteristics (Table III):");

@@ -188,7 +188,7 @@ fn suite_sweep_and_json_serialization() {
         Workload::of(Kernel::Lu, Scale(0.3)),
     ];
     let kinds = [SystemKind::Hetero, SystemKind::DramLess];
-    let r = dramless::run_suite(&kinds, &workloads, &params());
+    let r = dramless::sweep::sweep(&kinds, &workloads, &params());
     assert_eq!(r.outcomes.len(), 4);
     assert!(r.get(SystemKind::DramLess, Kernel::Lu).is_some());
     let norm = r

@@ -1,7 +1,9 @@
 //! Integration tests for the workload suite: functional correctness of
 //! every kernel plus trace/accelerator interoperation.
 
-use accel::exec::{AccelConfig, Accelerator};
+use accel::exec::{AccelConfig, Accelerator, ExecReport};
+use accel::sched::MemSchedule;
+use accel::Trace;
 use sim_core::energy::EnergyBook;
 use sim_core::mem::{Access, MemoryBackend};
 use sim_core::Picos;
@@ -29,6 +31,13 @@ impl MemoryBackend for FlatMem {
     fn label(&self) -> &'static str {
         "flat"
     }
+}
+
+/// Runs `traces` from time zero through the engine every cell uses:
+/// build the memory schedule, replay it.
+fn run(accel: &Accelerator, traces: &[Trace], mem: &mut FlatMem) -> ExecReport {
+    let sched = MemSchedule::build(traces, accel.config().l1, accel.config().l2);
+    accel.run_schedule_at(Picos::ZERO, &sched, mem)
 }
 
 #[test]
@@ -61,7 +70,7 @@ fn every_trace_replays_on_the_accelerator() {
     for w in Workload::suite(Scale(0.3)) {
         let built = w.build(accel.agents());
         let mut mem = FlatMem(Picos::from_ns(150));
-        let report = accel.run(&built.traces, &mut mem);
+        let report = run(&accel, &built.traces, &mut mem);
         assert_eq!(
             report.instructions, built.character.instructions,
             "{}",
@@ -79,8 +88,8 @@ fn slower_memory_never_speeds_a_kernel_up() {
         let built = Workload::of(kernel, Scale(0.3)).build(accel.agents());
         let mut fast = FlatMem(Picos::from_ns(100));
         let mut slow = FlatMem(Picos::from_us(10));
-        let rf = accel.run(&built.traces, &mut fast);
-        let rs = accel.run(&built.traces, &mut slow);
+        let rf = run(&accel, &built.traces, &mut fast);
+        let rs = run(&accel, &built.traces, &mut slow);
         assert!(rs.total_time > rf.total_time, "{kernel}");
         assert!(rs.total_ipc() < rf.total_ipc(), "{kernel}");
     }

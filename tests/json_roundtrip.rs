@@ -64,7 +64,7 @@ fn run_outcome_and_suite_result_round_trip() {
         agents: 2,
         ..SystemParams::default()
     };
-    let r = dramless::run_suite(&[SystemKind::DramLess], &[w], &params);
+    let r = dramless::sweep::sweep(&[SystemKind::DramLess], &[w], &params);
     let json = r.to_json();
     let back: dramless::SuiteResult = FromJson::from_json_str(&json).expect("suite parses");
     assert_eq!(back.outcomes.len(), r.outcomes.len());

@@ -8,8 +8,9 @@
 //! The suite sweep is the expensive part, so one `#[test]` does the run
 //! and checks all claims.
 
+use dramless::sweep::sweep;
 use dramless::system::simulate_dramless_scheduler;
-use dramless::{run_suite, SystemKind, SystemParams};
+use dramless::{SystemKind, SystemParams};
 use pram_ctrl::SchedulerKind;
 use workloads::{Scale, Workload};
 
@@ -19,7 +20,7 @@ fn figure15_and_17_headline_ratios() {
     let params = SystemParams::default();
     let mut kinds = SystemKind::EVALUATED.to_vec();
     kinds.push(SystemKind::Ideal);
-    let r = run_suite(&kinds, &suite, &params);
+    let r = sweep(&kinds, &suite, &params);
     use SystemKind::*;
 
     // Abstract/§VI-A: DRAM-less ≈ +93% over Hetero (we accept 1.4×-3×).
@@ -153,7 +154,7 @@ fn figure7_firmware_degradation() {
     let params = SystemParams::default();
     let suite = Workload::suite(Scale(1.0));
     let kinds = [SystemKind::DramLess, SystemKind::DramLessFirmware];
-    let r = run_suite(&kinds, &suite, &params);
+    let r = sweep(&kinds, &suite, &params);
     let mut worst: f64 = 1.0;
     for w in &suite {
         let fw = r

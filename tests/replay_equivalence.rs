@@ -404,12 +404,15 @@ fn checkpoints_land_on_the_golden_request_counts_and_images() {
         ),
         (2426, 0x37ea_9f2c_e453_a9b9, 0xa4f5_0ee8_0b6f_42b6)
     );
-    // The cursor image at every checkpoint, byte for byte. Backend
-    // images serialize their sparse cell maps in hash order, so a full
-    // replay that re-verifies every checkpoint's digest checks them.
+    // The cursor and backend images at every checkpoint, byte for byte
+    // (images render their maps in key order, so the digests are
+    // stable across processes).
     let cursors: Vec<_> = rec.checkpoints.iter().map(|c| c.exec.clone()).collect();
     let images = util::fingerprint::fnv1a(cursors.to_json().render(false).as_bytes());
     assert_eq!(images, 0xf6a4_4306_d06a_e8c2);
+    let backends: Vec<_> = rec.checkpoints.iter().map(|c| c.backend.clone()).collect();
+    let images = util::fingerprint::fnv1a(backends.to_json().render(false).as_bytes());
+    assert_eq!(images, 0x4e46_977f_c2df_cfd9);
     let rep = replay::verify_cell(&rec, &params()).unwrap();
     assert_eq!(rep.verified_checkpoints, GEMVER_CHECKPOINTS.len() - 1);
 }

@@ -292,7 +292,7 @@ fn suite_json_schema_is_unchanged_for_presets() {
         agents: 2,
         ..Default::default()
     };
-    let r = dramless::run_suite(&[SystemKind::DramLess], &[w], &p);
+    let r = dramless::sweep::sweep(&[SystemKind::DramLess], &[w], &p);
     let json = r.to_json();
     assert!(json.contains("\"system\": \"DramLess\""), "schema drifted");
     let back: dramless::SuiteResult = FromJson::from_json_str(&json).unwrap();
