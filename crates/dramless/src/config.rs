@@ -291,6 +291,14 @@ impl SystemParams {
                 self.page_bytes
             )));
         }
+        // The offload writes a shared segment of half an agent's image,
+        // and a zero-byte write is no memory request at all.
+        if self.image_bytes_per_agent < 2 {
+            return Err(SpecError::new(format!(
+                "params.image_bytes_per_agent must be >= 2, got {}",
+                self.image_bytes_per_agent
+            )));
+        }
         if !self.capacity_pressure.is_finite() || self.capacity_pressure <= 0.0 {
             return Err(SpecError::new(format!(
                 "params.capacity_pressure must be finite and > 0, got {}",

@@ -1134,7 +1134,6 @@ mod tests {
     fn malformed_params_fail_both_cell_runners_like_the_sweep() {
         let w = tiny(Kernel::Trisolv);
         let built = w.build(1);
-        let spec = SystemKind::DramLess.spec();
         let cases = [
             SystemParams {
                 agents: 0,
@@ -1156,15 +1155,29 @@ mod tests {
                 capacity_pressure: f64::NAN,
                 ..params()
             },
+            // A 0- or 1-byte image offloads a 0-byte shared segment:
+            // DRAM-less panics on the empty write, and PAGE-buffer's
+            // page range wraps around in release builds.
+            SystemParams {
+                image_bytes_per_agent: 0,
+                ..params()
+            },
+            SystemParams {
+                image_bytes_per_agent: 1,
+                ..params()
+            },
         ];
         let pool = util::pool::Pool::new(1);
-        let id = SystemId::Preset(SystemKind::DramLess);
-        let systems = [(id.clone(), spec.clone())];
-        for p in cases {
-            let want = crate::sweep::sweep_systems_on(&pool, &systems, &[w], &p).err();
-            assert!(want.is_some(), "the sweep accepted {p:?}");
-            assert_eq!(simulate_spec_as(id.clone(), &spec, &built, &p).err(), want);
-            assert_eq!(simulate_spec_traced(&spec, &built, &p).err(), want);
+        for kind in [SystemKind::DramLess, SystemKind::PageBuffer] {
+            let spec = kind.spec();
+            let id = SystemId::Preset(kind);
+            let systems = [(id.clone(), spec.clone())];
+            for p in cases {
+                let want = crate::sweep::sweep_systems_on(&pool, &systems, &[w], &p).err();
+                assert!(want.is_some(), "{kind}: the sweep accepted {p:?}");
+                assert_eq!(simulate_spec_as(id.clone(), &spec, &built, &p).err(), want);
+                assert_eq!(simulate_spec_traced(&spec, &built, &p).err(), want);
+            }
         }
     }
 

@@ -13,6 +13,12 @@
 //! The net effect: a sequential stream engages both channels, all 32
 //! modules and all partitions — maximum device parallelism, which is what
 //! the multi-resource aware interleaving scheduler then exploits.
+//!
+//! Every geometry field here is a power of two in the paper layout, so
+//! the per-word math goes through [`util::pow2`] (shift and mask, with
+//! a division fallback for other layouts).
+
+use util::pow2;
 
 /// Where one word-aligned fragment of a request lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,12 +94,13 @@ impl AddressMap {
 
     /// Decomposes a global byte address.
     pub fn decompose(&self, addr: u64) -> Target {
-        let stripe = addr / self.stripe_bytes();
-        let channel = (stripe % self.channels as u64) as usize;
-        let channel_stripe = stripe / self.channels as u64;
-        let within = addr % self.stripe_bytes();
-        let module = (within / self.word_bytes) as usize;
-        let module_addr = channel_stripe * self.word_bytes + (addr % self.word_bytes);
+        let (stripe_bytes, channels) = (self.stripe_bytes(), self.channels as u64);
+        let stripe = pow2::div(addr, stripe_bytes);
+        let channel = pow2::rem(stripe, channels) as usize;
+        let channel_stripe = pow2::div(stripe, channels);
+        let within = pow2::rem(addr, stripe_bytes);
+        let module = pow2::div(within, self.word_bytes) as usize;
+        let module_addr = channel_stripe * self.word_bytes + pow2::rem(addr, self.word_bytes);
         Target {
             channel,
             module,
@@ -137,7 +144,7 @@ impl AddressMap {
     /// The global word index of an address (used as the selective-erase
     /// bookkeeping key).
     pub fn word_index(&self, addr: u64) -> u64 {
-        addr / self.word_bytes
+        pow2::div(addr, self.word_bytes)
     }
 }
 
@@ -157,7 +164,7 @@ impl Iterator for FragIter {
         if self.cur >= self.end {
             return None;
         }
-        let word_end = (self.cur / self.map.word_bytes + 1) * self.map.word_bytes;
+        let word_end = (self.map.word_index(self.cur) + 1) * self.map.word_bytes;
         let frag_end = word_end.min(self.end);
         let frag = Fragment {
             target: self.map.decompose(self.cur),

@@ -15,6 +15,7 @@
 
 use pram::buffers::{BufferId, RowBufferSet};
 use pram::geometry::RowId;
+use util::pow2;
 
 /// The phases a word read must execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +101,7 @@ pub fn plan_read(bufs: &RowBufferSet, row: RowId, lower_bits: u32, multi_buffer:
         return ReadPlan::RdbHit { ba };
     }
     let preferred = if multi_buffer {
-        BufferId::from_index(row.partition.0 as usize % bufs.len())
+        BufferId::from_index(pow2::rem(row.partition.0 as u64, bufs.len() as u64) as usize)
     } else {
         BufferId::B0
     };
@@ -117,7 +118,6 @@ pub fn plan_read(bufs: &RowBufferSet, row: RowId, lower_bits: u32, multi_buffer:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pram::cell::WORD_BYTES;
 
     const LB: u32 = 6;
 
@@ -158,7 +158,7 @@ mod tests {
         let mut bufs = RowBufferSet::new(4);
         let row = RowId::new(0, 5);
         bufs.latch_rab(BufferId::B2, row.upper(LB));
-        bufs.fill_rdb(BufferId::B2, row, [1; WORD_BYTES]);
+        bufs.fill_rdb(BufferId::B2, row);
         let plan = plan_read(&bufs, row, LB, true);
         assert_eq!(plan, ReadPlan::RdbHit { ba: BufferId::B2 });
         assert!(plan.skips_pre_active() && plan.skips_activate());
@@ -193,7 +193,7 @@ mod tests {
                                     // B1 exist; the RDB hit wins (it skips more).
         bufs.latch_rab(BufferId::B3, row.upper(LB));
         bufs.latch_rab(BufferId::B1, row.upper(LB));
-        bufs.fill_rdb(BufferId::B1, row, [0; WORD_BYTES]);
+        bufs.fill_rdb(BufferId::B1, row);
         assert_eq!(
             plan_read(&bufs, row, LB, true),
             ReadPlan::RdbHit { ba: BufferId::B1 }

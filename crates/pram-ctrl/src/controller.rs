@@ -35,6 +35,7 @@ use sim_core::probe::{AttrSpan, Cause, Probe};
 use sim_core::snapshot::{SnapshotError, StateImage};
 use sim_core::time::Picos;
 use util::fxhash::{FxHashMap, FxHashSet};
+use util::pow2;
 use util::rng::stream_unit;
 use util::telemetry::{MetricSet, Track};
 
@@ -526,10 +527,10 @@ impl PramController {
         let sync = self.cfg.phy.sync_latency;
         let tck = self.cfg.timing.tck();
         let wb = self.cfg.map.word_bytes;
-        let line = frag.target.module_addr / wb;
+        let line = pow2::div(frag.target.module_addr, wb);
         let resolved = self.retire_resolve(ch_idx, md, frag.target.module_addr);
         let mapped_addr = self.wear_remap(earliest, frag, resolved, false);
-        let phys_slot = mapped_addr / wb;
+        let phys_slot = pow2::div(mapped_addr, wb);
         let lower_bits;
         let row;
         {
@@ -799,10 +800,10 @@ impl PramController {
         adv(&mut attr, Cause::ArrayAccess, t0);
 
         let wb = self.cfg.map.word_bytes;
-        let line = frag.target.module_addr / wb;
+        let line = pow2::div(frag.target.module_addr, wb);
         let resolved = self.retire_resolve(ch_idx, md, frag.target.module_addr);
         let mapped_addr = self.wear_remap(t0, frag, resolved, true);
-        let phys_slot = mapped_addr / wb;
+        let phys_slot = pow2::div(mapped_addr, wb);
         let word_addr = mapped_addr & !(WORD_BYTES as u64 - 1);
         let row = {
             let module = self.channels[ch_idx].module(md);
@@ -863,8 +864,13 @@ impl PramController {
         }
 
         // Program-buffer fill: read-modify-write semantics for partial
-        // words (the device merges against current contents).
-        let mut word = module.peek(row);
+        // words (the device merges against current contents). A full
+        // word overwrites every byte, so it skips the read.
+        let mut word = if frag.len as usize == WORD_BYTES {
+            [0; WORD_BYTES]
+        } else {
+            module.peek(row)
+        };
         let lo = (frag.global_addr % WORD_BYTES as u64) as usize;
         match data {
             Some(bytes) => word[lo..lo + frag.len as usize].copy_from_slice(bytes),

@@ -14,6 +14,7 @@
 use crate::cell::WORD_BYTES;
 use crate::geometry::{RowId, UpperRow};
 use std::fmt;
+use util::json::{field, Json, JsonError, ToJson};
 
 /// A buffer address: selects one RAB/RDB pair (2-bit BA signal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -61,15 +62,32 @@ impl fmt::Display for BufferId {
 }
 
 /// State of one RAB/RDB pair.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RowBuffer {
     /// Upper row address latched by the last pre-active phase, if any.
     pub rab: Option<UpperRow>,
-    /// Row currently sensed into the data buffer, with its contents.
-    pub rdb: Option<(RowId, [u8; WORD_BYTES])>,
+    /// Row currently sensed into the data buffer, if any.
+    ///
+    /// The buffer holds that row's bytes, but they are not copied here:
+    /// every program or erase of a row invalidates the buffers holding
+    /// it, so a sensed row's bytes are always what the cell array
+    /// stores. The module reads them from its cells when a burst or an
+    /// image needs them, and a timing-only sense never touches the
+    /// cell array.
+    pub rdb: Option<RowId>,
 }
 
-util::json_struct!(RowBuffer { rab, rdb });
+/// The serialized form of one buffer pair: the RDB with the sensed
+/// bytes it holds.
+struct RowBufferImage {
+    rab: Option<UpperRow>,
+    rdb: Option<(RowId, [u8; WORD_BYTES])>,
+}
+
+util::json_struct!(RowBufferImage { rab, rdb });
+
+/// The largest buffer set the 2-bit BA field can address.
+const MAX_BUFFERS: usize = 4;
 
 /// The full row-buffer set of a module.
 ///
@@ -87,10 +105,11 @@ util::json_struct!(RowBuffer { rab, rdb });
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowBufferSet {
-    buffers: Vec<RowBuffer>,
+    /// Inline, so a module's buffers share its cache lines instead of
+    /// costing a heap block of their own.
+    buffers: [RowBuffer; MAX_BUFFERS],
+    len: usize,
 }
-
-util::json_struct!(RowBufferSet { buffers });
 
 impl RowBufferSet {
     /// Creates `n` empty buffers (Table II devices have 4).
@@ -99,20 +118,28 @@ impl RowBufferSet {
     ///
     /// Panics if `n` is zero or greater than 4 (the BA field is 2 bits).
     pub fn new(n: usize) -> Self {
-        assert!((1..=4).contains(&n), "BA is a 2-bit field: 1..=4 buffers");
+        assert!(
+            (1..=MAX_BUFFERS).contains(&n),
+            "BA is a 2-bit field: 1..=4 buffers"
+        );
         RowBufferSet {
-            buffers: vec![RowBuffer::default(); n],
+            buffers: [RowBuffer::default(); MAX_BUFFERS],
+            len: n,
         }
     }
 
     /// Number of buffer pairs.
     pub fn len(&self) -> usize {
-        self.buffers.len()
+        self.len
     }
 
     /// Whether the set is empty (never true once constructed).
     pub fn is_empty(&self) -> bool {
-        self.buffers.is_empty()
+        self.len == 0
+    }
+
+    fn live(&self) -> &[RowBuffer] {
+        &self.buffers[..self.len]
     }
 
     /// Access one buffer pair.
@@ -121,32 +148,36 @@ impl RowBufferSet {
     ///
     /// Panics if `ba` indexes beyond the construction size.
     pub fn get(&self, ba: BufferId) -> &RowBuffer {
-        &self.buffers[ba.index()]
+        &self.live()[ba.index()]
+    }
+
+    fn get_mut(&mut self, ba: BufferId) -> &mut RowBuffer {
+        &mut self.buffers[..self.len][ba.index()]
     }
 
     /// Latches an upper row address into a RAB (pre-active phase effect).
     /// Invalidates the paired RDB: the buffer now refers to a new region.
     pub fn latch_rab(&mut self, ba: BufferId, upper: UpperRow) {
-        let b = &mut self.buffers[ba.index()];
+        let b = self.get_mut(ba);
         if b.rab != Some(upper) {
             b.rdb = None;
         }
         b.rab = Some(upper);
     }
 
-    /// Fills the RDB with sensed row contents (activate phase effect).
-    pub fn fill_rdb(&mut self, ba: BufferId, row: RowId, data: [u8; WORD_BYTES]) {
-        self.buffers[ba.index()].rdb = Some((row, data));
+    /// Senses `row` into the RDB (activate phase effect).
+    pub fn fill_rdb(&mut self, ba: BufferId, row: RowId) {
+        self.get_mut(ba).rdb = Some(row);
     }
 
     /// Does buffer `ba`'s RAB hold `upper`? (pre-active skip test)
     pub fn rab_holds(&self, ba: BufferId, upper: UpperRow) -> bool {
-        self.buffers[ba.index()].rab == Some(upper)
+        self.get(ba).rab == Some(upper)
     }
 
     /// Any buffer whose RAB holds `upper`.
     pub fn find_rab(&self, upper: UpperRow) -> Option<BufferId> {
-        self.buffers
+        self.live()
             .iter()
             .position(|b| b.rab == Some(upper))
             .map(BufferId::from_index)
@@ -154,22 +185,22 @@ impl RowBufferSet {
 
     /// Any buffer whose RDB holds `row`'s data. (activate skip test)
     pub fn find_rdb(&self, row: RowId) -> Option<BufferId> {
-        self.buffers
+        self.live()
             .iter()
-            .position(|b| matches!(b.rdb, Some((r, _)) if r == row))
+            .position(|b| b.rdb == Some(row))
             .map(BufferId::from_index)
     }
 
-    /// Reads the RDB contents of buffer `ba`, if sensed.
-    pub fn rdb_data(&self, ba: BufferId) -> Option<(RowId, [u8; WORD_BYTES])> {
-        self.buffers[ba.index()].rdb
+    /// The row sensed into buffer `ba`'s RDB, if any.
+    pub fn rdb_row(&self, ba: BufferId) -> Option<RowId> {
+        self.get(ba).rdb
     }
 
     /// Invalidates any RDB holding `row` (called after the array contents
     /// change underneath, e.g. a program or erase).
     pub fn invalidate_row(&mut self, row: RowId) {
-        for b in &mut self.buffers {
-            if matches!(b.rdb, Some((r, _)) if r == row) {
+        for b in &mut self.buffers[..self.len] {
+            if b.rdb == Some(row) {
                 b.rdb = None;
             }
         }
@@ -177,10 +208,59 @@ impl RowBufferSet {
 
     /// Invalidates every buffer (used by partition erase).
     pub fn invalidate_all(&mut self) {
-        for b in &mut self.buffers {
+        for b in &mut self.buffers[..self.len] {
             b.rab = None;
             b.rdb = None;
         }
+    }
+
+    /// Serializes the set with each RDB's bytes, `bytes(row)` being what
+    /// the module's cells store for `row`.
+    pub(crate) fn to_json_with(&self, bytes: impl Fn(RowId) -> [u8; WORD_BYTES]) -> Json {
+        let images: Vec<RowBufferImage> = self
+            .live()
+            .iter()
+            .map(|b| RowBufferImage {
+                rab: b.rab,
+                rdb: b.rdb.map(|row| (row, bytes(row))),
+            })
+            .collect();
+        Json::Obj(vec![("buffers".to_string(), images.to_json())])
+    }
+
+    /// Parses what [`Self::to_json_with`] wrote. `bytes(row)` is what
+    /// the module's cells store for `row`, or `None` for a row outside
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] for a malformed set, a count outside
+    /// `1..=4`, or an RDB whose bytes are not its row's.
+    pub(crate) fn from_json_with(
+        v: &Json,
+        bytes: impl Fn(RowId) -> Option<[u8; WORD_BYTES]>,
+    ) -> Result<Self, JsonError> {
+        let images: Vec<RowBufferImage> =
+            field(v, "buffers").map_err(|e| e.context("RowBufferSet"))?;
+        if !(1..=MAX_BUFFERS).contains(&images.len()) {
+            return Err(JsonError::new(format!(
+                "RowBufferSet: {} buffers, the BA field addresses 1..=4",
+                images.len()
+            )));
+        }
+        let mut set = RowBufferSet::new(images.len());
+        for (b, image) in set.buffers.iter_mut().zip(images) {
+            b.rab = image.rab;
+            if let Some((row, data)) = image.rdb {
+                if bytes(row) != Some(data) {
+                    return Err(JsonError::new(format!(
+                        "RowBufferSet: the RDB holding {row} disagrees with the cell array"
+                    )));
+                }
+                b.rdb = Some(row);
+            }
+        }
+        Ok(set)
     }
 }
 
@@ -211,11 +291,9 @@ mod tests {
         let mut s = RowBufferSet::new(4);
         let row = RowId::new(2, 5);
         s.latch_rab(BufferId::B0, row.upper(6));
-        s.fill_rdb(BufferId::B0, row, [0xEE; WORD_BYTES]);
+        s.fill_rdb(BufferId::B0, row);
         assert_eq!(s.find_rdb(row), Some(BufferId::B0));
-        let (r, d) = s.rdb_data(BufferId::B0).unwrap();
-        assert_eq!(r, row);
-        assert_eq!(d, [0xEE; WORD_BYTES]);
+        assert_eq!(s.rdb_row(BufferId::B0), Some(row));
     }
 
     #[test]
@@ -223,16 +301,16 @@ mod tests {
         let mut s = RowBufferSet::new(4);
         let row = RowId::new(2, 5);
         s.latch_rab(BufferId::B0, row.upper(6));
-        s.fill_rdb(BufferId::B0, row, [1; WORD_BYTES]);
+        s.fill_rdb(BufferId::B0, row);
         // New region into the same buffer: RDB must drop.
         s.latch_rab(BufferId::B0, RowId::new(3, 500).upper(6));
-        assert!(s.rdb_data(BufferId::B0).is_none());
+        assert!(s.rdb_row(BufferId::B0).is_none());
         // Re-latching the same upper keeps the RDB.
         let row2 = RowId::new(2, 6);
         s.latch_rab(BufferId::B1, row2.upper(6));
-        s.fill_rdb(BufferId::B1, row2, [2; WORD_BYTES]);
+        s.fill_rdb(BufferId::B1, row2);
         s.latch_rab(BufferId::B1, row2.upper(6));
-        assert!(s.rdb_data(BufferId::B1).is_some());
+        assert!(s.rdb_row(BufferId::B1).is_some());
     }
 
     #[test]
@@ -240,8 +318,8 @@ mod tests {
         let mut s = RowBufferSet::new(4);
         let a = RowId::new(0, 1);
         let b = RowId::new(0, 2);
-        s.fill_rdb(BufferId::B0, a, [1; WORD_BYTES]);
-        s.fill_rdb(BufferId::B1, b, [2; WORD_BYTES]);
+        s.fill_rdb(BufferId::B0, a);
+        s.fill_rdb(BufferId::B1, b);
         s.invalidate_row(a);
         assert!(s.find_rdb(a).is_none());
         assert!(s.find_rdb(b).is_some());
@@ -252,10 +330,29 @@ mod tests {
         let mut s = RowBufferSet::new(2);
         let a = RowId::new(0, 1);
         s.latch_rab(BufferId::B0, a.upper(6));
-        s.fill_rdb(BufferId::B0, a, [1; WORD_BYTES]);
+        s.fill_rdb(BufferId::B0, a);
         s.invalidate_all();
         assert!(s.find_rab(a.upper(6)).is_none());
         assert!(s.find_rdb(a).is_none());
+    }
+
+    #[test]
+    fn images_carry_the_sensed_bytes_and_reject_stale_ones() {
+        let mut s = RowBufferSet::new(2);
+        let row = RowId::new(2, 5);
+        s.latch_rab(BufferId::B1, row.upper(6));
+        s.fill_rdb(BufferId::B1, row);
+        let json = s.to_json_with(|_| [7; WORD_BYTES]);
+        // The layout images have always had: each RDB as (row, bytes).
+        let bytes = [7u8; WORD_BYTES].to_json().render(false);
+        let want = format!(
+            r#"{{"buffers":[{{"rab":null,"rdb":null}},{{"rab":0,"rdb":[{{"partition":2,"array_row":5}},{bytes}]}}]}}"#
+        );
+        assert_eq!(json.render(false), want);
+        let same = |_| Some([7; WORD_BYTES]);
+        assert_eq!(RowBufferSet::from_json_with(&json, same).unwrap(), s);
+        assert!(RowBufferSet::from_json_with(&json, |_| Some([8; WORD_BYTES])).is_err());
+        assert!(RowBufferSet::from_json_with(&json, |_| None).is_err());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! The array is sparse: unwritten rows are pristine zeros.
 
 use crate::geometry::{PartitionId, PramGeometry, RowId};
-use std::collections::HashMap;
+use util::fxhash::FxHashMap;
+use util::json::{field, FromJson, Json, JsonError, ToJson};
+use util::pow2;
 
 /// Size of one program unit (row word) in bytes.
 pub const WORD_BYTES: usize = 32;
@@ -72,6 +74,14 @@ util::json_unit_enum!(ProgramKind {
     NoopErase
 });
 
+/// Module words per cell-map entry. A page operation touches runs of
+/// consecutive module words in each module, so grouping them lets one
+/// map probe, and a few adjacent cache lines, serve the whole run.
+const GROUP_WORDS: u64 = 4;
+
+/// One cell-map entry: [`GROUP_WORDS`] consecutive module words.
+type Group = [Option<Word>; GROUP_WORDS as usize];
+
 /// The sparse cell array of one PRAM module.
 ///
 /// # Examples
@@ -91,28 +101,75 @@ util::json_unit_enum!(ProgramKind {
 #[derive(Debug, Clone)]
 pub struct CellArray {
     geometry: PramGeometry,
-    rows: HashMap<RowId, Word>,
+    /// Every word ever programmed, grouped by module word index
+    /// (`array_row * partitions + partition`, the order
+    /// [`PramGeometry::decode`] stripes words in). Probed on every
+    /// program, hence the cheap deterministic hash.
+    groups: FxHashMap<u64, Group>,
+    /// Words held in `groups`.
+    words: usize,
     programs: u64,
     overwrites: u64,
     selective_erases: u64,
     erases: u64,
 }
 
-util::json_struct!(CellArray {
-    geometry,
-    rows,
-    programs,
-    overwrites,
-    selective_erases,
-    erases
-});
+/// Serializes as a row-keyed map (`util::json` renders maps as
+/// `[row, word]` pairs in key order), the layout images have always had.
+impl ToJson for CellArray {
+    fn to_json(&self) -> Json {
+        let mut rows: Vec<(RowId, Word)> = Vec::with_capacity(self.words);
+        for (&key, group) in &self.groups {
+            for (slot, word) in group.iter().enumerate() {
+                if let Some(word) = word {
+                    rows.push((self.row_at(key * GROUP_WORDS + slot as u64), *word));
+                }
+            }
+        }
+        rows.sort_unstable_by_key(|&(row, _)| row);
+        let fields = [
+            ("geometry", self.geometry.to_json()),
+            ("rows", rows.to_json()),
+            ("programs", self.programs.to_json()),
+            ("overwrites", self.overwrites.to_json()),
+            ("selective_erases", self.selective_erases.to_json()),
+            ("erases", self.erases.to_json()),
+        ];
+        Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
+}
+
+impl FromJson for CellArray {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        fn get<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
+            field(v, name).map_err(|e| e.context("CellArray"))
+        }
+        let mut cells = CellArray::new(get(v, "geometry")?);
+        let rows: Vec<(RowId, Word)> = get(v, "rows")?;
+        for (row, word) in rows {
+            if !cells.contains(row) {
+                return Err(JsonError::new(format!(
+                    "CellArray: row {row} outside geometry"
+                )));
+            }
+            *cells.slot_mut(row) = Some(word);
+        }
+        cells.words = cells.groups.values().flatten().flatten().count();
+        cells.programs = get(v, "programs")?;
+        cells.overwrites = get(v, "overwrites")?;
+        cells.selective_erases = get(v, "selective_erases")?;
+        cells.erases = get(v, "erases")?;
+        Ok(cells)
+    }
+}
 
 impl CellArray {
     /// Creates an all-pristine array.
     pub fn new(geometry: PramGeometry) -> Self {
         CellArray {
             geometry,
-            rows: HashMap::new(),
+            groups: FxHashMap::default(),
+            words: 0,
             programs: 0,
             overwrites: 0,
             selective_erases: 0,
@@ -125,6 +182,34 @@ impl CellArray {
         &self.geometry
     }
 
+    /// Module word index of an in-geometry row.
+    fn word_index(&self, row: RowId) -> u64 {
+        row.array_row as u64 * self.geometry.partitions as u64 + row.partition.0 as u64
+    }
+
+    /// The row at module word index `word`.
+    fn row_at(&self, word: u64) -> RowId {
+        let parts = self.geometry.partitions as u64;
+        RowId::new(pow2::rem(word, parts) as u8, pow2::div(word, parts) as u32)
+    }
+
+    /// The stored word of an in-geometry row, if it was ever programmed.
+    fn word(&self, row: RowId) -> Option<&Word> {
+        let i = self.word_index(row);
+        let group = self.groups.get(&(i / GROUP_WORDS))?;
+        group[(i % GROUP_WORDS) as usize].as_ref()
+    }
+
+    /// The slot of an in-geometry row, creating its group on first use.
+    fn slot_mut(&mut self, row: RowId) -> &mut Option<Word> {
+        let i = self.word_index(row);
+        let group = self
+            .groups
+            .entry(i / GROUP_WORDS)
+            .or_insert([None; GROUP_WORDS as usize]);
+        &mut group[(i % GROUP_WORDS) as usize]
+    }
+
     /// Reads a full word (pristine rows read as zeros).
     ///
     /// # Panics
@@ -132,15 +217,13 @@ impl CellArray {
     /// Panics if the row is outside the geometry.
     pub fn read(&self, row: RowId) -> [u8; WORD_BYTES] {
         self.check_row(row);
-        self.rows
-            .get(&row)
-            .map(|w| w.data)
-            .unwrap_or([0; WORD_BYTES])
+        self.word(row).map(|w| w.data).unwrap_or([0; WORD_BYTES])
     }
 
-    /// Whether a word is pristine (next program is SET-only).
+    /// Whether a word is pristine (next program is SET-only). Rows
+    /// outside the geometry were never programmed, so they are.
     pub fn is_pristine(&self, row: RowId) -> bool {
-        self.rows.get(&row).map(|w| w.pristine).unwrap_or(true)
+        !self.contains(row) || self.word(row).map(|w| w.pristine).unwrap_or(true)
     }
 
     /// Programs a word, returning which cell operation was required.
@@ -153,18 +236,18 @@ impl CellArray {
     /// Panics if the row is outside the geometry.
     pub fn program(&mut self, row: RowId, data: &[u8; WORD_BYTES]) -> ProgramKind {
         self.check_row(row);
-        let all_zero = data.iter().all(|&b| b == 0);
-        let entry = self.rows.entry(row).or_default();
+        let all_zero = *data == [0; WORD_BYTES];
+        let slot = self.slot_mut(row);
+        let fresh = slot.is_none();
+        let entry = slot.get_or_insert_with(Word::default);
         let was_pristine = entry.pristine;
         entry.programs += 1;
-        self.programs += 1;
-        if all_zero {
+        let kind = if all_zero {
             if was_pristine {
                 ProgramKind::NoopErase
             } else {
                 entry.data = [0; WORD_BYTES];
                 entry.pristine = true;
-                self.selective_erases += 1;
                 ProgramKind::SelectiveErase
             }
         } else {
@@ -173,21 +256,44 @@ impl CellArray {
             if was_pristine {
                 ProgramKind::SetOnly
             } else {
-                self.overwrites += 1;
                 ProgramKind::Overwrite
             }
+        };
+        self.words += usize::from(fresh);
+        self.programs += 1;
+        match kind {
+            ProgramKind::SelectiveErase => self.selective_erases += 1,
+            ProgramKind::Overwrite => self.overwrites += 1,
+            ProgramKind::SetOnly | ProgramKind::NoopErase => {}
         }
+        kind
     }
 
     /// Erases a whole partition back to pristine zeros.
     pub fn erase_partition(&mut self, partition: PartitionId) {
-        self.rows.retain(|row, _| row.partition != partition);
+        let parts = self.geometry.partitions as u64;
+        let mut erased = 0;
+        self.groups.retain(|&key, group| {
+            for (slot, word) in group.iter_mut().enumerate() {
+                let i = key * GROUP_WORDS + slot as u64;
+                if word.is_some() && pow2::rem(i, parts) == partition.0 as u64 {
+                    *word = None;
+                    erased += 1;
+                }
+            }
+            group.iter().any(Option::is_some)
+        });
+        self.words -= erased;
         self.erases += 1;
+    }
+
+    fn all_words(&self) -> impl Iterator<Item = &Word> {
+        self.groups.values().flatten().flatten()
     }
 
     /// Number of rows currently holding programmed (non-pristine) data.
     pub fn programmed_rows(&self) -> usize {
-        self.rows.values().filter(|w| !w.pristine).count()
+        self.all_words().filter(|w| !w.pristine).count()
     }
 
     /// Endurance summary: `(max_programs_on_any_row, rows_ever_touched)`.
@@ -195,8 +301,8 @@ impl CellArray {
     /// leveling trades total work for spread.
     pub fn endurance(&self) -> (u32, usize) {
         (
-            self.rows.values().map(|w| w.programs).max().unwrap_or(0),
-            self.rows.len(),
+            self.all_words().map(|w| w.programs).max().unwrap_or(0),
+            self.words,
         )
     }
 
@@ -211,12 +317,19 @@ impl CellArray {
         )
     }
 
-    fn check_row(&self, row: RowId) {
-        assert!(
-            row.partition.0 < self.geometry.partitions
-                && row.array_row < self.geometry.rows_per_partition(),
-            "row {row} outside geometry"
-        );
+    /// Asserts `row` lies inside the geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is outside the geometry.
+    pub(crate) fn check_row(&self, row: RowId) {
+        assert!(self.contains(row), "row {row} outside geometry");
+    }
+
+    /// Whether `row` lies inside the geometry.
+    pub(crate) fn contains(&self, row: RowId) -> bool {
+        row.partition.0 < self.geometry.partitions
+            && row.array_row < self.geometry.rows_per_partition()
     }
 }
 

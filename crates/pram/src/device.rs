@@ -21,6 +21,7 @@ use sim_core::energy::{EnergyAccount, EnergyBook, Joules};
 use sim_core::time::Picos;
 use sim_core::timeline::TimelineBank;
 use sim_core::SimRng;
+use util::json::{field, FromJson, Json, JsonError, ToJson};
 
 /// Per-event energy constants for the PRAM array, chosen so that the
 /// write:read energy asymmetry of phase-change cells is preserved
@@ -200,20 +201,56 @@ pub struct PramModule {
     program_windows: Vec<Option<PhaseTiming>>,
 }
 
-util::json_struct!(PramModule {
-    timing,
-    geometry,
-    cells,
-    buffers,
-    overlay,
-    partitions,
-    rng,
-    energy,
-    stats,
-    program_done_at,
-    write_pausing,
-    program_windows
-});
+/// Serializes field by field as the derived layout did, with the RDBs
+/// carrying the bytes they hold (read back from the cell array).
+impl ToJson for PramModule {
+    fn to_json(&self) -> Json {
+        let cells = &self.cells;
+        let fields = [
+            ("timing", self.timing.to_json()),
+            ("geometry", self.geometry.to_json()),
+            ("cells", self.cells.to_json()),
+            ("buffers", self.buffers.to_json_with(|row| cells.read(row))),
+            ("overlay", self.overlay.to_json()),
+            ("partitions", self.partitions.to_json()),
+            ("rng", self.rng.to_json()),
+            ("energy", self.energy.to_json()),
+            ("stats", self.stats.to_json()),
+            ("program_done_at", self.program_done_at.to_json()),
+            ("write_pausing", self.write_pausing.to_json()),
+            ("program_windows", self.program_windows.to_json()),
+        ];
+        Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
+}
+
+impl FromJson for PramModule {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        fn get<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
+            field(v, name).map_err(|e| e.context("PramModule"))
+        }
+        let cells: CellArray = get(v, "cells")?;
+        let buffers =
+            RowBufferSet::from_json_with(v.get("buffers").unwrap_or(&Json::Null), |row| {
+                cells.contains(row).then(|| cells.read(row))
+            })
+            .map_err(|e| e.context("buffers").context("PramModule"))?;
+        Ok(PramModule {
+            timing: get(v, "timing")?,
+            geometry: get(v, "geometry")?,
+            cells,
+            buffers,
+            overlay: get(v, "overlay")?,
+            partitions: get(v, "partitions")?,
+            rng: get(v, "rng")?,
+            energy: get(v, "energy")?,
+            stats: get(v, "stats")?,
+            program_done_at: get(v, "program_done_at")?,
+            write_pausing: get(v, "write_pausing")?,
+            program_windows: get(v, "program_windows")?,
+        })
+    }
+}
 
 sim_core::snapshot_via_json!(PramModule, "pram/module", 1);
 
@@ -378,8 +415,8 @@ impl PramModule {
                         self.program_done_at = Some(resumed_end);
                     }
                     self.stats.write_pauses += 1;
-                    let data = self.cells.read(row);
-                    self.buffers.fill_rdb(ba, row, data);
+                    self.cells.check_row(row);
+                    self.buffers.fill_rdb(ba, row);
                     self.stats.activates += 1;
                     self.energy.sense.charge(energy::ACTIVATE_SENSE);
                     return Ok(PhaseTiming { start, end });
@@ -389,8 +426,8 @@ impl PramModule {
         let lane = self.partitions.get_mut(p);
         let start = lane.reserve(at, self.timing.trcd);
         let end = start + self.timing.trcd;
-        let data = self.cells.read(row);
-        self.buffers.fill_rdb(ba, row, data);
+        self.cells.check_row(row);
+        self.buffers.fill_rdb(ba, row);
         self.stats.activates += 1;
         self.energy.sense.charge(energy::ACTIVATE_SENSE);
         Ok(PhaseTiming { start, end })
@@ -442,7 +479,8 @@ impl PramModule {
         bl: BurstLen,
     ) -> Result<(PhaseTiming, Vec<u8>), ProtocolError> {
         let t = self.try_read_burst_timed(cmd_at, bus_free, ba, col, bl)?;
-        let (_, data) = self.buffers.rdb_data(ba).expect("checked by timed burst");
+        let row = self.buffers.rdb_row(ba).expect("checked by timed burst");
+        let data = self.cells.read(row);
         let lo = col as usize;
         let hi = lo + bl.bytes() as usize;
         Ok((t, data[lo..hi].to_vec()))
@@ -469,7 +507,7 @@ impl PramModule {
         col: u8,
         bl: BurstLen,
     ) -> Result<PhaseTiming, ProtocolError> {
-        if self.buffers.rdb_data(ba).is_none() {
+        if self.buffers.rdb_row(ba).is_none() {
             return Err(ProtocolError::EmptyRdb(ba));
         }
         let hi = col as usize + bl.bytes() as usize;
@@ -531,9 +569,9 @@ impl PramModule {
             self.overlay.fill_program_buffer(buf_off, data);
         } else {
             assert!(data.len() <= 8, "register write wider than 8 bytes");
-            let mut v = [0u8; 8];
-            v[..data.len()].copy_from_slice(data);
-            self.overlay.write_reg(offset, u64::from_le_bytes(v));
+            // The little-endian value of the bytes, zero-extended.
+            let v = data.iter().rev().fold(0u64, |v, &b| (v << 8) | b as u64);
+            self.overlay.write_reg(offset, v);
         }
         PhaseTiming { start: at, end }
     }
@@ -569,11 +607,16 @@ impl PramModule {
     fn apply_program(&mut self, at: Picos, staged: StagedProgram) -> PhaseTiming {
         let (row, offset) = self.geometry.decode(staged.target_addr);
         assert_eq!(offset, 0, "programs are word-aligned");
-        // Read-modify-write semantics for partial bursts.
-        let mut word = self.cells.read(row);
+        // Read-modify-write semantics for partial bursts. A full-word
+        // burst overwrites every byte, so it programs without the read.
         let n = staged.burst_bytes.min(WORD_BYTES as u32) as usize;
-        word[..n].copy_from_slice(&staged.data[..n]);
-
+        let word = if n == WORD_BYTES {
+            staged.data
+        } else {
+            let mut word = self.cells.read(row);
+            word[..n].copy_from_slice(&staged.data[..n]);
+            word
+        };
         let kind = self.cells.program(row, &word);
         let (cell_time, e) = match kind {
             ProgramKind::SetOnly => {

@@ -14,6 +14,7 @@
 //! address** — travel with the activate phase.
 
 use std::fmt;
+use util::pow2;
 
 /// Index of a partition within a bank (0..16 in the Table II device).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -171,7 +172,7 @@ impl PramGeometry {
 
     /// Number of 32-byte rows per partition.
     pub fn rows_per_partition(&self) -> u32 {
-        (self.partition_bytes() / self.word_bytes as u64) as u32
+        pow2::div(self.partition_bytes(), self.word_bytes as u64) as u32
     }
 
     /// Maps a module-local byte address to `(row, byte offset in word)`.
@@ -190,10 +191,11 @@ impl PramGeometry {
             "address {addr:#x} beyond module capacity {:#x}",
             self.module_bytes()
         );
-        let word = addr / self.word_bytes as u64;
-        let offset = (addr % self.word_bytes as u64) as u32;
-        let partition = (word % self.partitions as u64) as u8;
-        let array_row = (word / self.partitions as u64) as u32;
+        let (wb, parts) = (self.word_bytes as u64, self.partitions as u64);
+        let word = pow2::div(addr, wb);
+        let offset = pow2::rem(addr, wb) as u32;
+        let partition = pow2::rem(word, parts) as u8;
+        let array_row = pow2::div(word, parts) as u32;
         (RowId::new(partition, array_row), offset)
     }
 

@@ -257,9 +257,31 @@ impl fmt::Display for Picos {
 pub struct Freq {
     /// Frequency in hertz.
     hz: u64,
+    /// `1e12 / hz`, derived once: the PRAM and PE models convert cycles
+    /// to time on every simulated word, and a runtime division there
+    /// costs more than the rest of the conversion.
+    period: Picos,
 }
 
-util::json_struct!(Freq { hz });
+/// Serializes as `{"hz": ..}` alone: the period is derived state.
+impl util::json::ToJson for Freq {
+    fn to_json(&self) -> util::json::Json {
+        let hz = util::json::ToJson::to_json(&self.hz);
+        util::json::Json::Obj(vec![("hz".to_string(), hz)])
+    }
+}
+
+impl util::json::FromJson for Freq {
+    fn from_json(v: &util::json::Json) -> Result<Self, util::json::JsonError> {
+        let hz: u64 = util::json::field(v, "hz").map_err(|e| e.context("Freq"))?;
+        if hz == 0 {
+            return Err(util::json::JsonError::new(
+                "Freq: frequency must be non-zero",
+            ));
+        }
+        Ok(Freq::from_hz(hz))
+    }
+}
 
 impl Freq {
     /// Creates a frequency from hertz.
@@ -269,7 +291,10 @@ impl Freq {
     /// Panics if `hz` is zero.
     pub fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "frequency must be non-zero");
-        Freq { hz }
+        Freq {
+            hz,
+            period: Picos(1_000_000_000_000 / hz),
+        }
     }
 
     /// Creates a frequency from megahertz.
@@ -292,7 +317,7 @@ impl Freq {
     /// Exact for every frequency whose period is an integral number of
     /// picoseconds (all frequencies used in this repository).
     pub fn cycle(self) -> Picos {
-        Picos(1_000_000_000_000 / self.hz)
+        self.period
     }
 
     /// Converts a cycle count to simulated time.
@@ -390,6 +415,16 @@ mod tests {
     #[should_panic(expected = "frequency must be non-zero")]
     fn zero_frequency_rejected() {
         let _ = Freq::from_hz(0);
+    }
+
+    #[test]
+    fn freq_json_carries_only_hz() {
+        use util::json::{FromJson, ToJson};
+        let f = Freq::from_mhz(66);
+        assert_eq!(f.to_json_string(), r#"{"hz":66000000}"#);
+        let back = Freq::from_json_str(&f.to_json_string()).unwrap();
+        assert_eq!((back, back.cycle()), (f, Picos::from_ps(15_151)));
+        assert!(Freq::from_json_str(r#"{"hz":0}"#).is_err());
     }
 
     #[test]

@@ -14,7 +14,8 @@ use sim_core::mem::{Access, MemoryBackend};
 use sim_core::snapshot::{SnapshotError, StateImage};
 use sim_core::time::Picos;
 use sim_core::timeline::TimelineBank;
-use std::collections::HashSet;
+use util::fxhash::FxHashSet;
+use util::pow2;
 
 /// Energy of one 32 B PRAM word read inside the SSD.
 const E_WORD_READ: Joules = Joules::from_nj(1);
@@ -83,8 +84,9 @@ pub struct PramSsd {
     params: PramSsdParams,
     lanes: TimelineBank,
     /// Words that have been programmed at least once (next program is an
-    /// overwrite).
-    written: HashSet<u64>,
+    /// overwrite). Probed once per written word, hence the cheap
+    /// deterministic hash.
+    written: FxHashSet<u64>,
     energy: EnergyBook,
     requests: u64,
 }
@@ -95,7 +97,7 @@ impl PramSsd {
         PramSsd {
             lanes: TimelineBank::new(params.lanes),
             params,
-            written: HashSet::new(),
+            written: FxHashSet::default(),
             energy: EnergyBook::new(),
             requests: 0,
         }
@@ -156,11 +158,15 @@ impl MemoryBackend for PramSsd {
         let (first, last) = self.word_range(addr, len);
         let mut end = t;
         for w in first..=last {
-            let lane = (w % self.params.lanes as u64) as usize;
+            let lane = pow2::rem(w, self.params.lanes as u64) as usize;
             let (_, e) = self.lanes.get_mut(lane).reserve_span(t, self.params.t_read);
-            self.energy.charge("pram-ssd.read", E_WORD_READ);
             end = end.max(e);
         }
+        // One ledger charge per request: `Joules` is an integer, so the
+        // batched total is exactly the per-word sum.
+        let words = (last + 1).saturating_sub(first);
+        self.energy
+            .charge_many("pram-ssd.read", E_WORD_READ.scaled(words), words);
         Access { start: at, end }
     }
 
@@ -174,15 +180,17 @@ impl MemoryBackend for PramSsd {
         // "serializing page-basis requests into byte-granular operations"
         // cost of §VI-C shows up as lane backlog, not per-write stalls.
         for w in first..=last {
-            let lane = (w % self.params.lanes as u64) as usize;
+            let lane = pow2::rem(w, self.params.lanes as u64) as usize;
             let dur = if self.written.insert(w) {
                 self.params.t_write_set
             } else {
                 self.params.t_write_overwrite
             };
             self.lanes.get_mut(lane).reserve(t, dur);
-            self.energy.charge("pram-ssd.program", E_WORD_PROGRAM);
         }
+        let words = (last + 1).saturating_sub(first);
+        self.energy
+            .charge_many("pram-ssd.program", E_WORD_PROGRAM.scaled(words), words);
         Access { start: at, end: t }
     }
 

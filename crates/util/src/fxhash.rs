@@ -1,15 +1,27 @@
 //! A fast, deterministic hasher for integer-keyed hot-path maps.
 //!
 //! The simulators key several per-request bookkeeping maps by plain
-//! word/page indexes (selective-erase touch tracking, LRU residency,
-//! fault line state). `std`'s default SipHash is both slower than the
-//! map operation it guards and randomly seeded per process, while these
-//! maps want the opposite trade: minimal per-lookup cost and run-to-run
-//! determinism. [`FxHasher`] is the classic Fx multiply-fold (as used by
-//! rustc): one wrapping multiply per 8 bytes, zero seed state.
+//! row, word or page indexes:
+//!
+//! * the PRAM cell array (`pram::cell`), probed once per programmed
+//!   word;
+//! * the PRAM SSD's set of programmed words (`storage::optane`), probed
+//!   once per written word;
+//! * selective-erase touch tracking and fault line state (`pram-ctrl`);
+//! * LRU residency of the page caches (`storage::cache`).
+//!
+//! `std`'s default SipHash is both slower than the map operation it
+//! guards and randomly seeded per process, while these maps want the
+//! opposite trade: minimal per-lookup cost and run-to-run determinism.
+//! [`FxHasher`] is the classic Fx multiply-fold (as used by rustc): one
+//! wrapping multiply per integer field, zero seed state.
 //!
 //! These tables are filled with simulator-internal keys, never
 //! attacker-controlled input, so HashDoS resistance is not a concern.
+//! Restoring a snapshot does not change that: an image carries only
+//! maps the simulator itself wrote, so it brings back the same keys.
+//! The hasher never shows in an image either, because `util::json`
+//! renders hash maps and sets in key order.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

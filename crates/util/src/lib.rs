@@ -14,6 +14,10 @@
 //! * [`fingerprint`] — the shared 64-bit FNV-1a accumulator behind
 //!   every content fingerprint (trace streams, schedule cache keys,
 //!   record/replay run commitments);
+//! * [`fxhash`] — the deterministic Fx hasher behind the simulators'
+//!   integer-keyed hot-path maps;
+//! * [`pow2`] — shift/mask division for runtime divisors that are
+//!   powers of two (the PRAM address path);
 //! * [`bytes`] — a cheap slice-able byte buffer pair
 //!   [`Bytes`](bytes::Bytes)/[`BytesMut`](bytes::BytesMut) (replaces
 //!   the `bytes` crate);
@@ -36,5 +40,6 @@ pub mod fingerprint;
 pub mod fxhash;
 pub mod json;
 pub mod pool;
+pub mod pow2;
 pub mod rng;
 pub mod telemetry;

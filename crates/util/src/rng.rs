@@ -129,12 +129,15 @@ impl Rng64 {
             return self.next_u64();
         }
         let span = span + 1;
-        // Rejection sampling over the largest multiple of `span`.
-        let zone = u64::MAX - (u64::MAX % span);
+        // Rejection sampling over the largest multiple of `span`: `v`
+        // is accepted when the whole `span`-block holding it fits below
+        // `u64::MAX`, which is `v < u64::MAX - u64::MAX % span` without
+        // a second division per draw.
         loop {
             let v = self.next_u64();
-            if v < zone {
-                return lo + v % span;
+            let r = v % span;
+            if (v - r).checked_add(span).is_some() {
+                return lo + r;
             }
         }
     }
@@ -247,6 +250,40 @@ mod tests {
             }
         }
         assert!(seen_lo && seen_hi);
+    }
+
+    #[test]
+    fn ranges_draw_what_the_two_division_rejection_drew() {
+        // The reference: reject `v >= u64::MAX - u64::MAX % span`.
+        fn reference(r: &mut Rng64, lo: u64, hi: u64) -> u64 {
+            let span = hi - lo + 1;
+            let zone = u64::MAX - (u64::MAX % span);
+            loop {
+                let v = r.next_u64();
+                if v < zone {
+                    return lo + v % span;
+                }
+            }
+        }
+        // Small spans, a span that rejects almost half of all draws, and
+        // the boundary spans around it.
+        let half = 1u64 << 63;
+        for (lo, hi) in [
+            (5, 8),
+            (2_500, 5_500),
+            (750, 1_250),
+            (0, half),
+            (1, half + 1),
+        ] {
+            let (mut a, mut b) = (Rng64::seed(lo ^ hi), Rng64::seed(lo ^ hi));
+            for _ in 0..2_000 {
+                assert_eq!(
+                    a.range_u64(lo, hi),
+                    reference(&mut b, lo, hi),
+                    "{lo}..={hi}"
+                );
+            }
+        }
     }
 
     #[test]

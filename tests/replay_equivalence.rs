@@ -379,40 +379,83 @@ const GEMVER_CHECKPOINTS: [(u64, u64); 38] = [
     (2384, 0xcc5b9fa7d26c45e1),
 ];
 
+/// One preset's checkpoint golden for gemver at `Scale(1.0)`, default
+/// params, a checkpoint every 64 requests.
+struct CheckpointGolden {
+    kind: SystemKind,
+    /// FNV-1a of the rendered `(requests, stream digest)` list.
+    checkpoints: u64,
+    /// `(requests, stream digest, report fingerprint)` of the cell.
+    fingerprint: (u64, u64, u64),
+    /// FNV-1a of the rendered cursor images at every checkpoint.
+    cursors: u64,
+    /// FNV-1a of the rendered backend images at every checkpoint: cell
+    /// bytes, buffer contents, RNG positions, written-word sets.
+    backends: u64,
+}
+
+const CHECKPOINT_GOLDENS: [CheckpointGolden; 3] = [
+    CheckpointGolden {
+        kind: SystemKind::DramLess,
+        checkpoints: 0xc7b3_ac2c_f7b4_6433,
+        fingerprint: (2426, 0x37ea_9f2c_e453_a9b9, 0xa4f5_0ee8_0b6f_42b6),
+        cursors: 0xf6a4_4306_d06a_e8c2,
+        backends: 0x4e46_977f_c2df_cfd9,
+    },
+    CheckpointGolden {
+        kind: SystemKind::PageBuffer,
+        checkpoints: 0x2f30_e5a5_90ff_b8e7,
+        fingerprint: (2426, 0x5452_acba_2c1a_2d13, 0x5852_5e3b_5382_11cf),
+        cursors: 0xb47b_7163_05d1_98ec,
+        backends: 0x9b78_a882_772d_0395,
+    },
+    CheckpointGolden {
+        kind: SystemKind::HeteroPram,
+        checkpoints: 0x70ae_85f7_6023_adb2,
+        fingerprint: (2426, 0xcc1e_538e_9776_9606, 0x78c7_00f8_2243_3356),
+        cursors: 0x7334_c5d9_3e6a_f649,
+        backends: 0x1caf_a28e_5643_5a08,
+    },
+];
+
 #[test]
 fn checkpoints_land_on_the_golden_request_counts_and_images() {
     let w = Workload::of(Kernel::Gemver, Scale(1.0));
-    let rec = replay::record_cell(
-        SystemId::Preset(SystemKind::DramLess),
-        &SystemKind::DramLess.spec(),
-        &w,
-        &params(),
-        64,
-    )
-    .unwrap();
-    let got: Vec<(u64, u64)> = rec
-        .checkpoints
-        .iter()
-        .map(|c| (c.requests, c.stream))
-        .collect();
-    assert_eq!(got, GEMVER_CHECKPOINTS);
-    assert_eq!(
-        (
-            rec.fingerprint.requests,
-            rec.fingerprint.stream,
-            rec.fingerprint.report
-        ),
-        (2426, 0x37ea_9f2c_e453_a9b9, 0xa4f5_0ee8_0b6f_42b6)
-    );
-    // The cursor and backend images at every checkpoint, byte for byte
-    // (images render their maps in key order, so the digests are
-    // stable across processes).
-    let cursors: Vec<_> = rec.checkpoints.iter().map(|c| c.exec.clone()).collect();
-    let images = util::fingerprint::fnv1a(cursors.to_json().render(false).as_bytes());
-    assert_eq!(images, 0xf6a4_4306_d06a_e8c2);
-    let backends: Vec<_> = rec.checkpoints.iter().map(|c| c.backend.clone()).collect();
-    let images = util::fingerprint::fnv1a(backends.to_json().render(false).as_bytes());
-    assert_eq!(images, 0x4e46_977f_c2df_cfd9);
-    let rep = replay::verify_cell(&rec, &params()).unwrap();
-    assert_eq!(rep.verified_checkpoints, GEMVER_CHECKPOINTS.len() - 1);
+    let digest = |json: util::json::Json| util::fingerprint::fnv1a(json.render(false).as_bytes());
+    for golden in &CHECKPOINT_GOLDENS {
+        let kind = golden.kind;
+        let rec =
+            replay::record_cell(SystemId::Preset(kind), &kind.spec(), &w, &params(), 64).unwrap();
+        let got: Vec<(u64, u64)> = rec
+            .checkpoints
+            .iter()
+            .map(|c| (c.requests, c.stream))
+            .collect();
+        if kind == SystemKind::DramLess {
+            assert_eq!(got, GEMVER_CHECKPOINTS);
+        }
+        // Images render their maps in key order, so the digests are
+        // stable across processes.
+        let cursors: Vec<_> = rec.checkpoints.iter().map(|c| c.exec.clone()).collect();
+        let backends: Vec<_> = rec.checkpoints.iter().map(|c| c.backend.clone()).collect();
+        let row = (
+            digest(got.to_json()),
+            (
+                rec.fingerprint.requests,
+                rec.fingerprint.stream,
+                rec.fingerprint.report,
+            ),
+            digest(cursors.to_json()),
+            digest(backends.to_json()),
+        );
+        let want = (
+            golden.checkpoints,
+            golden.fingerprint,
+            golden.cursors,
+            golden.backends,
+        );
+        assert_eq!(row, want, "{kind}");
+        let rep = replay::verify_cell(&rec, &params()).unwrap();
+        assert_eq!(rep.verified_checkpoints, got.len() - 1, "{kind}");
+    }
 }
