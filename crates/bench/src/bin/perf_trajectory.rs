@@ -211,9 +211,13 @@ fn main() {
         ("accurate", FidelityTier::Accurate),
         ("analytic", FidelityTier::Analytic),
     ] {
-        let (result, stats) =
-            dramless::sweep::sweep_systems_with_stats(&tier_specs(tier), &workloads, &params)
-                .expect("every Table I preset composes");
+        let (result, stats) = dramless::sweep::sweep_systems_on(
+            util::pool::global(),
+            &tier_specs(tier),
+            &workloads,
+            &params,
+        )
+        .expect("every Table I preset composes");
         println!(
             "{label}: {} cells in {:.3}s ({:.1} cells/s, build {:.3}s)",
             stats.cells,

@@ -53,7 +53,8 @@ pub fn sweep_timed(
     kinds: &[SystemKind],
     workloads: &[Workload],
 ) -> SuiteResult {
-    let (result, stats) = dramless::sweep_with_stats(kinds, workloads, &params());
+    let (result, stats) =
+        dramless::sweep::sweep_on(util::pool::global(), kinds, workloads, &params());
     harness.record(&format!("{name}-build"), stats.build.as_nanos() as u64);
     harness.record_throughput(name, stats.cells as u64, stats.execute.as_nanos() as u64);
     result
@@ -81,8 +82,9 @@ pub fn sweep_timed_analytic(
             (dramless::SystemId::Preset(k), spec)
         })
         .collect();
-    let (result, stats) = dramless::sweep::sweep_systems_with_stats(&systems, workloads, &params())
-        .expect("every Table I preset composes on the analytic tier");
+    let (result, stats) =
+        dramless::sweep::sweep_systems_on(util::pool::global(), &systems, workloads, &params())
+            .expect("every Table I preset composes on the analytic tier");
     harness.record(&format!("{name}-build"), stats.build.as_nanos() as u64);
     harness.record_throughput(name, stats.cells as u64, stats.execute.as_nanos() as u64);
     result

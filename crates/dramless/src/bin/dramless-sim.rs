@@ -7,43 +7,171 @@
 //! dramless-sim --spec my_config.json --kernel gemver
 //! dramless-sim --list-systems
 //! ```
+//!
+//! Every flag is one row of [`FLAGS`], which names the subcommands that
+//! accept it. [`parse`] checks a command line against that table, each
+//! `cmd_*` converts the values it uses, and `main` reports every error.
 
 use dramless::replay::{self, Recording};
 use dramless::{
-    run_fleet, run_fleet_on, BalancerKind, FaultPlan, FidelityTier, FleetReport, FleetSpec,
-    RunOutcome, SystemId, SystemKind, SystemParams, SystemSpec,
+    run_fleet_on, BalancerKind, FaultPlan, FidelityTier, FleetReport, FleetSpec, RunOutcome,
+    SuiteResult, SweepStats, SystemId, SystemKind, SystemParams, SystemSpec,
 };
 use sim_core::fault::FaultCounters;
 use sim_core::probe::{AttrScope, AttrSummary, Cause};
 use sim_core::time::Picos;
+use std::error::Error;
 use std::ops::Range;
 use std::process::ExitCode;
+use std::str::FromStr;
 use util::json::{FromJson, ToJson};
-use util::telemetry::MetricValue;
+use util::pool::{self, Pool};
+use util::telemetry::{chrome_trace, MetricValue};
 use workloads::{Kernel, Scale, Workload};
 
-/// Parsed command-line options.
-#[derive(Debug, Clone)]
-struct Options {
-    systems: Vec<SystemKind>,
-    specs: Vec<SystemSpec>,
-    /// The `--spec` file paths, kept so `top` can print a
-    /// copy-pasteable `record` command line.
-    spec_paths: Vec<String>,
-    kernels: Vec<Kernel>,
-    scale: Scale,
-    seed: u64,
-    agents: usize,
-    json: Option<String>,
-    metrics: bool,
-    attr: bool,
-    trace_out: Option<String>,
-    faults: Option<FaultPlan>,
-    /// The `--faults` file path (same purpose as `spec_paths`).
-    faults_path: Option<String>,
-    tier: Option<FidelityTier>,
-    out: Option<String>,
-    checkpoint_every: Option<u64>,
+/// What a subcommand returns; `main` prints the error and exits 1.
+type CliResult<T = ()> = Result<T, Box<dyn Error>>;
+
+/// The subcommand words; without one, `dramless-sim [flags]` is `run`.
+const SUBCOMMANDS: [&str; 4] = ["record", "replay", "serve", "top"];
+
+/// One row of the flag table: the flag, whether it takes a value, and
+/// the subcommands that accept it.
+type Flag = (&'static str, bool, &'static [&'static str]);
+
+/// Who takes the cell-selection flags. `record` takes every one `top`
+/// does, so `top` can print a `record` line for the cell it profiled.
+const SELECT: &[&str] = &["run", "record", "top"];
+const ALL: &[&str] = &["run", "record", "replay", "serve", "top"];
+
+/// Every flag of every subcommand. `--help` documents each one.
+const FLAGS: &[Flag] = &[
+    ("--system", true, SELECT),
+    ("--spec", true, SELECT),
+    ("--kernel", true, SELECT),
+    ("--scale", true, SELECT),
+    ("--seed", true, &["run", "record", "top", "serve"]),
+    ("--agents", true, SELECT),
+    ("--tier", true, SELECT),
+    ("--faults", true, SELECT),
+    ("--list", false, SELECT),
+    ("--list-systems", false, SELECT),
+    ("--metrics", false, &["run", "top"]),
+    ("--attr", false, &["run", "top"]),
+    ("--trace-out", true, &["run"]),
+    ("--json", true, &["run", "serve"]),
+    ("--out", true, &["record"]),
+    ("--checkpoint-every", true, &["record"]),
+    ("--window", true, &["replay"]),
+    ("--cell", true, &["replay"]),
+    ("--fleet", true, &["serve"]),
+    ("--template", false, &["serve"]),
+    ("--requests", true, &["serve"]),
+    ("--duration", true, &["serve"]),
+    ("--balancer", true, &["serve"]),
+    ("--threads", true, &["serve"]),
+    ("--help", false, ALL),
+    ("-h", false, ALL),
+];
+
+/// A command line checked against [`FLAGS`]: the subcommand, each flag
+/// in command-line order with its value (empty for a switch), and the
+/// bare arguments (`replay`'s recording file).
+struct Args {
+    cmd: &'static str,
+    flags: Vec<(&'static Flag, String)>,
+    files: Vec<String>,
+}
+
+/// Splits off the subcommand and checks every flag against [`FLAGS`].
+fn parse(argv: &[String]) -> Result<Args, String> {
+    let sub = argv
+        .first()
+        .and_then(|a| SUBCOMMANDS.into_iter().find(|c| c == a));
+    let (cmd, rest) = match sub {
+        Some(cmd) => (cmd, &argv[1..]),
+        None => ("run", argv),
+    };
+    let mut it = rest.iter();
+    let (mut flags, mut files) = (Vec::new(), Vec::new());
+    while let Some(arg) = it.next() {
+        let Some(flag) = FLAGS.iter().find(|f| f.0 == arg) else {
+            if cmd == "replay" && !arg.starts_with('-') {
+                files.push(arg.clone());
+                continue;
+            }
+            return Err(format!("unknown argument `{arg}` (see --help)"));
+        };
+        let (name, takes_value, cmds) = flag;
+        if !cmds.contains(&cmd) {
+            return Err(format!(
+                "{name} does not apply to `{cmd}`; it is for: {}",
+                cmds.join(", ")
+            ));
+        }
+        let value = if *takes_value {
+            it.next().ok_or_else(|| format!("{name} needs a value"))?
+        } else {
+            ""
+        };
+        flags.push((flag, value.to_string()));
+    }
+    Ok(Args { cmd, flags, files })
+}
+
+impl Args {
+    /// The last value given for `flag`.
+    fn get(&self, flag: &str) -> Option<&str> {
+        let mut given = self.flags.iter().rev();
+        given.find(|(f, _)| f.0 == flag).map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    /// The last value given for `flag`, converted to `T`.
+    fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|v| v.parse().map_err(|_| format!("bad {flag} value `{v}`")))
+            .transpose()
+    }
+
+    /// `--attr`, which `top` always sets.
+    fn attr(&self) -> bool {
+        self.cmd == "top" || self.has("--attr")
+    }
+
+    /// `--metrics`, implied by `--attr` and `--trace-out`.
+    fn metrics(&self) -> bool {
+        self.attr() || self.has("--metrics") || self.has("--trace-out")
+    }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&argv) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn dispatch(argv: &[String]) -> CliResult {
+    let args = parse(argv)?;
+    match args.cmd {
+        _ if args.has("--help") || args.has("-h") => println!("{}", usage()),
+        _ if args.has("--list") => print_list(),
+        _ if args.has("--list-systems") => list_systems(),
+        "record" => return cmd_record(&args),
+        "replay" => return cmd_replay(&args),
+        "serve" => return cmd_serve(&args),
+        "top" => return cmd_top(&args),
+        _ => return cmd_run(&args),
+    }
+    Ok(())
 }
 
 fn usage() -> &'static str {
@@ -127,6 +255,7 @@ fn usage() -> &'static str {
                        https://ui.perfetto.dev); implies --metrics\n\
        --list          print the available systems and kernels, then exit\n\
        --list-systems  print each preset's spec axes, then exit\n\
+       -h, --help      print this help, then exit\n\
      \n\
      EXAMPLES:\n\
        # A configuration Table I never built: TLC flash over P2P DMA.\n\
@@ -140,17 +269,20 @@ fn usage() -> &'static str {
        dramless-sim --spec tlc.json --system dram-less --kernel gemver"
 }
 
+/// The systems `--list` names and `--system` accepts.
+fn presets() -> impl Iterator<Item = SystemKind> {
+    SystemKind::EVALUATED.into_iter().chain([SystemKind::Ideal])
+}
+
 fn parse_system(name: &str) -> Option<SystemKind> {
     let norm = name.to_ascii_lowercase().replace(['_', ' '], "-");
-    let mut all = SystemKind::EVALUATED.to_vec();
-    all.push(SystemKind::Ideal);
-    all.into_iter().find(|k| {
-        k.label()
-            .to_ascii_lowercase()
-            .replace([' ', '(', ')'], "-")
-            .trim_matches('-')
-            == norm
-            || k.label().to_ascii_lowercase() == norm
+    presets().find(|k| {
+        k.label().eq_ignore_ascii_case(name)
+            || k.label()
+                .to_ascii_lowercase()
+                .replace([' ', '(', ')'], "-")
+                .trim_matches('-')
+                == norm
     })
 }
 
@@ -160,14 +292,25 @@ fn parse_kernel(name: &str) -> Option<Kernel> {
         .find(|k| k.label().eq_ignore_ascii_case(name))
 }
 
-fn load_spec(path: &str) -> Result<SystemSpec, String> {
+/// Reads and decodes a JSON input file.
+fn load<T: FromJson>(path: &str) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    SystemSpec::from_json_str(&text).map_err(|e| format!("parsing {path}: {e}"))
+    T::from_json_str(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn load_faults(path: &str) -> Result<FaultPlan, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    FaultPlan::from_json_str(&text).map_err(|e| format!("parsing {path}: {e}"))
+fn write(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("writing {path}: {e}"))
+}
+
+fn print_list() {
+    println!("systems:");
+    for k in presets() {
+        println!("  {}", k.label());
+    }
+    println!("kernels:");
+    for k in Kernel::ALL {
+        println!("  {}", k.label());
+    }
 }
 
 fn list_systems() {
@@ -175,9 +318,7 @@ fn list_systems() {
         "{:<22} {:<21} {:<15} {:<12} control",
         "preset", "medium", "datapath", "buffer"
     );
-    let mut all = SystemKind::EVALUATED.to_vec();
-    all.push(SystemKind::Ideal);
-    for k in all {
+    for k in presets() {
         let s = k.spec();
         println!(
             "{:<22} {:<21} {:<15} {:<12} {}",
@@ -192,137 +333,76 @@ fn list_systems() {
     println!("can be composed as a JSON file and run with --spec <file>.");
 }
 
-fn parse(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        systems: Vec::new(),
-        specs: Vec::new(),
-        spec_paths: Vec::new(),
-        kernels: vec![Kernel::Gemver],
-        scale: Scale::paper(),
-        seed: 42,
-        agents: 7,
-        json: None,
-        metrics: false,
-        attr: false,
-        trace_out: None,
-        faults: None,
-        faults_path: None,
-        tier: None,
-        out: None,
-        checkpoint_every: None,
+/// The `(id, spec)` cells of a grid: presets first, then `--spec` files.
+type Systems = Vec<(SystemId, SystemSpec)>;
+
+/// Converts the selection flags into the grid `run`, `record` and `top`
+/// simulate: the systems with the tier, telemetry and fault knobs
+/// applied, the workloads, and the system parameters.
+fn grid(args: &Args) -> CliResult<(Systems, Vec<Workload>, SystemParams)> {
+    let defaults = SystemParams::default();
+    let params = SystemParams {
+        seed: args.parsed("--seed")?.unwrap_or(defaults.seed),
+        agents: args.parsed("--agents")?.unwrap_or(defaults.agents),
+        ..defaults
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--system" => {
-                let v = value("--system")?;
-                opts.systems = if v == "all" {
-                    SystemKind::EVALUATED.to_vec()
-                } else {
-                    vec![parse_system(&v).ok_or_else(|| format!("unknown system `{v}`"))?]
-                };
-            }
-            "--spec" => {
-                let v = value("--spec")?;
-                opts.specs.push(load_spec(&v)?);
-                opts.spec_paths.push(v);
-            }
-            "--kernel" => {
-                let v = value("--kernel")?;
-                opts.kernels = if v == "all" {
-                    Kernel::ALL.to_vec()
-                } else {
-                    vec![parse_kernel(&v).ok_or_else(|| format!("unknown kernel `{v}`"))?]
-                };
-            }
-            "--scale" => {
-                let v = value("--scale")?;
-                let f: f64 = v.parse().map_err(|_| format!("bad scale `{v}`"))?;
-                if f <= 0.0 {
-                    return Err("scale must be positive".into());
-                }
-                opts.scale = Scale(f);
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--agents" => {
-                let v = value("--agents")?;
-                let n: usize = v.parse().map_err(|_| format!("bad agent count `{v}`"))?;
-                if !(1..=7).contains(&n) {
-                    return Err("agents must be in 1..=7 (8 PEs, one serves)".into());
-                }
-                opts.agents = n;
-            }
-            "--tier" => {
-                let v = value("--tier")?;
-                opts.tier = Some(match v.to_ascii_lowercase().as_str() {
-                    "accurate" => FidelityTier::Accurate,
-                    "analytic" => FidelityTier::Analytic,
-                    _ => return Err(format!("unknown tier `{v}` (accurate|analytic)")),
-                });
-            }
-            "--json" => opts.json = Some(value("--json")?),
-            "--out" => opts.out = Some(value("--out")?),
-            "--checkpoint-every" => {
-                let v = value("--checkpoint-every")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad checkpoint cadence `{v}`"))?;
-                if n == 0 {
-                    return Err("checkpoint cadence must be >= 1".into());
-                }
-                opts.checkpoint_every = Some(n);
-            }
-            "--metrics" => opts.metrics = true,
-            "--attr" => {
-                opts.attr = true;
-                opts.metrics = true;
-            }
-            "--faults" => {
-                let v = value("--faults")?;
-                opts.faults = Some(load_faults(&v)?);
-                opts.faults_path = Some(v);
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(value("--trace-out")?);
-                opts.metrics = true;
-            }
-            "--list" => {
-                println!("systems:");
-                for k in SystemKind::EVALUATED {
-                    println!("  {}", k.label());
-                }
-                println!("  Ideal");
-                println!("kernels:");
-                for k in Kernel::ALL {
-                    println!("  {}", k.label());
-                }
-                std::process::exit(0);
-            }
-            "--list-systems" => {
-                list_systems();
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`\n\n{}", usage())),
+    if !(1..=7).contains(&params.agents) {
+        return Err("--agents must be in 1..=7 (8 PEs, one serves)".into());
+    }
+    let scale = Scale(args.parsed("--scale")?.unwrap_or(Scale::paper().0));
+    scale.validate()?;
+    let kernels = match args.get("--kernel") {
+        Some("all") => Kernel::ALL.to_vec(),
+        Some(v) => vec![parse_kernel(v).ok_or_else(|| format!("unknown kernel `{v}`"))?],
+        None => vec![Kernel::Gemver],
+    };
+    let presets = match args.get("--system") {
+        Some("all") => SystemKind::EVALUATED.to_vec(),
+        Some(v) => vec![parse_system(v).ok_or_else(|| format!("unknown system `{v}`"))?],
+        // The proposed design, unless the user only asked for custom specs.
+        None if args.has("--spec") => Vec::new(),
+        None => vec![SystemKind::DramLess],
+    };
+    let mut systems: Systems = presets
+        .into_iter()
+        .map(|k| (SystemId::Preset(k), k.spec()))
+        .collect();
+    for (_, path) in args.flags.iter().filter(|(f, _)| f.0 == "--spec") {
+        let spec: SystemSpec = load(path)?;
+        systems.push((SystemId::Custom(spec.display_name()), spec));
+    }
+    let tier = match args.get("--tier").map(str::to_ascii_lowercase).as_deref() {
+        None => None,
+        Some("accurate") => Some(FidelityTier::Accurate),
+        Some("analytic") => Some(FidelityTier::Analytic),
+        Some(v) => return Err(format!("unknown tier `{v}` (accurate|analytic)").into()),
+    };
+    let faults: Option<FaultPlan> = args.get("--faults").map(load).transpose()?;
+    for (_, spec) in &mut systems {
+        spec.tier = tier.unwrap_or(spec.tier);
+        if args.metrics() {
+            let tel = spec.telemetry.get_or_insert_with(Default::default);
+            tel.attribution |= args.attr();
+        }
+        if let Some(plan) = &faults {
+            spec.faults = Some(plan.clone());
         }
     }
-    // Default: the proposed design — unless the user only asked for
-    // custom specs.
-    if opts.systems.is_empty() && opts.specs.is_empty() {
-        opts.systems.push(SystemKind::DramLess);
+    let workloads = kernels
+        .into_iter()
+        .map(|k| Workload::of(k, scale))
+        .collect();
+    Ok((systems, workloads, params))
+}
+
+/// Checks that a grid is one cell; `what` says who needs that.
+fn one_cell(systems: &Systems, workloads: &[Workload], what: &str) -> Result<(), String> {
+    if systems.len() == 1 && workloads.len() == 1 {
+        return Ok(());
     }
-    Ok(opts)
+    Err(format!(
+        "{what} exactly one cell; pick one system (or one --spec) and one kernel"
+    ))
 }
 
 fn print_header() {
@@ -429,198 +509,79 @@ fn print_attr(out: &RunOutcome) {
     }
 }
 
-/// Expands parsed options into the cell grid every subcommand runs
-/// over: `(id, spec)` pairs with the tier/telemetry/fault knobs
-/// applied, the workload list, and the system parameters.
-fn grid(opts: &Options) -> (Vec<(SystemId, SystemSpec)>, Vec<Workload>, SystemParams) {
-    let params = SystemParams {
-        seed: opts.seed,
-        agents: opts.agents,
-        ..Default::default()
-    };
-    let workloads: Vec<Workload> = opts
-        .kernels
-        .iter()
-        .map(|&k| Workload::of(k, opts.scale))
-        .collect();
-    // Presets first, then custom specs, in command-line order.
-    let mut systems: Vec<(SystemId, SystemSpec)> = opts
-        .systems
-        .iter()
-        .map(|&k| (SystemId::Preset(k), k.spec()))
-        .collect();
-    systems.extend(
-        opts.specs
-            .iter()
-            .map(|s| (SystemId::Custom(s.display_name()), s.clone())),
-    );
-    if let Some(tier) = opts.tier {
-        for (_, spec) in systems.iter_mut() {
-            spec.tier = tier;
-        }
-    }
-    if opts.metrics {
-        for (_, spec) in systems.iter_mut() {
-            let tel = spec.telemetry.get_or_insert_with(Default::default);
-            if opts.attr {
-                tel.attribution = true;
-            }
-        }
-    }
-    if let Some(plan) = &opts.faults {
-        for (_, spec) in systems.iter_mut() {
-            spec.faults = Some(plan.clone());
-        }
-    }
-    (systems, workloads, params)
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("record") => cmd_record(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
-        _ => cmd_run(&args),
-    }
-}
-
-fn cmd_run(args: &[String]) -> ExitCode {
-    let opts = match parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.out.is_some() || opts.checkpoint_every.is_some() {
-        eprintln!("error: --out/--checkpoint-every belong to the `record` subcommand");
-        return ExitCode::FAILURE;
-    }
-    let (systems, workloads, params) = grid(&opts);
-    // A trace run is a single cell: one system, one kernel, with the
-    // full event trace kept and exported.
-    if let Some(path) = &opts.trace_out {
-        if systems.len() != 1 || workloads.len() != 1 {
-            eprintln!(
-                "error: --trace-out traces exactly one cell; pick one \
-                 system (or one --spec) and one kernel"
-            );
-            return ExitCode::FAILURE;
-        }
-        let (_, spec) = &systems[0];
+fn cmd_run(args: &Args) -> CliResult {
+    let (systems, workloads, params) = grid(args)?;
+    let json = args.get("--json");
+    if let Some(path) = args.get("--trace-out") {
+        // A trace run is one cell whose full event trace is kept.
+        one_cell(&systems, &workloads, "--trace-out traces")?;
         let built = workloads[0].build(params.agents);
-        let (out, events) = match dramless::simulate_spec_traced(spec, &built, &params) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+        let (out, events) = dramless::simulate_spec_traced(&systems[0].1, &built, &params)?;
+        write(path, &chrome_trace(&events).to_json_pretty())?;
+        let result = SuiteResult {
+            outcomes: vec![out],
         };
-        let trace = util::telemetry::chrome_trace(&events);
-        if let Err(e) = std::fs::write(path, trace.to_json_pretty()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        print_header();
-        print_row(&out);
-        print_metrics(&out.metrics);
-        if let Some(d) = &out.degraded {
-            print_degraded(d);
-        }
-        print_attr(&out);
+        print_suite(&result, None, true);
         println!(
             "\nwrote {} trace events to {path} (open in https://ui.perfetto.dev)",
             events.len()
         );
-        if let Some(json) = &opts.json {
-            let suite = dramless::SuiteResult {
-                outcomes: vec![out],
-            };
-            if let Err(e) = std::fs::write(json, suite.to_json()) {
-                eprintln!("error: writing {json}: {e}");
-                return ExitCode::FAILURE;
-            }
+        if let Some(json) = json {
+            write(json, &result.to_json())?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    // The work-stealing engine returns outcomes in workload-major order
-    // — exactly the order the old nested loop printed them in.
+    // The work-stealing engine returns outcomes in workload-major order.
     let (result, stats) =
-        match dramless::sweep::sweep_systems_with_stats(&systems, &workloads, &params) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        dramless::sweep::sweep_systems_on(pool::global(), &systems, &workloads, &params)?;
+    print_suite(&result, Some(&stats), args.metrics());
+    if let Some(path) = json {
+        write(path, &result.to_json())?;
+        println!("\nwrote {} outcomes to {path}", result.outcomes.len());
+    }
+    Ok(())
+}
+
+/// Prints a finished grid: the table, the sweep's wall-clock line, the
+/// aggregate metrics and fault ledger when `metrics` is on, and each
+/// attributed cell's summary.
+fn print_suite(result: &SuiteResult, stats: Option<&SweepStats>, metrics: bool) {
     print_header();
     for out in &result.outcomes {
         print_row(out);
     }
-    println!(
-        "\n{} cells in {:.3}s on {} thread(s) — {:.1} cells/s \
-         (build {:.3}s, execute {:.3}s)",
-        stats.cells,
-        stats.elapsed.as_secs_f64(),
-        stats.threads,
-        stats.cells_per_sec(),
-        stats.build.as_secs_f64(),
-        stats.execute.as_secs_f64()
-    );
-    if opts.metrics {
+    if let Some(stats) = stats {
+        println!(
+            "\n{} cells in {:.3}s on {} thread(s) — {:.1} cells/s \
+             (build {:.3}s, execute {:.3}s)",
+            stats.cells,
+            stats.elapsed.as_secs_f64(),
+            stats.threads,
+            stats.cells_per_sec(),
+            stats.build.as_secs_f64(),
+            stats.execute.as_secs_f64()
+        );
+    }
+    if metrics {
         print_metrics(&result.aggregate_metrics());
         if let Some(d) = result.aggregate_degraded() {
             print_degraded(&d);
         }
     }
-    if opts.attr {
-        for out in &result.outcomes {
-            print_attr(out);
-        }
+    for out in &result.outcomes {
+        print_attr(out);
     }
-    if let Some(path) = &opts.json {
-        if let Err(e) = std::fs::write(path, result.to_json()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\nwrote {} outcomes to {path}", result.outcomes.len());
-    }
-    ExitCode::SUCCESS
 }
 
-fn cmd_record(args: &[String]) -> ExitCode {
-    let opts = match parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+fn cmd_record(args: &Args) -> CliResult {
+    let every = match args.parsed("--checkpoint-every")? {
+        Some(0) => return Err("--checkpoint-every must be >= 1".into()),
+        every => every.unwrap_or(replay::DEFAULT_CHECKPOINT_EVERY),
     };
-    if opts.json.is_some() || opts.metrics || opts.trace_out.is_some() {
-        eprintln!(
-            "error: record emits a recording via --out; \
-             --json/--metrics/--trace-out do not apply"
-        );
-        return ExitCode::FAILURE;
-    }
-    let (systems, workloads, params) = grid(&opts);
-    let every = opts
-        .checkpoint_every
-        .unwrap_or(replay::DEFAULT_CHECKPOINT_EVERY);
-    let rec = match replay::record_run(&systems, &workloads, &params, every) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out = opts.out.as_deref().unwrap_or("run.json");
-    if let Err(e) = std::fs::write(out, rec.to_json_string()) {
-        eprintln!("error: writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let (systems, workloads, params) = grid(args)?;
+    let rec = replay::record_run(&systems, &workloads, &params, every)?;
+    let out = args.get("--out").unwrap_or("run.json");
+    write(out, &rec.to_json_string())?;
     println!(
         "{:<22} {:<10} {:>12} {:>12} {:>18} {:>18}",
         "system", "kernel", "requests", "checkpoints", "stream", "report"
@@ -640,90 +601,43 @@ fn cmd_record(args: &[String]) -> ExitCode {
         "\nwrote {} cell(s) to {out} (checkpoint every {every} requests)",
         rec.cells.len()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Re-renders the selection flags so `top` can print a copy-pasteable
-/// `record` command line that reproduces the same cell (attribution is
-/// passive, so a recording made without `--attr` carries the identical
-/// request stream).
-fn selection_args(opts: &Options) -> String {
-    let mut s = String::new();
-    for k in &opts.systems {
-        let alias = k
-            .label()
-            .to_ascii_lowercase()
-            .replace([' ', '(', ')'], "-")
-            .trim_matches('-')
-            .to_string();
-        s.push_str(&format!(" --system {alias}"));
+/// The flags of `args` that `record` takes, as given, so `top`'s hint
+/// records the cell it profiled (attribution is passive, so a recording
+/// made without `--attr` carries the identical request stream).
+fn record_flags(args: &Args) -> String {
+    args.flags
+        .iter()
+        .filter(|(f, _)| f.2.contains(&"record"))
+        .map(|(f, v)| format!(" {} {}", f.0, shell_word(v)))
+        .collect()
+}
+
+/// `v` as one POSIX shell word.
+fn shell_word(v: &str) -> String {
+    let plain = |b: u8| b.is_ascii_alphanumeric() || b"-_./:=+,".contains(&b);
+    if !v.is_empty() && v.bytes().all(plain) {
+        v.to_string()
+    } else {
+        format!("'{}'", v.replace('\'', r"'\''"))
     }
-    for p in &opts.spec_paths {
-        s.push_str(&format!(" --spec {p}"));
-    }
-    for k in &opts.kernels {
-        s.push_str(&format!(" --kernel {}", k.label()));
-    }
-    s.push_str(&format!(" --scale {}", opts.scale.0));
-    s.push_str(&format!(" --seed {}", opts.seed));
-    s.push_str(&format!(" --agents {}", opts.agents));
-    if let Some(tier) = opts.tier {
-        s.push_str(match tier {
-            FidelityTier::Accurate => " --tier accurate",
-            FidelityTier::Analytic => " --tier analytic",
-        });
-    }
-    if let Some(p) = &opts.faults_path {
-        s.push_str(&format!(" --faults {p}"));
-    }
-    s
 }
 
 /// `top` — tail forensics for one cell: run it with attribution on and
 /// print the cause breakdown plus the top-K worst requests, each with
 /// the replay handle that isolates it.
-fn cmd_top(args: &[String]) -> ExitCode {
-    let mut opts = match parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.json.is_some()
-        || opts.trace_out.is_some()
-        || opts.out.is_some()
-        || opts.checkpoint_every.is_some()
-    {
-        eprintln!(
-            "error: top prints to stdout; --json/--trace-out/--out/\
-             --checkpoint-every do not apply"
-        );
-        return ExitCode::FAILURE;
-    }
-    opts.attr = true;
-    opts.metrics = true;
-    let (systems, workloads, params) = grid(&opts);
-    if systems.len() != 1 || workloads.len() != 1 {
-        eprintln!(
-            "error: top profiles exactly one cell; pick one system \
-             (or one --spec) and one kernel"
-        );
-        return ExitCode::FAILURE;
-    }
-    let (result, _) = match dramless::sweep::sweep_systems_with_stats(&systems, &workloads, &params)
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_top(args: &Args) -> CliResult {
+    let (systems, workloads, params) = grid(args)?;
+    one_cell(&systems, &workloads, "top profiles")?;
+    let (result, _) =
+        dramless::sweep::sweep_systems_on(pool::global(), &systems, &workloads, &params)?;
     let out = &result.outcomes[0];
-    let Some(a) = &out.attr else {
-        eprintln!("error: the run produced no attribution summary");
-        return ExitCode::FAILURE;
-    };
+    let a = out
+        .attr
+        .as_ref()
+        .ok_or("the run produced no attribution summary")?;
     print_header();
     print_row(out);
     print_attr(out);
@@ -732,16 +646,16 @@ fn cmd_top(args: &[String]) -> ExitCode {
     }
     print_top_table(a);
     if let Some(worst) = a.top.iter().find(|t| t.scope == AttrScope::Exec) {
-        let sel = selection_args(&opts);
         println!(
             "\nisolate the worst exec-phase request without re-running the sweep:\n  \
-             dramless-sim record{sel} --out run.json\n  \
+             dramless-sim record{} --out run.json\n  \
              dramless-sim replay run.json --window {}..{}",
+            record_flags(args),
             worst.index,
             worst.index + 1
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The tail-forensics table: worst requests first, full decomposition.
@@ -765,14 +679,6 @@ fn print_top_table(a: &AttrSummary) {
     }
 }
 
-/// Parsed `replay` subcommand options.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ReplayOptions {
-    path: String,
-    window: Option<Range<u64>>,
-    cell: usize,
-}
-
 /// Parses a `<a>..<b>` request window.
 fn parse_window(s: &str) -> Result<Range<u64>, String> {
     let (a, b) = s
@@ -786,238 +692,78 @@ fn parse_window(s: &str) -> Result<Range<u64>, String> {
     Ok(start..end)
 }
 
-fn parse_replay(args: &[String]) -> Result<ReplayOptions, String> {
-    let mut path: Option<String> = None;
-    let mut window = None;
-    let mut cell = 0usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--window" => window = Some(parse_window(&value("--window")?)?),
-            "--cell" => {
-                let v = value("--cell")?;
-                cell = v.parse().map_err(|_| format!("bad cell index `{v}`"))?;
-            }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown replay argument `{other}`"))
-            }
-            other => {
-                if path.replace(other.to_string()).is_some() {
-                    return Err("replay takes exactly one recording file".into());
+fn cmd_replay(args: &Args) -> CliResult {
+    let [path] = args.files.as_slice() else {
+        return Err("replay takes one recording file (dramless-sim replay <run.json>)".into());
+    };
+    let window = args.get("--window").map(parse_window).transpose()?;
+    let cell = args.parsed("--cell")?.unwrap_or(0);
+    let rec: Recording = load(path)?;
+    let failed = |e: dramless::ReplayError| format!("replay FAILED: {e}");
+    match window {
+        Some(w) => {
+            let r = replay::replay(&rec, cell, w).map_err(failed)?;
+            println!(
+                "{}: resumed at request {} (nearest checkpoint), replayed to \
+                 {}, re-verified {} checkpoint(s){}",
+                r.cell,
+                r.resumed_at,
+                r.replayed_to,
+                r.verified_checkpoints,
+                if r.completed {
+                    "; ran to completion — final stream and report fingerprints match"
+                } else {
+                    ""
                 }
-            }
+            );
         }
-    }
-    Ok(ReplayOptions {
-        path: path.ok_or("replay needs a recording file (dramless-sim replay <run.json>)")?,
-        window,
-        cell,
-    })
-}
-
-fn cmd_replay(args: &[String]) -> ExitCode {
-    let opts = match parse_replay(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let text = match std::fs::read_to_string(&opts.path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {}: {e}", opts.path);
-            return ExitCode::FAILURE;
-        }
-    };
-    let rec = match Recording::from_json_str(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: parsing {}: {e}", opts.path);
-            return ExitCode::FAILURE;
-        }
-    };
-    match &opts.window {
-        Some(w) => match replay::replay(&rec, opts.cell, w.clone()) {
-            Ok(r) => {
+        None => {
+            let reports = replay::verify(&rec).map_err(failed)?;
+            for r in &reports {
                 println!(
-                    "{}: resumed at request {} (nearest checkpoint), replayed to \
-                     {}, re-verified {} checkpoint(s){}",
-                    r.cell,
-                    r.resumed_at,
-                    r.replayed_to,
-                    r.verified_checkpoints,
-                    if r.completed {
-                        "; ran to completion — final stream and report fingerprints match"
-                    } else {
-                        ""
-                    }
+                    "{}: verified — {} request(s), {} checkpoint(s), report matches",
+                    r.cell, r.replayed_to, r.verified_checkpoints
                 );
-                ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: replay FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        None => match replay::verify(&rec) {
-            Ok(reports) => {
-                for r in &reports {
-                    println!(
-                        "{}: verified — {} request(s), {} checkpoint(s), report matches",
-                        r.cell, r.replayed_to, r.verified_checkpoints
-                    );
-                }
-                println!("\n{} cell(s) verified against {}", reports.len(), opts.path);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: replay FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        },
-    }
-}
-
-/// Parsed `serve` subcommand options.
-#[derive(Debug, Clone, PartialEq)]
-struct ServeOptions {
-    fleet: Option<String>,
-    template: bool,
-    requests: Option<u64>,
-    duration_ms: Option<u64>,
-    balancer: Option<BalancerKind>,
-    seed: Option<u64>,
-    threads: Option<usize>,
-    json: Option<String>,
-}
-
-fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
-    let mut o = ServeOptions {
-        fleet: None,
-        template: false,
-        requests: None,
-        duration_ms: None,
-        balancer: None,
-        seed: None,
-        threads: None,
-        json: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--fleet" => o.fleet = Some(value("--fleet")?),
-            "--template" => o.template = true,
-            "--requests" => {
-                let v = value("--requests")?;
-                o.requests = Some(v.parse().map_err(|_| format!("bad request count `{v}`"))?);
-            }
-            "--duration" => {
-                let v = value("--duration")?;
-                o.duration_ms = Some(v.parse().map_err(|_| format!("bad duration `{v}` (ms)"))?);
-            }
-            "--balancer" => {
-                let v = value("--balancer")?;
-                o.balancer = Some(BalancerKind::from_label(&v).ok_or_else(|| {
-                    let known: Vec<&str> = BalancerKind::ALL.iter().map(|b| b.label()).collect();
-                    format!("unknown balancer `{v}` (one of: {})", known.join(", "))
-                })?);
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                o.seed = Some(v.parse().map_err(|_| format!("bad seed `{v}`"))?);
-            }
-            "--threads" => {
-                let v = value("--threads")?;
-                let n: usize = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                o.threads = Some(n);
-            }
-            "--json" => o.json = Some(value("--json")?),
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown serve argument `{other}`")),
+            println!("\n{} cell(s) verified against {path}", reports.len());
         }
     }
-    if o.template {
-        if o.fleet.is_some() || o.requests.is_some() || o.duration_ms.is_some() {
+    Ok(())
+}
+
+/// Loads `--fleet` and applies the flags that override its fields.
+fn fleet_spec(args: &Args) -> CliResult<FleetSpec> {
+    let path = args
+        .get("--fleet")
+        .ok_or("serve needs --fleet <fleet.json> (or --template for a starter spec)")?;
+    let mut spec: FleetSpec = load(path)?;
+    spec.requests = args.parsed("--requests")?.unwrap_or(spec.requests);
+    spec.duration_ms = args.parsed("--duration")?.unwrap_or(spec.duration_ms);
+    spec.seed = args.parsed("--seed")?.unwrap_or(spec.seed);
+    if let Some(v) = args.get("--balancer") {
+        spec.balancer = BalancerKind::from_label(v).ok_or_else(|| {
+            let known: Vec<&str> = BalancerKind::ALL.iter().map(|b| b.label()).collect();
+            format!("unknown balancer `{v}` (one of: {})", known.join(", "))
+        })?;
+    }
+    Ok(spec)
+}
+
+fn cmd_serve(args: &Args) -> CliResult {
+    if args.has("--template") {
+        if args.flags.len() > 1 {
             return Err("--template prints a starter spec and takes no other flags".into());
         }
-    } else if o.fleet.is_none() {
-        return Err("serve needs --fleet <fleet.json> (or --template for a starter spec)".into());
-    }
-    Ok(o)
-}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let opts = match parse_serve(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.template {
         println!("{}", FleetSpec::example().to_json_pretty());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let path = opts.fleet.as_deref().expect("checked by parse_serve");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let spec = fleet_spec(args)?;
+    let own_pool = match args.parsed("--threads")? {
+        Some(0) => return Err("--threads must be at least 1".into()),
+        threads => threads.map(Pool::new),
     };
-    let mut spec = match FleetSpec::from_json_str(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: parsing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(n) = opts.requests {
-        spec.requests = n;
-    }
-    if let Some(ms) = opts.duration_ms {
-        spec.duration_ms = ms;
-    }
-    if let Some(b) = opts.balancer {
-        spec.balancer = b;
-    }
-    if let Some(s) = opts.seed {
-        spec.seed = s;
-    }
     let started = std::time::Instant::now();
-    let report = match opts.threads {
-        Some(n) => run_fleet_on(&util::pool::Pool::new(n), &spec),
-        None => run_fleet(&spec),
-    };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = run_fleet_on(own_pool.as_ref().unwrap_or_else(|| pool::global()), &spec)?;
     let elapsed = started.elapsed();
     print_fleet_report(&report);
     println!(
@@ -1027,18 +773,14 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         elapsed.as_secs_f64(),
         report.offered as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    if let Err(e) = report.check_conservation() {
-        eprintln!("error: conservation check FAILED: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(json) = &opts.json {
-        if let Err(e) = std::fs::write(json, report.to_json_pretty()) {
-            eprintln!("error: writing {json}: {e}");
-            return ExitCode::FAILURE;
-        }
+    report
+        .check_conservation()
+        .map_err(|e| format!("conservation check FAILED: {e}"))?;
+    if let Some(json) = args.get("--json") {
+        write(json, &report.to_json_pretty())?;
         println!("wrote fleet report to {json}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Prints the per-class / per-tenant / per-accelerator QoS tables.
@@ -1157,13 +899,32 @@ mod tests {
     use super::*;
     use util::json::ToJson;
 
+    fn strings(line: &[&str]) -> Vec<String> {
+        line.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn args(line: &[&str]) -> Args {
+        parse(&strings(line)).unwrap()
+    }
+
+    /// Asserts that `parse` or `grid` rejects `line`.
+    fn assert_rejected(line: &[&str]) {
+        if let Ok(a) = parse(&strings(line)) {
+            assert!(grid(&a).is_err(), "{line:?} was accepted");
+        }
+    }
+
     #[test]
     fn parses_defaults() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.systems, vec![SystemKind::DramLess]);
-        assert_eq!(o.kernels, vec![Kernel::Gemver]);
-        assert_eq!(o.seed, 42);
-        assert!(o.specs.is_empty());
+        let (systems, workloads, params) = grid(&args(&[])).unwrap();
+        // The default preset, and no custom specs.
+        let dl = SystemKind::DramLess;
+        assert_eq!(systems, vec![(SystemId::Preset(dl), dl.spec())]);
+        assert_eq!(
+            workloads,
+            vec![Workload::of(Kernel::Gemver, Scale::paper())]
+        );
+        assert_eq!(params.seed, 42);
     }
 
     #[test]
@@ -1173,7 +934,15 @@ mod tests {
         assert_eq!(parse_system("hetero"), Some(SystemKind::Hetero));
         assert_eq!(parse_system("page-buffer"), Some(SystemKind::PageBuffer));
         assert_eq!(parse_system("ideal"), Some(SystemKind::Ideal));
+        assert_eq!(
+            parse_system("DRAM-less (firmware)"),
+            Some(SystemKind::DramLessFirmware)
+        );
         assert_eq!(parse_system("nope"), None);
+        // Every name `--list` prints parses back to its system.
+        for k in presets() {
+            assert_eq!(parse_system(k.label()), Some(k), "{}", k.label());
+        }
     }
 
     #[test]
@@ -1185,7 +954,7 @@ mod tests {
 
     #[test]
     fn parses_full_command_line() {
-        let args: Vec<String> = [
+        let a = args(&[
             "--system",
             "all",
             "--kernel",
@@ -1198,17 +967,13 @@ mod tests {
             "3",
             "--json",
             "/tmp/out.json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = parse(&args).unwrap();
-        assert_eq!(o.systems.len(), 11);
-        assert_eq!(o.kernels.len(), 15);
-        assert_eq!(o.scale.0, 0.5);
-        assert_eq!(o.seed, 9);
-        assert_eq!(o.agents, 3);
-        assert_eq!(o.json.as_deref(), Some("/tmp/out.json"));
+        ]);
+        let (systems, workloads, params) = grid(&a).unwrap();
+        assert_eq!(systems.len(), 11);
+        assert_eq!(workloads, Workload::suite(Scale(0.5)));
+        assert_eq!(params.seed, 9);
+        assert_eq!(params.agents, 3);
+        assert_eq!(a.get("--json"), Some("/tmp/out.json"));
     }
 
     #[test]
@@ -1219,37 +984,38 @@ mod tests {
         };
         let path = std::env::temp_dir().join("dramless-sim-cli-test-spec.json");
         std::fs::write(&path, spec.to_json_pretty()).unwrap();
-        let args = vec!["--spec".to_string(), path.display().to_string()];
-        let o = parse(&args).unwrap();
+        let (systems, _, _) = grid(&args(&["--spec", &path.display().to_string()])).unwrap();
         // A lone --spec replaces the default preset.
-        assert!(o.systems.is_empty());
-        assert_eq!(o.specs, vec![spec]);
+        assert_eq!(systems, vec![(SystemId::Custom(spec.display_name()), spec)]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn parses_telemetry_flags() {
-        let o = parse(&["--metrics".to_string()]).unwrap();
-        assert!(o.metrics);
-        assert!(o.trace_out.is_none());
-        let o = parse(&["--trace-out".to_string(), "/tmp/t.json".to_string()]).unwrap();
-        assert_eq!(o.trace_out.as_deref(), Some("/tmp/t.json"));
-        assert!(o.metrics, "--trace-out implies --metrics");
-        assert!(parse(&["--trace-out".to_string()]).is_err());
+        let a = args(&["--metrics"]);
+        assert!(a.metrics());
+        assert!(a.get("--trace-out").is_none());
+        assert!(grid(&a).unwrap().0[0].1.telemetry.is_some());
+        let a = args(&["--trace-out", "/tmp/t.json"]);
+        assert_eq!(a.get("--trace-out"), Some("/tmp/t.json"));
+        assert!(a.metrics(), "--trace-out implies --metrics");
+        assert!(parse(&strings(&["--trace-out"])).is_err());
     }
 
     #[test]
     fn parses_attr_flag() {
-        let o = parse(&[]).unwrap();
-        assert!(!o.attr);
-        let o = parse(&["--attr".to_string()]).unwrap();
-        assert!(o.attr);
-        assert!(o.metrics, "--attr implies --metrics");
+        assert!(!args(&[]).attr());
+        let a = args(&["--attr"]);
+        assert!(a.attr());
+        assert!(a.metrics(), "--attr implies --metrics");
+        let tel = grid(&a).unwrap().0[0].1.telemetry;
+        assert!(tel.is_some_and(|t| t.attribution));
     }
 
     #[test]
-    fn selection_args_round_trips_through_parse() {
-        let args: Vec<String> = [
+    fn top_hint_round_trips_through_record() {
+        let top = args(&[
+            "top",
             "--system",
             "dram-less",
             "--kernel",
@@ -1262,22 +1028,20 @@ mod tests {
             "3",
             "--tier",
             "analytic",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = parse(&args).unwrap();
-        let rendered: Vec<String> = selection_args(&o)
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let o2 = parse(&rendered).unwrap();
-        assert_eq!(o2.systems, o.systems);
-        assert_eq!(o2.kernels, o.kernels);
-        assert_eq!(o2.scale.0, o.scale.0);
-        assert_eq!(o2.seed, o.seed);
-        assert_eq!(o2.agents, o.agents);
-        assert_eq!(o2.tier, o.tier);
+            "--metrics",
+        ]);
+        let mut line = vec!["record".to_string()];
+        line.extend(record_flags(&top).split_whitespace().map(String::from));
+        let (mut systems, workloads, params) = grid(&top).unwrap();
+        for (_, spec) in &mut systems {
+            spec.telemetry = None;
+        }
+        assert_eq!(
+            grid(&parse(&line).unwrap()).unwrap(),
+            (systems, workloads, params)
+        );
+        assert_eq!(shell_word("DRAM-less (firmware)"), "'DRAM-less (firmware)'");
+        assert_eq!(shell_word("it's"), r"'it'\''s'");
     }
 
     #[test]
@@ -1285,39 +1049,60 @@ mod tests {
         let plan = FaultPlan::seeded(11);
         let path = std::env::temp_dir().join("dramless-sim-cli-test-faults.json");
         std::fs::write(&path, plan.to_json_pretty()).unwrap();
-        let o = parse(&["--faults".to_string(), path.display().to_string()]).unwrap();
-        assert_eq!(o.faults, Some(plan));
+        let (systems, _, _) = grid(&args(&["--faults", &path.display().to_string()])).unwrap();
+        assert_eq!(systems[0].1.faults, Some(plan));
         std::fs::remove_file(&path).ok();
-        assert!(parse(&["--faults".to_string()]).is_err());
-        assert!(parse(&["--faults".into(), "/no/such/plan.json".into()]).is_err());
+        assert!(parse(&strings(&["--faults"])).is_err());
+        assert_rejected(&["--faults", "/no/such/plan.json"]);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse(&["--system".into(), "warp-drive".into()]).is_err());
-        assert!(parse(&["--scale".into(), "-1".into()]).is_err());
-        assert!(parse(&["--agents".into(), "9".into()]).is_err());
-        assert!(parse(&["--frobnicate".into()]).is_err());
-        assert!(parse(&["--seed".into()]).is_err());
-        assert!(parse(&["--spec".into(), "/no/such/file.json".into()]).is_err());
+        assert_rejected(&["--system", "warp-drive"]);
+        assert_rejected(&["--scale", "-1"]);
+        assert_rejected(&["--agents", "9"]);
+        assert_rejected(&["--frobnicate"]);
+        assert_rejected(&["--seed"]);
+        assert_rejected(&["--spec", "/no/such/file.json"]);
+        for scale in ["inf", "nan", "1e300"] {
+            assert_rejected(&["--scale", scale]);
+        }
+        // The table rejects a flag given to a subcommand that does not
+        // take it.
+        for line in [
+            &["--out", "x.json"][..],
+            &["record", "--json", "x.json"],
+            &["top", "--checkpoint-every", "5"],
+            &["replay", "run.json", "--seed", "1"],
+            &["serve", "--kernel", "gemver"],
+        ] {
+            let e = parse(&strings(line)).err().unwrap();
+            assert!(e.contains("does not apply"), "{line:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn help_documents_every_flag() {
+        let words: Vec<&str> = usage()
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for (name, _, cmds) in FLAGS {
+            assert!(words.contains(name), "--help does not mention {name}");
+            // A misspelt column would silently never accept the flag.
+            assert!(cmds.iter().all(|c| *c == "run" || SUBCOMMANDS.contains(c)));
+        }
     }
 
     #[test]
     fn parses_record_flags() {
-        let o = parse(&[
-            "--out".to_string(),
-            "rec.json".to_string(),
-            "--checkpoint-every".to_string(),
-            "500".to_string(),
-        ])
-        .unwrap();
-        assert_eq!(o.out.as_deref(), Some("rec.json"));
-        assert_eq!(o.checkpoint_every, Some(500));
+        let a = args(&["record", "--out", "rec.json", "--checkpoint-every", "500"]);
+        assert_eq!(a.get("--out"), Some("rec.json"));
+        assert_eq!(a.parsed::<u64>("--checkpoint-every"), Ok(Some(500)));
         // Typed errors, not panics: missing values, zero cadence, junk.
-        assert!(parse(&["--out".into()]).is_err());
-        assert!(parse(&["--checkpoint-every".into()]).is_err());
-        assert!(parse(&["--checkpoint-every".into(), "0".into()]).is_err());
-        assert!(parse(&["--checkpoint-every".into(), "soon".into()]).is_err());
+        assert!(parse(&strings(&["record", "--out"])).is_err());
+        assert!(parse(&strings(&["record", "--checkpoint-every"])).is_err());
+        assert!(cmd_record(&args(&["record", "--checkpoint-every", "0"])).is_err());
+        assert!(cmd_record(&args(&["record", "--checkpoint-every", "soon"])).is_err());
     }
 
     #[test]
@@ -1334,9 +1119,13 @@ mod tests {
 
     #[test]
     fn parses_serve_command_lines() {
-        let args: Vec<String> = [
+        let path = std::env::temp_dir().join("dramless-sim-cli-test-fleet.json");
+        std::fs::write(&path, FleetSpec::example().to_json_pretty()).unwrap();
+        let fleet = path.display().to_string();
+        let a = args(&[
+            "serve",
             "--fleet",
-            "fleet.json",
+            &fleet,
             "--requests",
             "10000",
             "--duration",
@@ -1349,41 +1138,28 @@ mod tests {
             "4",
             "--json",
             "report.json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = parse_serve(&args).unwrap();
-        assert_eq!(o.fleet.as_deref(), Some("fleet.json"));
-        assert_eq!(o.requests, Some(10_000));
-        assert_eq!(o.duration_ms, Some(250));
-        assert_eq!(o.balancer, Some(BalancerKind::QosAware));
-        assert_eq!(o.seed, Some(7));
-        assert_eq!(o.threads, Some(4));
-        assert_eq!(o.json.as_deref(), Some("report.json"));
-        assert!(!o.template);
+        ]);
+        let spec = fleet_spec(&a).unwrap();
+        assert_eq!(a.get("--fleet"), Some(fleet.as_str()));
+        assert_eq!(spec.requests, 10_000);
+        assert_eq!(spec.duration_ms, 250);
+        assert_eq!(spec.balancer, BalancerKind::QosAware);
+        assert_eq!(spec.seed, 7);
+        assert_eq!(a.parsed::<usize>("--threads"), Ok(Some(4)));
+        assert_eq!(a.get("--json"), Some("report.json"));
+        assert!(!a.has("--template"));
         // Template mode stands alone.
-        let o = parse_serve(&["--template".to_string()]).unwrap();
-        assert!(o.template);
-        assert!(parse_serve(&["--template".into(), "--fleet".into(), "f.json".into()]).is_err());
+        assert!(args(&["serve", "--template"]).has("--template"));
+        assert!(cmd_serve(&args(&["serve", "--template", "--fleet", "f.json"])).is_err());
         // Typed errors, not panics.
-        assert!(parse_serve(&[]).is_err(), "--fleet is required");
-        assert!(parse_serve(&["--fleet".into()]).is_err());
-        assert!(parse_serve(&[
-            "--fleet".into(),
-            "f.json".into(),
-            "--threads".into(),
-            "0".into()
-        ])
-        .is_err());
-        assert!(parse_serve(&[
-            "--fleet".into(),
-            "f.json".into(),
-            "--balancer".into(),
-            "warp".into()
-        ])
-        .is_err());
-        assert!(parse_serve(&["--bogus".into()]).is_err());
+        assert!(cmd_serve(&args(&["serve"])).is_err(), "--fleet is required");
+        assert!(parse(&strings(&["serve", "--fleet"])).is_err());
+        let e = cmd_serve(&args(&["serve", "--fleet", &fleet, "--threads", "0"]));
+        assert!(e.unwrap_err().to_string().contains("--threads"));
+        let e = fleet_spec(&args(&["serve", "--fleet", &fleet, "--balancer", "warp"]));
+        assert!(e.unwrap_err().to_string().contains("warp"));
+        assert!(parse(&strings(&["serve", "--bogus"])).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1396,28 +1172,22 @@ mod tests {
 
     #[test]
     fn parses_replay_command_lines() {
-        let args: Vec<String> = ["run.json", "--window", "80..140", "--cell", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse_replay(&args).unwrap();
-        assert_eq!(
-            o,
-            ReplayOptions {
-                path: "run.json".into(),
-                window: Some(80..140),
-                cell: 3,
-            }
-        );
+        let a = args(&["replay", "run.json", "--window", "80..140", "--cell", "3"]);
+        assert_eq!(a.files, vec!["run.json".to_string()]);
+        assert_eq!(a.get("--window").map(parse_window), Some(Ok(80..140)));
+        assert_eq!(a.parsed::<usize>("--cell"), Ok(Some(3)));
         // Defaults: whole-recording verify of cell 0.
-        let o = parse_replay(&["run.json".to_string()]).unwrap();
-        assert_eq!(o.window, None);
-        assert_eq!(o.cell, 0);
+        let a = args(&["replay", "run.json"]);
+        assert_eq!(a.get("--window"), None);
+        assert_eq!(a.parsed::<usize>("--cell"), Ok(None));
         // Typed errors, not panics.
-        assert!(parse_replay(&[]).is_err(), "missing recording file");
-        assert!(parse_replay(&["a.json".into(), "b.json".into()]).is_err());
-        assert!(parse_replay(&["run.json".into(), "--window".into()]).is_err());
-        assert!(parse_replay(&["run.json".into(), "--cell".into(), "x".into()]).is_err());
-        assert!(parse_replay(&["run.json".into(), "--bogus".into()]).is_err());
+        assert!(
+            cmd_replay(&args(&["replay"])).is_err(),
+            "missing recording file"
+        );
+        assert!(cmd_replay(&args(&["replay", "a.json", "b.json"])).is_err());
+        assert!(parse(&strings(&["replay", "run.json", "--window"])).is_err());
+        assert!(cmd_replay(&args(&["replay", "run.json", "--cell", "x"])).is_err());
+        assert!(parse(&strings(&["replay", "run.json", "--bogus"])).is_err());
     }
 }

@@ -248,12 +248,9 @@ impl FleetSpec {
         if self.agents == 0 {
             return Err(SpecError::new("agents must be >= 1"));
         }
-        if !self.scale.is_finite() || self.scale <= 0.0 {
-            return Err(SpecError::new(format!(
-                "scale must be finite and > 0, got {}",
-                self.scale
-            )));
-        }
+        Scale(self.scale)
+            .validate()
+            .map_err(|e| SpecError::new(e.to_string()))?;
         if self.requests == 0 && self.duration_ms == 0 {
             return Err(SpecError::new(
                 "either requests or duration_ms must bound the run",
@@ -1038,6 +1035,13 @@ mod tests {
                 "no slots",
                 FleetSpec {
                     slots_per_accel: 0,
+                    ..tiny_spec()
+                },
+            ),
+            (
+                "scale too large to build",
+                FleetSpec {
+                    scale: 1e300,
                     ..tiny_spec()
                 },
             ),

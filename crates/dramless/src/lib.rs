@@ -74,7 +74,7 @@ pub use report::{Breakdown, RunOutcome, SuiteResult};
 pub use sim_core::fault::{FaultCounters, FaultPlan};
 pub use sim_core::mem::FidelityTier;
 pub use spec::{Buffer, Control, Datapath, Medium, SpecError, SystemSpec, TelemetrySpec};
-pub use sweep::{sweep_specs, sweep_with_stats, SweepStats};
+pub use sweep::{sweep_specs, SweepStats};
 pub use system::{
     build_system, simulate, simulate_built, simulate_dramless_scheduler, simulate_spec,
     simulate_spec_built, simulate_spec_traced, ComposedSystem,

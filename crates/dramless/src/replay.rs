@@ -50,7 +50,7 @@ use std::fmt;
 use std::ops::Range;
 use util::fingerprint::fnv1a;
 use util::json::ToJson;
-use workloads::Workload;
+use workloads::{SizeError, Workload};
 
 /// Default checkpoint cadence in backend requests.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 50_000;
@@ -219,6 +219,8 @@ pub enum ReplayError {
         /// The cell's display label.
         cell: String,
     },
+    /// The recorded workload's size cannot be rebuilt.
+    Workload(SizeError),
 }
 
 impl fmt::Display for ReplayError {
@@ -267,6 +269,7 @@ impl fmt::Display for ReplayError {
                 "{cell}: analytic-tier cells have no request stream; replay the \
                  whole recording (no --window) to verify them"
             ),
+            ReplayError::Workload(e) => write!(f, "{e}"),
         }
     }
 }
@@ -282,6 +285,12 @@ impl From<SpecError> for ReplayError {
 impl From<SnapshotError> for ReplayError {
     fn from(e: SnapshotError) -> Self {
         ReplayError::Snapshot(e)
+    }
+}
+
+impl From<SizeError> for ReplayError {
+    fn from(e: SizeError) -> Self {
+        ReplayError::Workload(e)
     }
 }
 
@@ -478,13 +487,15 @@ fn reprepare(
 /// reproduced; [`ReplayError::NoRequestStream`] for analytic-tier
 /// cells; [`ReplayError::BadWindow`] for an empty window or one that
 /// starts past the recorded stream; [`ReplayError::Spec`] for malformed
-/// `params`; plus the composition/restore errors.
+/// `params`; [`ReplayError::Workload`] for a workload size no kernel
+/// builds; plus the composition/restore errors.
 pub fn replay_window(
     rec: &CellRecording,
     params: &SystemParams,
     window: Range<u64>,
 ) -> Result<WindowReport, ReplayError> {
     params.validate()?;
+    rec.workload.validate()?;
     let label = cell_label(rec);
     if rec.spec.tier == FidelityTier::Analytic {
         return Err(ReplayError::NoRequestStream { cell: label });
@@ -615,6 +626,7 @@ pub fn verify_cell(
     params: &SystemParams,
 ) -> Result<WindowReport, ReplayError> {
     params.validate()?;
+    rec.workload.validate()?;
     match rec.spec.tier {
         FidelityTier::Accurate => replay_window(rec, params, 0..u64::MAX),
         FidelityTier::Analytic => {

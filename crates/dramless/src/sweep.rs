@@ -107,16 +107,6 @@ pub fn sweep(kinds: &[SystemKind], workloads: &[Workload], params: &SystemParams
     sweep_on(global(), kinds, workloads, params).0
 }
 
-/// Like [`sweep`], also returning wall-clock stats for the bench
-/// harness's cells/second line.
-pub fn sweep_with_stats(
-    kinds: &[SystemKind],
-    workloads: &[Workload],
-    params: &SystemParams,
-) -> (SuiteResult, SweepStats) {
-    sweep_on(global(), kinds, workloads, params)
-}
-
 /// Sweeps on an explicit pool (the determinism test runs the same grid
 /// on a 1-thread and an N-thread pool and diffs the JSON).
 pub fn sweep_on(
@@ -163,20 +153,6 @@ pub fn sweep_specs_on(
         .map(|s| (SystemId::Custom(s.display_name()), s.clone()))
         .collect();
     sweep_systems_on(pool, &systems, workloads, params)
-}
-
-/// Mixes presets and custom specs in one grid on the global pool — what
-/// `dramless-sim` runs when given both `--system` and `--spec`.
-///
-/// # Errors
-///
-/// Returns [`SpecError`] if any spec's axes are incompatible.
-pub fn sweep_systems_with_stats(
-    systems: &[(SystemId, SystemSpec)],
-    workloads: &[Workload],
-    params: &SystemParams,
-) -> Result<(SuiteResult, SweepStats), SpecError> {
-    sweep_systems_on(global(), systems, workloads, params)
 }
 
 /// The general engine: any `(identity, spec)` list × workloads.

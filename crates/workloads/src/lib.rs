@@ -25,4 +25,4 @@ pub mod recorder;
 pub mod suite;
 
 pub use recorder::{NullRecorder, Recorder, TraceRecorder};
-pub use suite::{Kernel, Scale, Workload, WorkloadCharacter};
+pub use suite::{Kernel, Scale, SizeError, Workload, WorkloadCharacter};

@@ -124,6 +124,30 @@ impl fmt::Display for Kernel {
     }
 }
 
+/// The largest principal dimension `n` a kernel builds at.
+///
+/// For a given `n`, the largest array any kernel allocates is doitg's
+/// `(n/2) × (n/2) × n` tensor of `f64`s: `n³/4` elements, `2·n³` bytes.
+/// No allocation may pass `isize::MAX` = 2⁶³ − 1 bytes, so `n³` must
+/// stay under 2⁶²; `n` = 2²⁰ keeps the tensor at 2⁶¹ bytes, and every
+/// element count and address below that fits a 64-bit `usize`.
+pub const MAX_N: usize = 1 << 20;
+
+/// The smallest `n`: a [`Scale`] never shrinks a dimension below it.
+const MIN_N: usize = 4;
+
+/// A workload size the kernels cannot build.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SizeError(String);
+
+impl fmt::Display for SizeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for SizeError {}
+
 /// A global size multiplier for the suite.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale(pub f64);
@@ -141,18 +165,43 @@ impl Scale {
         Scale(0.4)
     }
 
-    /// Reads `DRAMLESS_SCALE` from the environment (default 1.0).
+    /// Reads `DRAMLESS_SCALE` from the environment. An unset,
+    /// unparsable or [`validate`](Scale::validate)-failing value gives
+    /// 1.0.
     pub fn from_env() -> Self {
         std::env::var("DRAMLESS_SCALE")
             .ok()
             .and_then(|v| v.parse::<f64>().ok())
-            .filter(|v| *v > 0.0)
             .map(Scale)
+            .filter(|s| s.validate().is_ok())
             .unwrap_or_else(Scale::paper)
     }
 
+    /// Checks that every kernel builds at this scale: the factor is
+    /// finite and > 0, and [`Workload::validate`] passes for each kernel.
+    ///
+    /// # Errors
+    ///
+    /// [`SizeError`] naming the bad factor or the first kernel whose
+    /// `n` passes [`MAX_N`].
+    pub fn validate(self) -> Result<(), SizeError> {
+        if !(self.0.is_finite() && self.0 > 0.0) {
+            return Err(SizeError(format!(
+                "scale must be finite and > 0, got {:?}",
+                self.0
+            )));
+        }
+        for w in Workload::suite(self) {
+            w.validate()
+                .map_err(|e| SizeError(format!("scale {:?} is too large: {e}", self.0)))?;
+        }
+        Ok(())
+    }
+
     fn dim(&self, base: usize) -> usize {
-        ((base as f64 * self.0).round() as usize).max(4)
+        // `as` saturates, so a huge factor gives `usize::MAX`, which
+        // `validate` rejects.
+        ((base as f64 * self.0).round() as usize).max(MIN_N)
     }
 }
 
@@ -239,6 +288,23 @@ impl Workload {
             Kernel::Trmm => (scale.dim(42), 1),
         };
         Workload { kernel, n, steps }
+    }
+
+    /// Checks that the kernel can be built: `n` in `4..=`[`MAX_N`].
+    /// Call it on a workload read from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// [`SizeError`] when `n` is out of range.
+    pub fn validate(&self) -> Result<(), SizeError> {
+        if (MIN_N..=MAX_N).contains(&self.n) {
+            Ok(())
+        } else {
+            Err(SizeError(format!(
+                "{} needs n in {MIN_N}..={MAX_N}, got {}",
+                self.kernel, self.n
+            )))
+        }
     }
 
     /// The full 15-kernel suite at `scale`.
@@ -402,6 +468,20 @@ mod tests {
         let big = Workload::of(Kernel::Lu, Scale(1.0));
         assert!(small.n < big.n);
         assert!(small.build(2).character.footprint < big.build(2).character.footprint);
+    }
+
+    #[test]
+    fn size_checks_reject_unbuildable_workloads() {
+        assert_eq!(Scale::paper().validate(), Ok(()));
+        assert!(Scale(400.0).validate().is_ok());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e300, 500.0] {
+            assert!(Scale(bad).validate().is_err(), "scale {bad}");
+        }
+        let w = Workload::of(Kernel::Doitg, Scale::paper());
+        assert!(w.validate().is_ok());
+        assert!(Workload { n: MAX_N, ..w }.validate().is_ok());
+        assert!(Workload { n: MAX_N + 1, ..w }.validate().is_err());
+        assert!(Workload { n: 3, ..w }.validate().is_err());
     }
 
     #[test]

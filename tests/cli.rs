@@ -1,0 +1,139 @@
+//! The `dramless-sim` binary end to end. Malformed command lines exit 1
+//! with an `error:` line, never a panic's 101; each subcommand's happy
+//! path runs on a tiny cell.
+
+use dramless::{replay, FleetSpec, ReplayError, SuiteResult, SystemId, SystemKind, SystemParams};
+use std::path::PathBuf;
+use std::process::{Command, Output};
+use util::json::{FromJson, ToJson};
+use workloads::{Kernel, Scale, Workload};
+
+/// The selection every happy path runs: one small, fast cell.
+const TINY: [&str; 4] = ["--scale", "0.1", "--agents", "2"];
+
+/// A working directory of one test's own, removed when dropped.
+struct Dir(PathBuf);
+
+impl Dir {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("dramless-cli-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Dir(dir)
+    }
+
+    /// Runs the binary here.
+    fn sim(&self, args: &[&str]) -> Output {
+        Command::new(env!("CARGO_BIN_EXE_dramless-sim"))
+            .args(args)
+            .current_dir(&self.0)
+            .output()
+            .expect("the binary runs")
+    }
+
+    /// Runs the binary here, asserts it succeeded, and returns stdout.
+    fn ok(&self, args: &[&str]) -> String {
+        let out = self.sim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?} failed: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    }
+
+    fn write(&self, file: &str, contents: &str) {
+        std::fs::write(self.0.join(file), contents).unwrap();
+    }
+
+    fn read(&self, file: &str) -> String {
+        std::fs::read_to_string(self.0.join(file)).unwrap()
+    }
+}
+
+impl Drop for Dir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+#[test]
+fn malformed_command_lines_exit_1_with_an_error_line() {
+    let dir = Dir::new("malformed");
+    dir.write("fleet.json", &FleetSpec::example().to_json_pretty());
+    let huge = FleetSpec {
+        scale: 1e300,
+        ..FleetSpec::example()
+    };
+    dir.write("huge-fleet.json", &huge.to_json_pretty());
+    // A well-formed recording whose workload claims n = 10^15.
+    let systems = [(
+        SystemId::Preset(SystemKind::DramLess),
+        SystemKind::DramLess.spec(),
+    )];
+    let params = SystemParams {
+        agents: 2,
+        ..SystemParams::default()
+    };
+    let w = Workload::of(Kernel::Gemver, Scale(0.1));
+    let mut rec = replay::record_run(&systems, &[w], &params, 1000).unwrap();
+    rec.cells[0].workload.n = 1_000_000_000_000_000;
+    assert!(matches!(
+        replay::verify(&rec),
+        Err(ReplayError::Workload(_))
+    ));
+    dir.write("huge-n.json", &rec.to_json_string());
+
+    for line in [
+        &["--scale", "inf"][..],
+        &["--scale", "1e300"],
+        &["--scale", "nan"],
+        &["serve", "--fleet", "huge-fleet.json", "--requests", "10"],
+        &["replay", "huge-n.json"],
+        &["replay", "huge-n.json", "--window", "0..10"],
+        &["record", "--json", "out.json"],
+        &["--checkpoint-every", "5"],
+        &["replay"],
+        &["serve"],
+        &["serve", "--fleet", "fleet.json", "--threads", "0"],
+    ] {
+        let out = dir.sim(line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{line:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{line:?}: {stderr}");
+    }
+}
+
+#[test]
+fn run_json_parses_back_as_a_suite_result() {
+    let dir = Dir::new("run");
+    dir.ok(&[&TINY[..], &["--json", "suite.json"]].concat());
+    let suite = SuiteResult::from_json_str(&dir.read("suite.json")).unwrap();
+    assert_eq!(suite.outcomes.len(), 1);
+}
+
+#[test]
+fn record_then_window_replay_runs_to_completion() {
+    let dir = Dir::new("record");
+    dir.ok(&[&["record"][..], &TINY, &["--out", "run.json"]].concat());
+    let out = dir.ok(&["replay", "run.json", "--window", "0..1000000000"]);
+    assert!(out.contains("ran to completion"), "{out}");
+}
+
+#[test]
+fn top_hint_pair_replays_the_worst_request() {
+    let dir = Dir::new("top");
+    let top = dir.ok(&[&["top"][..], &TINY].concat());
+    let hint = |verb: &str| {
+        let prefix = format!("dramless-sim {verb} ");
+        let rest = top.lines().find_map(|l| l.trim().strip_prefix(&prefix));
+        format!("{verb} {}", rest.expect("top prints the pair"))
+    };
+    dir.ok(&hint("record").split_whitespace().collect::<Vec<_>>());
+    let out = dir.ok(&hint("replay").split_whitespace().collect::<Vec<_>>());
+    assert!(out.contains("resumed at request"), "{out}");
+}
+
+#[test]
+fn serve_template_feeds_serve() {
+    let dir = Dir::new("serve");
+    dir.write("fleet.json", &dir.ok(&["serve", "--template"]));
+    let out = dir.ok(&["serve", "--fleet", "fleet.json", "--requests", "200"]);
+    assert!(out.contains("served 200 request(s)"), "{out}");
+}

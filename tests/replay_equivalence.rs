@@ -77,7 +77,7 @@ fn recorded_suite_matches_the_sweep_cell_for_cell() {
         .map(|k| (SystemId::Preset(k), k.spec()))
         .collect();
     let rec = replay::record_run(&systems, &[w], &p, 500).unwrap();
-    let (swept, _) = sweep::sweep_systems_with_stats(&systems, &[w], &p).unwrap();
+    let (swept, _) = sweep::sweep_systems_on(util::pool::global(), &systems, &[w], &p).unwrap();
     assert_eq!(rec.cells.len(), swept.outcomes.len());
     for (cell, out) in rec.cells.iter().zip(&swept.outcomes) {
         assert_eq!(
