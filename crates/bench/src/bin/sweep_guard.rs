@@ -1,12 +1,14 @@
 //! `sweep-guard` — CI gate for the sweep engine's wall-clock, per tier.
 //!
-//! Reads the JSON report a `BENCH_SMOKE=1` bench run wrote and compares
-//! every tier's smoke-sweep measurement (`sweep` = accurate,
-//! `sweep-analytic` = analytic; both recorded by `bench::sweep_timed` /
-//! `bench::sweep_timed_analytic`) against the committed baseline
-//! `crates/bench/sweep_baseline.json` (schema-versioned; re-record
-//! deliberately, with the reason in the commit message). The guard
-//! fails, printing a readable delta table, when:
+//! Sweeps the smoke grid (`SystemKind::EVALUATED` ×
+//! `Workload::suite(Scale::from_env())`, default parameters, the global
+//! pool) on the accurate tier and then on the analytic tier, and
+//! compares each sweep's cell-execution wall-clock (`SweepStats::execute`,
+//! trace build excluded; `sweep` = accurate, `sweep-analytic` = analytic)
+//! against the committed baseline `crates/bench/sweep_baseline.json`
+//! (schema-versioned; re-record deliberately, with the reason in the
+//! commit message). The guard fails, printing a readable delta table,
+//! when:
 //!
 //! * any tier's execution wall-clock exceeds `max_regression` times its
 //!   baseline — a loose tripwire for "someone serialized the sweep
@@ -25,18 +27,20 @@
 //!   `tests/spec_equivalence.rs`.)
 //!
 //! ```sh
-//! sweep-guard bench-fig15_bandwidth.json crates/bench/sweep_baseline.json
+//! sweep-guard crates/bench/sweep_baseline.json
 //! ```
 
+use dramless::sweep::sweep_systems_on;
+use dramless::{FidelityTier, SweepStats, SystemId, SystemKind, SystemParams, SystemSpec};
 use std::process::ExitCode;
-use util::bench::{BenchReport, Measurement};
 use util::json::FromJson;
+use workloads::{Scale, Workload};
 
 /// One tier's committed baseline: the measurement name a smoke run
 /// records and the wall-clock it recorded when last re-based.
 #[derive(Debug, Clone, PartialEq)]
 struct TierBaseline {
-    /// Measurement name in the bench report (`sweep`, `sweep-analytic`).
+    /// The tier's name: `sweep` (accurate) or `sweep-analytic`.
     name: String,
     /// Baseline smoke execution wall-clock, nanoseconds.
     smoke_ns: u64,
@@ -88,87 +92,83 @@ fn secs(ns: f64) -> f64 {
     ns / 1e9
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let report_path = args
-        .first()
-        .map(String::as_str)
-        .unwrap_or("bench-fig15_bandwidth.json");
-    let baseline_path = args
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("crates/bench/sweep_baseline.json");
+/// Sweeps the smoke grid with every preset on `tier`.
+fn sweep(tier: FidelityTier, suite: &[Workload]) -> SweepStats {
+    let systems: Vec<(SystemId, SystemSpec)> = SystemKind::EVALUATED
+        .iter()
+        .map(|&k| (SystemId::Preset(k), SystemSpec { tier, ..k.spec() }))
+        .collect();
+    let params = SystemParams::default();
+    sweep_systems_on(util::pool::global(), &systems, suite, &params)
+        .expect("every Table I preset composes on both tiers")
+        .1
+}
 
-    let report_text = match std::fs::read_to_string(report_path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("reading {report_path}: {e}")),
-    };
-    let report = match BenchReport::from_json_str(&report_text) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("parsing {report_path}: {e:?}")),
-    };
-    if !report.smoke {
-        return fail(&format!(
-            "{report_path} was not a BENCH_SMOKE=1 run; the baseline only \
-             calibrates smoke sweeps"
-        ));
-    }
-
-    let baseline_text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("reading {baseline_path}: {e}")),
-    };
-    let baseline = match SweepBaseline::from_json_str(&baseline_text) {
-        Ok(b) => b,
-        Err(e) => return fail(&format!("parsing {baseline_path}: {e:?}")),
-    };
+/// Reads the baseline and checks its schema.
+fn load(path: &str) -> Result<SweepBaseline, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let baseline =
+        SweepBaseline::from_json_str(&text).map_err(|e| format!("parsing {path}: {e:?}"))?;
     if baseline.schema != SCHEMA {
-        return fail(&format!(
-            "{baseline_path} is schema {} but this guard understands schema \
+        return Err(format!(
+            "{path} is schema {} but this guard understands schema \
              {SCHEMA}; re-record the baseline or update the guard",
             baseline.schema
         ));
     }
     if baseline.tiers.is_empty() {
-        return fail(&format!("{baseline_path} gates no tiers"));
+        return Err(format!("{path} gates no tiers"));
     }
+    Ok(baseline)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let baseline_path = args
+        .first()
+        .map(String::as_str)
+        .unwrap_or("crates/bench/sweep_baseline.json");
+    let baseline = match load(baseline_path) {
+        Ok(b) => b,
+        Err(e) => return fail(&e),
+    };
+
+    // The accurate sweep runs first and pays the trace builds; the
+    // analytic sweep then finds them cached.
+    let suite = Workload::suite(Scale::from_env());
+    let measured = [
+        ("sweep", sweep(FidelityTier::Accurate, &suite)),
+        ("sweep-analytic", sweep(FidelityTier::Analytic, &suite)),
+    ];
 
     // One row per gated tier; collect everything before judging so the
     // delta table is complete even when the first tier is the one that
     // regressed.
-    let mut rows: Vec<(&TierBaseline, &Measurement, f64)> = Vec::new();
+    let mut rows: Vec<(&TierBaseline, SweepStats, f64)> = Vec::new();
     for tier in &baseline.tiers {
-        let m = match report.measurements.iter().find(|m| m.name == tier.name) {
-            Some(m) => m,
-            None => {
-                return fail(&format!(
-                    "{report_path} has no `{}` measurement (tiers gated: {})",
-                    tier.name,
-                    baseline
-                        .tiers
-                        .iter()
-                        .map(|t| t.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            }
+        let Some((_, stats)) = measured.iter().find(|(name, _)| *name == tier.name) else {
+            return fail(&format!(
+                "{baseline_path} gates `{}`, but only `sweep` and `sweep-analytic` are measured",
+                tier.name
+            ));
         };
-        rows.push((tier, m, m.median_ns as f64 / tier.smoke_ns as f64));
+        let ratio = stats.execute.as_nanos() as f64 / tier.smoke_ns as f64;
+        rows.push((tier, *stats, ratio));
     }
 
     println!(
         "{:<16} {:>10} {:>10} {:>7} {:>7} {:>10}",
         "tier", "observed", "baseline", "ratio", "limit", "cells/s"
     );
-    for (tier, m, ratio) in &rows {
+    for (tier, stats, ratio) in &rows {
         println!(
             "{:<16} {:>9.3}s {:>9.3}s {:>6.2}x {:>6.1}x {:>10.1}",
             tier.name,
-            secs(m.median_ns as f64),
+            stats.execute.as_secs_f64(),
             secs(tier.smoke_ns as f64),
             ratio,
             baseline.max_regression,
-            m.units_per_sec,
+            stats.cells_per_sec(),
         );
     }
 
@@ -213,24 +213,18 @@ fn main() -> ExitCode {
             ));
         }
     }
-    let rate = |name: &str| {
-        rows.iter()
-            .find(|(t, _, _)| t.name == name)
-            .map(|(_, m, _)| m.units_per_sec)
-    };
-    if let (Some(acc), Some(ana)) = (rate("sweep"), rate("sweep-analytic")) {
-        let speedup = if acc > 0.0 { ana / acc } else { f64::INFINITY };
-        println!(
-            "analytic speedup: {speedup:.1}x cells/s over accurate (floor {:.1}x)",
+    let [(_, accurate), (_, analytic)] = measured;
+    let speedup = analytic.cells_per_sec() / accurate.cells_per_sec();
+    println!(
+        "analytic speedup: {speedup:.1}x cells/s over accurate (floor {:.1}x)",
+        baseline.min_analytic_speedup
+    );
+    if speedup < baseline.min_analytic_speedup {
+        failures.push(format!(
+            "analytic tier is only {speedup:.1}x the accurate tier's \
+             cells/s (floor {:.1}x)",
             baseline.min_analytic_speedup
-        );
-        if speedup < baseline.min_analytic_speedup {
-            failures.push(format!(
-                "analytic tier is only {speedup:.1}x the accurate tier's \
-                 cells/s (floor {:.1}x)",
-                baseline.min_analytic_speedup
-            ));
-        }
+        ));
     }
 
     if failures.is_empty() {

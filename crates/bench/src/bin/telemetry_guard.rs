@@ -134,8 +134,8 @@ fn smoke_grid() -> (Vec<SystemKind>, Vec<Workload>, SystemParams) {
 }
 
 /// Cold wall clock of the telemetry-off smoke sweep — the first run in
-/// the process, so it includes the workload builds a real `BENCH_SMOKE`
-/// sweep pays. Must be called before anything warms the trace cache.
+/// the process, so it includes the workload builds a cold smoke sweep
+/// pays. Must be called before anything warms the trace cache.
 fn time_disabled_sweep() -> f64 {
     let (kinds, workloads, params) = smoke_grid();
     let specs: Vec<SystemSpec> = kinds.iter().map(|k| k.spec()).collect();

@@ -6,6 +6,7 @@
 //! dramless-sim --system hetero --kernel all --scale 1.5 --json results.json
 //! dramless-sim --spec my_config.json --kernel gemver
 //! dramless-sim --list-systems
+//! dramless-sim reproduce --out repro
 //! ```
 //!
 //! Every flag is one row of [`FLAGS`], which names the subcommands that
@@ -33,7 +34,7 @@ use workloads::{Kernel, Scale, Workload};
 type CliResult<T = ()> = Result<T, Box<dyn Error>>;
 
 /// The subcommand words; without one, `dramless-sim [flags]` is `run`.
-const SUBCOMMANDS: [&str; 4] = ["record", "replay", "serve", "top"];
+const SUBCOMMANDS: [&str; 5] = ["record", "replay", "reproduce", "serve", "top"];
 
 /// One row of the flag table: the flag, whether it takes a value, and
 /// the subcommands that accept it.
@@ -42,7 +43,7 @@ type Flag = (&'static str, bool, &'static [&'static str]);
 /// Who takes the cell-selection flags. `record` takes every one `top`
 /// does, so `top` can print a `record` line for the cell it profiled.
 const SELECT: &[&str] = &["run", "record", "top"];
-const ALL: &[&str] = &["run", "record", "replay", "serve", "top"];
+const ALL: &[&str] = &["run", "record", "replay", "reproduce", "serve", "top"];
 
 /// Every flag of every subcommand. `--help` documents each one.
 const FLAGS: &[Flag] = &[
@@ -60,7 +61,7 @@ const FLAGS: &[Flag] = &[
     ("--attr", false, &["run", "top"]),
     ("--trace-out", true, &["run"]),
     ("--json", true, &["run", "serve"]),
-    ("--out", true, &["record"]),
+    ("--out", true, &["record", "reproduce"]),
     ("--checkpoint-every", true, &["record"]),
     ("--window", true, &["replay"]),
     ("--cell", true, &["replay"]),
@@ -167,6 +168,7 @@ fn dispatch(argv: &[String]) -> CliResult {
         _ if args.has("--list-systems") => list_systems(),
         "record" => return cmd_record(&args),
         "replay" => return cmd_replay(&args),
+        "reproduce" => return cmd_reproduce(&args),
         "serve" => return cmd_serve(&args),
         "top" => return cmd_top(&args),
         _ => return cmd_run(&args),
@@ -175,98 +177,103 @@ fn dispatch(argv: &[String]) -> CliResult {
 }
 
 fn usage() -> &'static str {
-    "dramless-sim: simulate the DRAM-less accelerated systems\n\
-     \n\
-     USAGE:\n\
-       dramless-sim [--system <name>|all] [--spec <file.json>]\n\
-                    [--kernel <name>|all] [--scale <f>] [--seed <n>]\n\
-                    [--agents <n>] [--tier accurate|analytic]\n\
-                    [--json <path>] [--metrics] [--attr]\n\
-                    [--faults <file.json>] [--trace-out <path>]\n\
-                    [--list] [--list-systems]\n\
-       dramless-sim record [selection flags as above] [--out <run.json>]\n\
-                    [--checkpoint-every <n>]\n\
-       dramless-sim replay <run.json> [--window <a>..<b>] [--cell <i>]\n\
-       dramless-sim serve --fleet <fleet.json> [--requests <n>]\n\
-                    [--duration <ms>] [--balancer <name>] [--seed <n>]\n\
-                    [--threads <n>] [--json <report.json>]\n\
-       dramless-sim serve --template\n\
-       dramless-sim top [selection flags for ONE system x ONE kernel]\n\
-     \n\
-     SUBCOMMANDS:\n\
-       record          run the selected cells deterministically, emitting a\n\
-                       recording: per-cell run fingerprints (schedule\n\
-                       content-address, chained request-stream digest, report\n\
-                       hash) plus state checkpoints every --checkpoint-every\n\
-                       backend requests (default 50000); writes --out\n\
-                       [default: run.json]\n\
-       replay          re-execute a recording and fail loudly on any\n\
-                       fingerprint divergence; with --window <a>..<b>, restore\n\
-                       the nearest checkpoint at or before request <a> of cell\n\
-                       --cell [default: 0] and re-execute just [a, b)\n\
-       serve           fleet-scale multi-tenant serving: a seeded open-loop\n\
-                       arrival process (poisson, bursty, diurnal) drives\n\
-                       requests from many tenants across N simulated\n\
-                       accelerators via a pluggable balancer (round-robin,\n\
-                       least-loaded, qos-aware with admission control);\n\
-                       prints per-class and per-accelerator QoS tables plus\n\
-                       worst-request latency attribution; byte-identical at\n\
-                       any --threads count; --template prints a starter\n\
-                       FleetSpec JSON; --requests/--duration/--balancer/\n\
-                       --seed override the spec file\n\
-       top             tail forensics: run ONE system x ONE kernel with\n\
-                       attribution on and print the cause breakdown, per-phase\n\
-                       totals, and the top-K worst requests — each exec-phase\n\
-                       entry names the request window to hand to\n\
-                       `dramless-sim replay --window` for isolation\n\
-     \n\
-     OPTIONS:\n\
-       --system        a Table I system (e.g. dram-less, hetero, page-buffer),\n\
-                       or `all` for every evaluated design  [default: dram-less]\n\
-       --spec          a SystemSpec JSON file composing a custom system\n\
-                       (medium x datapath x buffer x control); repeatable,\n\
-                       and combines with --system\n\
-       --kernel        a Polybench kernel (e.g. gemver, doitg), or `all`\n\
-                       [default: gemver]\n\
-       --scale         workload scale factor                [default: 1.0]\n\
-       --seed          determinism seed                     [default: 42]\n\
-       --agents        agent PEs running the kernel         [default: 7]\n\
-       --tier          fidelity tier for every cell: `accurate` replays\n\
-                       each request cycle-accurately, `analytic` prices the\n\
-                       memory schedule with the calibrated closed form\n\
-                       (~40x faster, within committed per-preset drift\n\
-                       bounds)                              [default: accurate]\n\
-       --json          also write the full SuiteResult as JSON\n\
-       --metrics       switch on telemetry for every cell: per-component\n\
-                       counters and latency histograms, printed after the\n\
-                       table and embedded in --json output\n\
-       --attr          also attribute every memory request's latency to\n\
-                       typed causes (queue wait, partition conflict,\n\
-                       erase-blocked, buffer hit vs. array access, bursts,\n\
-                       retry stalls, ...); prints a per-cell summary and adds\n\
-                       a `latency_attribution` block to --json reports;\n\
-                       implies --metrics\n\
-       --faults        a FaultPlan JSON file: arm seeded, deterministic\n\
-                       fault injection (PRAM drift/disturb/wear, SSD\n\
-                       transients) plus ECC/retry/retirement for every\n\
-                       cell; reports gain a `degraded` section\n\
-       --trace-out     run ONE system x ONE kernel with event tracing and\n\
-                       write a Chrome trace-event JSON (load in Perfetto:\n\
-                       https://ui.perfetto.dev); implies --metrics\n\
-       --list          print the available systems and kernels, then exit\n\
-       --list-systems  print each preset's spec axes, then exit\n\
-       -h, --help      print this help, then exit\n\
-     \n\
-     EXAMPLES:\n\
-       # A configuration Table I never built: TLC flash over P2P DMA.\n\
-       cat > tlc.json <<'EOF'\n\
-       { \"name\": \"tlc-p2p\",\n\
-         \"medium\": { \"FlashSsd\": { \"cell\": \"Tlc\" } },\n\
-         \"datapath\": \"P2pDma\",\n\
-         \"buffer\": { \"DramPageCache\": { \"frames\": null } },\n\
-         \"control\": { \"HardwareAutomated\": { \"scheduler\": \"Final\" } } }\n\
-       EOF\n\
-       dramless-sim --spec tlc.json --system dram-less --kernel gemver"
+    r#"dramless-sim: simulate the DRAM-less accelerated systems
+
+USAGE:
+  dramless-sim [--system <name>|all] [--spec <file.json>]
+               [--kernel <name>|all] [--scale <f>] [--seed <n>]
+               [--agents <n>] [--tier accurate|analytic]
+               [--json <path>] [--metrics] [--attr]
+               [--faults <file.json>] [--trace-out <path>]
+               [--list] [--list-systems]
+  dramless-sim record [selection flags as above] [--out <run.json>]
+               [--checkpoint-every <n>]
+  dramless-sim replay <run.json> [--window <a>..<b>] [--cell <i>]
+  dramless-sim serve --fleet <fleet.json> [--requests <n>]
+               [--duration <ms>] [--balancer <name>] [--seed <n>]
+               [--threads <n>] [--json <report.json>]
+  dramless-sim serve --template
+  dramless-sim top [selection flags for ONE system x ONE kernel]
+  dramless-sim reproduce [--out <dir>]
+
+SUBCOMMANDS:
+  record          run the selected cells deterministically, emitting a
+                  recording: per-cell run fingerprints (schedule
+                  content-address, chained request-stream digest, report
+                  hash) plus state checkpoints every --checkpoint-every
+                  backend requests (default 50000); writes --out
+                  [default: run.json]
+  replay          re-execute a recording and fail loudly on any
+                  fingerprint divergence; with --window <a>..<b>, restore
+                  the nearest checkpoint at or before request <a> of cell
+                  --cell [default: 0] and re-execute just [a, b)
+  reproduce       run the paper's evaluation once and write one JSON file
+                  per figure and table, plus claims.md (the claims table),
+                  to --out [default: repro]; exits 1 if a claim misses its
+                  band
+  serve           fleet-scale multi-tenant serving: a seeded open-loop
+                  arrival process (poisson, bursty, diurnal) drives
+                  requests from many tenants across N simulated
+                  accelerators via a pluggable balancer (round-robin,
+                  least-loaded, qos-aware with admission control);
+                  prints per-class and per-accelerator QoS tables plus
+                  worst-request latency attribution; byte-identical at
+                  any --threads count; --template prints a starter
+                  FleetSpec JSON; --requests/--duration/--balancer/
+                  --seed override the spec file
+  top             tail forensics: run ONE system x ONE kernel with
+                  attribution on and print the cause breakdown, per-phase
+                  totals, and the top-K worst requests — each exec-phase
+                  entry names the request window to hand to
+                  `dramless-sim replay --window` for isolation
+
+OPTIONS:
+  --system        a Table I system (e.g. dram-less, hetero, page-buffer),
+                  or `all` for every evaluated design  [default: dram-less]
+  --spec          a SystemSpec JSON file composing a custom system
+                  (medium x datapath x buffer x control); repeatable,
+                  and combines with --system
+  --kernel        a Polybench kernel (e.g. gemver, doitg), or `all`
+                  [default: gemver]
+  --scale         workload scale factor                [default: 1.0]
+  --seed          determinism seed                     [default: 42]
+  --agents        agent PEs running the kernel         [default: 7]
+  --tier          fidelity tier for every cell: `accurate` replays
+                  each request cycle-accurately, `analytic` prices the
+                  memory schedule with the calibrated closed form
+                  (~40x faster, within committed per-preset drift
+                  bounds)                              [default: accurate]
+  --json          also write the full SuiteResult as JSON
+  --metrics       switch on telemetry for every cell: per-component
+                  counters and latency histograms, printed after the
+                  table and embedded in --json output
+  --attr          also attribute every memory request's latency to
+                  typed causes (queue wait, partition conflict,
+                  erase-blocked, buffer hit vs. array access, bursts,
+                  retry stalls, ...); prints a per-cell summary and adds
+                  a `latency_attribution` block to --json reports;
+                  implies --metrics
+  --faults        a FaultPlan JSON file: arm seeded, deterministic
+                  fault injection (PRAM drift/disturb/wear, SSD
+                  transients) plus ECC/retry/retirement for every
+                  cell; reports gain a `degraded` section
+  --trace-out     run ONE system x ONE kernel with event tracing and
+                  write a Chrome trace-event JSON (load in Perfetto:
+                  https://ui.perfetto.dev); implies --metrics
+  --list          print the available systems and kernels, then exit
+  --list-systems  print each preset's spec axes, then exit
+  -h, --help      print this help, then exit
+
+EXAMPLES:
+  # A configuration Table I never built: TLC flash over P2P DMA.
+  cat > tlc.json <<'EOF'
+  { "name": "tlc-p2p",
+    "medium": { "FlashSsd": { "cell": "Tlc" } },
+    "datapath": "P2pDma",
+    "buffer": { "DramPageCache": { "frames": null } },
+    "control": { "HardwareAutomated": { "scheduler": "Final" } } }
+  EOF
+  dramless-sim --spec tlc.json --system dram-less --kernel gemver"#
 }
 
 /// The systems `--list` names and `--system` accepts.
@@ -731,6 +738,23 @@ fn cmd_replay(args: &Args) -> CliResult {
     Ok(())
 }
 
+/// `reproduce` — the paper's evaluation: one JSON file per figure and
+/// table plus `claims.md`, written to `--out`.
+fn cmd_reproduce(args: &Args) -> CliResult {
+    let dir = args.get("--out").unwrap_or("repro");
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
+    let (files, missed) = dramless::paper::reproduce(pool::global());
+    for (name, text) in &files {
+        write(&format!("{dir}/{name}"), text)?;
+    }
+    let (_, claims) = files.last().expect("claims.md comes last");
+    println!("{claims}\nwrote {} files to {dir}/", files.len());
+    if !missed.is_empty() {
+        return Err(format!("claims outside their band: {}", missed.join(", ")).into());
+    }
+    Ok(())
+}
+
 /// Loads `--fleet` and applies the flags that override its fields.
 fn fleet_spec(args: &Args) -> CliResult<FleetSpec> {
     let path = args
@@ -1090,6 +1114,11 @@ mod tests {
             assert!(words.contains(name), "--help does not mention {name}");
             // A misspelt column would silently never accept the flag.
             assert!(cmds.iter().all(|c| *c == "run" || SUBCOMMANDS.contains(c)));
+        }
+        assert!(SUBCOMMANDS.iter().all(|c| words.contains(c)));
+        // Under each heading, every line is indented.
+        for line in usage().lines().skip(1).filter(|l| !l.ends_with(':')) {
+            assert!(line.is_empty() || line.starts_with("  "), "{line:?}");
         }
     }
 

@@ -23,7 +23,10 @@
 //!   `config × workload` cell is an independent stealable task,
 //!   scheduled cost-descending on [`util::pool`], with byte-identical
 //!   output at any thread count (`DRAMLESS_THREADS`). Custom specs get
-//!   the same engine via [`sweep::sweep_specs`].
+//!   the same engine via [`sweep::sweep_specs`];
+//! * [`paper`] — the paper's evaluation from one set of runs: every
+//!   figure and table as JSON, and [`paper::CLAIMS`], the one table of
+//!   the paper's numbers and the bands they must meet.
 //!
 //! # Quick start
 //!
@@ -60,6 +63,7 @@
 pub mod analytic;
 pub mod config;
 pub mod fleet;
+pub mod paper;
 pub mod replay;
 pub mod report;
 pub mod spec;

@@ -69,7 +69,7 @@ impl BurstLen {
 /// The complete timing parameter set of one PRAM module.
 ///
 /// Constructed via [`PramTiming::table2`] for the paper's characterized
-/// device; all fields are public so ablation benches can sweep them.
+/// device; all fields are public so ablations can sweep them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PramTiming {
     /// Interface clock (400 MHz → tCK = 2.5 ns).

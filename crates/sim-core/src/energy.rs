@@ -221,7 +221,7 @@ impl EnergyAccount {
 /// A ledger of per-component energy, keyed by a stable component label.
 ///
 /// Component labels are free-form strings chosen by the subsystems
-/// ("pe.compute", "pram.array", "host.stack", …); the figure benches group
+/// ("pe.compute", "pram.array", "host.stack", …); the Fig. 17 table groups
 /// them by prefix.
 ///
 /// # Examples

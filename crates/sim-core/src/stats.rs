@@ -1,6 +1,6 @@
 //! Measurement primitives: counters, histograms and time-series.
 //!
-//! These feed the figure-regeneration benches: e.g. [`TimeSeries`] with a
+//! These feed the reproduced figures: e.g. [`TimeSeries`] with a
 //! fixed bucket width produces the IPC-over-time curves of Figs. 18–19 and
 //! the power curves of Figs. 20–21.
 
@@ -295,7 +295,7 @@ impl TimeSeries {
     }
 
     /// A dense rendering over `[0, horizon)` with zeros for empty buckets —
-    /// what the figure benches print.
+    /// what the reproduced figures sample.
     pub fn dense(&self, horizon: Picos) -> Vec<f64> {
         let n = horizon.as_ps().div_ceil(self.bucket_width.as_ps()) as usize;
         let mut out = vec![0.0; n];

@@ -21,9 +21,6 @@
 //! * [`bytes`] — a cheap slice-able byte buffer pair
 //!   [`Bytes`](bytes::Bytes)/[`BytesMut`](bytes::BytesMut) (replaces
 //!   the `bytes` crate);
-//! * [`mod@bench`] — a warmup + N-iteration measurement harness with
-//!   min/median/stddev statistics and JSON output (replaces
-//!   `criterion`);
 //! * [`cases`] — the [`for_each_case!`] seeded case generator
 //!   (replaces `proptest`);
 //! * [`pool`] — a work-stealing thread pool with deterministic result
@@ -33,7 +30,6 @@
 //!   sorted metric registry and a Chrome trace-event exporter (the
 //!   unit-agnostic core under `sim_core::probe`).
 
-pub mod bench;
 pub mod bytes;
 pub mod cases;
 pub mod fingerprint;

@@ -2,10 +2,11 @@
 //! with an `error:` line, never a panic's 101; each subcommand's happy
 //! path runs on a tiny cell.
 
+use dramless::paper::{CLAIMS_BEGIN, CLAIMS_END};
 use dramless::{replay, FleetSpec, ReplayError, SuiteResult, SystemId, SystemKind, SystemParams};
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use util::json::{FromJson, ToJson};
+use util::json::{FromJson, Json, ToJson};
 use workloads::{Kernel, Scale, Workload};
 
 /// The selection every happy path runs: one small, fast cell.
@@ -136,4 +137,30 @@ fn serve_template_feeds_serve() {
     dir.write("fleet.json", &dir.ok(&["serve", "--template"]));
     let out = dir.ok(&["serve", "--fleet", "fleet.json", "--requests", "200"]);
     assert!(out.contains("served 200 request(s)"), "{out}");
+}
+
+#[test]
+fn reproduce_writes_every_figure_and_the_experiments_claims_table() {
+    let dir = Dir::new("reproduce");
+    dir.ok(&["reproduce", "--out", "repro"]);
+    let mut figures = 0;
+    for entry in std::fs::read_dir(dir.0.join("repro")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
+            figures += 1;
+        }
+    }
+    assert_eq!(figures, 15, "one file per figure and table");
+    let experiments = include_str!("../EXPERIMENTS.md");
+    let (_, rest) = experiments
+        .split_once(CLAIMS_BEGIN)
+        .expect("EXPERIMENTS.md marks the claims table");
+    let (committed, _) = rest.split_once(CLAIMS_END).expect("the mark is closed");
+    assert_eq!(
+        committed,
+        dir.read("repro/claims.md"),
+        "EXPERIMENTS.md's claims table differs from `dramless-sim reproduce`'s claims.md"
+    );
 }
