@@ -88,18 +88,6 @@ util::json_struct!(CacheLevelStats {
     writebacks
 });
 
-impl CacheLevelStats {
-    /// Miss ratio (0 when no lookups).
-    pub fn miss_ratio(&self) -> f64 {
-        let t = self.hits + self.misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.misses as f64 / t as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,

@@ -7,10 +7,12 @@
 //! parses the metadata and loads each segment to its target address
 //! (`unpackData`) before booting agents at the segment entry points.
 
-use util::bytes::{Bytes, BytesMut};
-
 /// Magic bytes heading every image.
 const MAGIC: u32 = 0xD7A7_1E55; // "DRAmLESS"
+
+/// Wire bytes of one segment besides its name and payload: name length,
+/// load address, entry flag, entry point and payload length.
+const SEGMENT_HEADER: usize = 2 + 8 + 1 + 8 + 4;
 
 /// One code segment of an image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,7 +25,7 @@ pub struct Segment {
     /// agent's L2), `None` for non-executable data/shared segments.
     pub entry: Option<u64>,
     /// The code/data bytes.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// Errors produced when parsing an image.
@@ -78,22 +80,23 @@ impl KernelImage {
 
     /// Serializes to wire bytes.
     ///
-    /// Layout: `magic u32 | count u32 | {name_len u16, name, load u64,
-    /// entry_present u8, entry u64, len u32, payload}*`.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u32(self.segments.len() as u32);
+    /// Layout, every integer big-endian: `magic u32 | count u32 |
+    /// {name_len u16, name, load u64, entry_present u8, entry u64,
+    /// len u32, payload}*`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC.to_be_bytes());
+        buf.extend_from_slice(&(self.segments.len() as u32).to_be_bytes());
         for s in &self.segments {
-            buf.put_u16(s.name.len() as u16);
-            buf.put_slice(s.name.as_bytes());
-            buf.put_u64(s.load_addr);
-            buf.put_u8(u8::from(s.entry.is_some()));
-            buf.put_u64(s.entry.unwrap_or(0));
-            buf.put_u32(s.payload.len() as u32);
-            buf.put_slice(&s.payload);
+            buf.extend_from_slice(&(s.name.len() as u16).to_be_bytes());
+            buf.extend_from_slice(s.name.as_bytes());
+            buf.extend_from_slice(&s.load_addr.to_be_bytes());
+            buf.push(u8::from(s.entry.is_some()));
+            buf.extend_from_slice(&s.entry.unwrap_or(0).to_be_bytes());
+            buf.extend_from_slice(&(s.payload.len() as u32).to_be_bytes());
+            buf.extend_from_slice(&s.payload);
         }
-        buf.freeze()
+        buf
     }
 
     /// `unpackData`: parses wire bytes back into an image.
@@ -102,40 +105,31 @@ impl KernelImage {
     ///
     /// Returns a [`ParseImageError`] when the magic is wrong, the buffer
     /// is truncated, or a name is invalid.
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, ParseImageError> {
-        if data.remaining() < 8 {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ParseImageError> {
+        if data.len() < 8 {
             return Err(ParseImageError::Truncated);
         }
-        if data.get_u32() != MAGIC {
+        let mut rest = data;
+        if u32::from_be_bytes(take(&mut rest)?) != MAGIC {
             return Err(ParseImageError::BadMagic);
         }
-        let count = data.get_u32() as usize;
-        let mut segments = Vec::with_capacity(count);
+        let count = u32::from_be_bytes(take(&mut rest)?) as usize;
+        // The count comes off the wire: reserve no more segments than
+        // the bytes left could hold.
+        let mut segments = Vec::with_capacity(count.min(rest.len() / SEGMENT_HEADER));
         for _ in 0..count {
-            if data.remaining() < 2 {
-                return Err(ParseImageError::Truncated);
-            }
-            let name_len = data.get_u16() as usize;
-            if data.remaining() < name_len {
-                return Err(ParseImageError::Truncated);
-            }
-            let name = String::from_utf8(data.copy_to_bytes(name_len).to_vec())
+            let name_len = u16::from_be_bytes(take(&mut rest)?) as usize;
+            let name = String::from_utf8(split(&mut rest, name_len)?.to_vec())
                 .map_err(|_| ParseImageError::BadName)?;
-            if data.remaining() < 8 + 1 + 8 + 4 {
-                return Err(ParseImageError::Truncated);
-            }
-            let load_addr = data.get_u64();
-            let has_entry = data.get_u8() != 0;
-            let entry_raw = data.get_u64();
-            let len = data.get_u32() as usize;
-            if data.remaining() < len {
-                return Err(ParseImageError::Truncated);
-            }
+            let load_addr = u64::from_be_bytes(take(&mut rest)?);
+            let [has_entry] = take(&mut rest)?;
+            let entry_raw = u64::from_be_bytes(take(&mut rest)?);
+            let len = u32::from_be_bytes(take(&mut rest)?) as usize;
             segments.push(Segment {
                 name,
                 load_addr,
-                entry: has_entry.then_some(entry_raw),
-                payload: data.copy_to_bytes(len),
+                entry: (has_entry != 0).then_some(entry_raw),
+                payload: split(&mut rest, len)?.to_vec(),
             });
         }
         Ok(KernelImage { segments })
@@ -148,6 +142,20 @@ impl KernelImage {
     }
 }
 
+/// Splits the first `n` bytes off `rest`.
+fn split<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], ParseImageError> {
+    let (head, tail) = rest.split_at_checked(n).ok_or(ParseImageError::Truncated)?;
+    *rest = tail;
+    Ok(head)
+}
+
+/// Splits the first `N` bytes off `rest` as an array.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], ParseImageError> {
+    let (head, tail) = rest.split_first_chunk().ok_or(ParseImageError::Truncated)?;
+    *rest = tail;
+    Ok(*head)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,19 +166,19 @@ mod tests {
                 name: "shared".into(),
                 load_addr: 0x1000,
                 entry: None,
-                payload: Bytes::from_static(b"common-code"),
+                payload: b"common-code".to_vec(),
             },
             Segment {
                 name: "app0".into(),
                 load_addr: 0x2000,
                 entry: Some(0x2000),
-                payload: Bytes::from_static(b"kernel-code-0"),
+                payload: b"kernel-code-0".to_vec(),
             },
             Segment {
                 name: "app1".into(),
                 load_addr: 0x4000,
                 entry: Some(0x4010),
-                payload: Bytes::from_static(b"kernel-code-1!"),
+                payload: b"kernel-code-1!".to_vec(),
             },
         ])
     }
@@ -179,7 +187,7 @@ mod tests {
     fn pack_unpack_round_trip() {
         let img = image();
         let wire = img.to_bytes();
-        let back = KernelImage::from_bytes(wire).unwrap();
+        let back = KernelImage::from_bytes(&wire).unwrap();
         assert_eq!(back, img);
     }
 
@@ -198,10 +206,10 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut wire = image().to_bytes().to_vec();
+        let mut wire = image().to_bytes();
         wire[0] ^= 0xFF;
         assert_eq!(
-            KernelImage::from_bytes(Bytes::from(wire)),
+            KernelImage::from_bytes(&wire),
             Err(ParseImageError::BadMagic)
         );
     }
@@ -210,12 +218,17 @@ mod tests {
     fn truncation_rejected_everywhere() {
         let wire = image().to_bytes();
         for cut in [0, 4, 9, 12, wire.len() - 1] {
-            let sliced = wire.slice(0..cut);
             assert!(
-                KernelImage::from_bytes(sliced).is_err(),
+                KernelImage::from_bytes(&wire[..cut]).is_err(),
                 "cut at {cut} should fail"
             );
         }
+        // A forged segment count must not size an allocation: the
+        // header alone claims 2^32 - 1 segments.
+        assert_eq!(
+            KernelImage::from_bytes(&[0xD7, 0xA7, 0x1E, 0x55, 0xFF, 0xFF, 0xFF, 0xFF]),
+            Err(ParseImageError::Truncated)
+        );
     }
 
     #[test]

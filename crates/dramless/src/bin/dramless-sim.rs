@@ -538,7 +538,7 @@ fn cmd_run(args: &Args) -> CliResult {
         }
         return Ok(());
     }
-    // The work-stealing engine returns outcomes in workload-major order.
+    // The sweep engine returns outcomes in workload-major order.
     let (result, stats) =
         dramless::sweep::sweep_systems_on(pool::global(), &systems, &workloads, &params)?;
     print_suite(&result, Some(&stats), args.metrics());

@@ -26,7 +26,7 @@
 //! Determinism: the serving loop is serial and seeded; histogram
 //! aggregation fans out over a worker pool in *fixed-size chunks* whose
 //! boundaries do not depend on the thread count, and merges partials in
-//! submission order — so a fleet report is byte-identical at any
+//! chunk order — so a fleet report is byte-identical at any
 //! thread count and replays entirely from its seed.
 
 use std::collections::BTreeMap;
@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use sim_core::probe::{AttrScope, Telemetry};
 use sim_core::time::Picos;
 use util::json::{field, FromJson, Json, JsonError, ToJson};
-use util::pool::{self, Pool, Task};
+use util::pool::{self, Pool};
 use util::rng::stream_seed;
 use util::telemetry::{AttrSummary, Cause, LatencyHistogram, TopRequest};
 use workloads::{Kernel, Scale, Workload};
@@ -300,35 +300,24 @@ fn price_kernels(
     spec: &FleetSpec,
 ) -> Result<BTreeMap<Kernel, KernelPrice>, SpecError> {
     let params = spec.params();
-    let tasks: Vec<Task<Result<(Kernel, KernelPrice), SpecError>>> = spec
-        .kernels
-        .iter()
-        .map(|&kernel| {
-            let system = spec.system.clone();
-            let scale = spec.scale;
-            let agents = params.agents;
-            let task: Task<Result<(Kernel, KernelPrice), SpecError>> = Box::new(move || {
-                let w = Workload::of(kernel, Scale(scale));
-                let built = w.build(agents);
-                let model = ExecModel::for_spec(&system, &built, &params)?;
-                let cfg = AccelConfig {
-                    pes: params.agents + 1,
-                    sample_bucket: Picos::from_us(params.sample_bucket_us),
-                    ..Default::default()
-                };
-                let exec = model.exec(&cfg);
-                Ok((
-                    kernel,
-                    KernelPrice {
-                        service_ps: exec.total_time.as_ps().max(1),
-                        write_bytes: exec.bytes_to_mem,
-                    },
-                ))
-            });
-            task
-        })
-        .collect();
-    pool.run(tasks).into_iter().collect()
+    let cfg = AccelConfig {
+        pes: params.agents + 1,
+        sample_bucket: Picos::from_us(params.sample_bucket_us),
+        ..Default::default()
+    };
+    pool.map(&spec.kernels, |&kernel| {
+        let built = Workload::of(kernel, Scale(spec.scale)).build(params.agents);
+        let exec = ExecModel::for_spec(&spec.system, &built, &params)?.exec(&cfg);
+        Ok((
+            kernel,
+            KernelPrice {
+                service_ps: exec.total_time.as_ps().max(1),
+                write_bytes: exec.bytes_to_mem,
+            },
+        ))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Live state of one simulated accelerator during the serving loop.
@@ -936,21 +925,12 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
     probe.attr_untag_tenant();
 
     // Aggregation: fixed-size chunks fan out over the pool; partials
-    // merge in submission order, so the result is thread-count
-    // independent.
-    let tasks: Vec<Task<Tally>> = done
-        .chunks(AGG_CHUNK)
-        .map(|chunk| {
-            let chunk = chunk.to_vec();
-            let model = model.clone();
-            let task: Task<Tally> = Box::new(move || tally_chunk(&model, &chunk));
-            task
-        })
-        .collect();
+    // merge in chunk order, so the result is thread-count independent.
     let mut aggregate = LatencyHistogram::new();
     let mut classes = vec![ClassStats::default(); NUM_CLASSES];
     let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
-    for tally in pool.run(tasks) {
+    let chunks: Vec<&[Done]> = done.chunks(AGG_CHUNK).collect();
+    for tally in pool.map(&chunks, |chunk| tally_chunk(&model, chunk)) {
         aggregate.merge(&tally.aggregate);
         for (total, part) in classes.iter_mut().zip(tally.classes) {
             total.offered += part.offered;

@@ -19,10 +19,10 @@
 //!   offload → optional staging → execution → writeback);
 //! * [`report`] — [`RunOutcome`] with time decomposition, energy ledger
 //!   and derived metrics, plus suite-sweep helpers;
-//! * [`sweep`] — the work-stealing sweep engine: every
-//!   `config × workload` cell is an independent stealable task,
-//!   scheduled cost-descending on [`util::pool`], with byte-identical
-//!   output at any thread count (`DRAMLESS_THREADS`). Custom specs get
+//! * [`sweep`] — the sweep engine: every `config × workload` cell is
+//!   one item of a [`util::pool`] map, and cells start cost-descending
+//!   from the pool's one shared cursor, with byte-identical output at
+//!   any thread count (`DRAMLESS_THREADS`). Custom specs get
 //!   the same engine via [`sweep::sweep_specs`];
 //! * [`paper`] — the paper's evaluation from one set of runs: every
 //!   figure and table as JSON, and [`paper::CLAIMS`], the one table of

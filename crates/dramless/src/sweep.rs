@@ -1,33 +1,34 @@
-//! The work-stealing sweep engine.
+//! The sweep engine.
 //!
 //! A full evaluation is a `config × workload` grid — 11 × 15 = 165
 //! independent cells. The old driver parallelized at workload
 //! granularity (15 coarse units), so wall-clock degenerated to the
 //! slowest workload times all eleven configs. Here every cell is one
-//! stealable task on [`util::pool`]:
+//! item of a [`Pool::map`] call on [`util::pool`]:
 //!
 //! 1. **Build phase** — each workload's traces are built (or fetched
 //!    from the process-wide [`workloads::cache`]) in parallel, handing
 //!    out shared `Arc<BuiltWorkload>`s.
-//! 2. **Cell phase** — cells are submitted in descending estimated-cost
-//!    order (backend weight × trace ops), so expensive configs like
-//!    Hetero and Integrated-TLC start first and the tail of the sweep is
-//!    short cells, not a straggler.
+//! 2. **Cell phase** — cells are sorted by descending estimated cost
+//!    (backend weight × trace ops) and start in that order from the
+//!    pool's one shared cursor, so expensive configs like Hetero and
+//!    Integrated-TLC start first and the tail of the sweep is short
+//!    cells, not a straggler.
 //!
 //! Results are scattered back to workload-major × config order by
-//! submission index, so the output is byte-identical to the serial
-//! sweep regardless of thread count or steal interleaving
+//! cell index, so the output is byte-identical to the serial sweep
+//! regardless of thread count or which thread ran which cell
 //! (`tests/sweep_determinism.rs` locks this in). Thread count follows
 //! the pool: `DRAMLESS_THREADS` if set, else available parallelism.
 //!
 //! The engine is spec-driven: Table I presets go through
 //! [`sweep`]/[`sweep_on`], and arbitrary [`SystemSpec`]s get the same
-//! work stealing + trace cache via [`sweep_specs`].
+//! cost-ordered cells + trace cache via [`sweep_specs`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use util::pool::{global, Pool, Task};
+use util::pool::{global, Pool};
 use workloads::suite::BuiltWorkload;
 use workloads::Workload;
 
@@ -158,7 +159,7 @@ pub fn sweep_specs_on(
 /// The general engine: any `(identity, spec)` list × workloads.
 ///
 /// The parameters and every spec (with a probe [`build_system`]) are
-/// validated before any cell is submitted, so a malformed input fails
+/// validated before any cell runs, so a malformed input fails
 /// the whole call up front instead of panicking a worker mid-sweep.
 ///
 /// # Errors
@@ -172,8 +173,6 @@ pub fn sweep_systems_on(
     params: &SystemParams,
 ) -> Result<(SuiteResult, SweepStats), SpecError> {
     let start = Instant::now();
-    let agents = params.agents;
-
     params.validate()?;
     for (id, spec) in systems {
         build_system(spec, params, params.page_bytes as u64)
@@ -181,60 +180,30 @@ pub fn sweep_systems_on(
     }
 
     // Phase 1: build every workload's traces in parallel, via the
-    // process-wide cache so repeated sweeps (and the other bench
-    // targets) reuse them.
-    let built: Vec<Arc<BuiltWorkload>> = pool.run(
-        workloads
-            .iter()
-            .map(|w| {
-                let w = *w;
-                Box::new(move || w.build_cached(agents)) as Task<_>
-            })
-            .collect(),
-    );
+    // process-wide cache so repeated sweeps reuse them.
+    let built: Vec<Arc<BuiltWorkload>> = pool.map(workloads, |w| w.build_cached(params.agents));
     let built_at = Instant::now();
 
-    // Phase 2: one task per cell, submitted cost-descending. `slot` is
-    // the cell's position in the canonical workload-major output order.
-    struct Cell {
-        slot: usize,
-        id: SystemId,
-        spec: SystemSpec,
-        built: Arc<BuiltWorkload>,
-        cost: u64,
-    }
-    let mut cells = Vec::with_capacity(workloads.len() * systems.len());
+    // Phase 2: one item per cell, cost-descending. A cell is its slot
+    // in the canonical workload-major output order.
+    let n = systems.len();
+    let mut order: Vec<(u64, usize)> = Vec::with_capacity(built.len() * n);
     for (wi, b) in built.iter().enumerate() {
         let ops = b.character.loads + b.character.stores + b.character.instructions / 64;
-        for (si, (id, spec)) in systems.iter().enumerate() {
-            cells.push(Cell {
-                slot: wi * systems.len() + si,
-                id: id.clone(),
-                spec: spec.clone(),
-                built: Arc::clone(b),
-                cost: spec_weight(spec) * ops.max(1),
-            });
+        for (si, (_, spec)) in systems.iter().enumerate() {
+            order.push((spec_weight(spec) * ops.max(1), wi * n + si));
         }
     }
-    cells.sort_by(|a, b| b.cost.cmp(&a.cost).then(a.slot.cmp(&b.slot)));
-    let order: Vec<usize> = cells.iter().map(|c| c.slot).collect();
-
-    let p = *params;
-    let ran = pool.run(
-        cells
-            .into_iter()
-            .map(|c| {
-                Box::new(move || {
-                    simulate_spec_as(c.id, &c.spec, &c.built, &p)
-                        .expect("spec validated before the sweep")
-                }) as Task<_>
-            })
-            .collect(),
-    );
+    order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let ran = pool.map(&order, |&(_, slot)| {
+        let (id, spec) = &systems[slot % n];
+        simulate_spec_as(id.clone(), spec, &built[slot / n], params)
+            .expect("spec validated before the sweep")
+    });
 
     // Scatter back to canonical order, independent of who ran what.
     let mut outcomes: Vec<Option<RunOutcome>> = (0..order.len()).map(|_| None).collect();
-    for (outcome, slot) in ran.into_iter().zip(order) {
+    for (outcome, (_, slot)) in ran.into_iter().zip(order) {
         outcomes[slot] = Some(outcome);
     }
     let result = SuiteResult {

@@ -40,7 +40,6 @@ use storage::dram::DramParams;
 use storage::optane::PramSsdParams;
 use storage::ssd::SsdParams;
 use storage::{CachedStore, DramModel, NorPram, PramSsd};
-use util::bytes::Bytes;
 use util::telemetry::{MetricSet, TraceEvent};
 use workloads::suite::BuiltWorkload;
 use workloads::Workload;
@@ -543,14 +542,14 @@ fn offload(
         name: "shared".into(),
         load_addr: 0x0,
         entry: None,
-        payload: Bytes::from(vec![0x90u8; params.image_bytes_per_agent as usize / 2]),
+        payload: vec![0x90u8; params.image_bytes_per_agent as usize / 2],
     }];
     for a in 0..agents {
         segments.push(Segment {
             name: format!("app{a}"),
             load_addr: 0x1000 + a as u64 * params.image_bytes_per_agent as u64,
             entry: Some(0x1000 + a as u64 * params.image_bytes_per_agent as u64),
-            payload: Bytes::from(vec![0x42u8; params.image_bytes_per_agent as usize]),
+            payload: vec![0x42u8; params.image_bytes_per_agent as usize],
         });
     }
     let image = KernelImage::pack(segments);
@@ -559,7 +558,7 @@ fn offload(
     let dma = link.dma(Picos::ZERO, wire.len() as u64);
     let irq = link.message(dma.end);
     // unpackData: the server loads each segment into the image space.
-    let parsed = KernelImage::from_bytes(wire).expect("self-packed image parses");
+    let parsed = KernelImage::from_bytes(&wire).expect("self-packed image parses");
     let mut t = irq.end;
     if image_via_backend {
         for seg in parsed.segments() {

@@ -111,11 +111,6 @@ impl FlashDevice {
         self.ftl.geometry().page_bytes
     }
 
-    /// Exported logical capacity in bytes (10% over-provisioned).
-    pub fn logical_bytes(&self) -> u64 {
-        self.ftl.geometry().logical_pages(10) * self.page_bytes() as u64
-    }
-
     /// The timing in effect.
     pub fn timing(&self) -> &FlashTiming {
         &self.timing

@@ -42,7 +42,6 @@
 pub mod addr;
 pub mod cmdgen;
 pub mod controller;
-pub mod datapath;
 pub mod firmware;
 pub mod phy;
 pub mod resilience;
@@ -52,7 +51,6 @@ pub mod wear;
 pub use addr::{AddressMap, Target};
 pub use cmdgen::{plan_read, ReadPlan};
 pub use controller::{CtrlStats, PramController, SubsystemConfig};
-pub use datapath::{McuPort, Mode};
 pub use firmware::{FirmwareController, FirmwareParams};
 pub use phy::{InitReport, Phy, PhyParams};
 pub use resilience::{EccModel, EccOutcome, RetireMap, RetryPolicy};

@@ -118,16 +118,6 @@ impl PramChannel {
         self.dq_bus.reserve(earliest, dur)
     }
 
-    /// When would a dq reservation start (no mutation)?
-    pub fn probe_dq(&self, earliest: Picos) -> Picos {
-        self.dq_bus.probe(earliest)
-    }
-
-    /// Command-bus occupancy so far.
-    pub fn cmd_busy(&self) -> Picos {
-        self.cmd_bus.busy_total()
-    }
-
     /// Data-bus occupancy so far.
     pub fn dq_busy(&self) -> Picos {
         self.dq_bus.busy_total()

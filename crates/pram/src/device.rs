@@ -311,12 +311,6 @@ impl PramModule {
         &self.overlay
     }
 
-    /// Mutable overlay access (the controller's translator writes its
-    /// registers through the write-phase path).
-    pub fn overlay_mut(&mut self) -> &mut OverlayWindow {
-        &mut self.overlay
-    }
-
     /// Raw operation counters.
     pub fn stats(&self) -> &ModuleStats {
         &self.stats

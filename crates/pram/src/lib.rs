@@ -15,7 +15,7 @@
 //! * **Multiple row buffers** — 4 row-address-buffer / row-data-buffer
 //!   (RAB/RDB) pairs per module ([`buffers`]).
 //! * **Three-phase addressing** — pre-active → activate → read/write
-//!   command phases with the exact Table II timing ([`protocol`],
+//!   command phases with the exact Table II timing ([`device`],
 //!   [`timing`]).
 //! * **Overlay window + program buffer** — the register-mapped write path
 //!   (command code at `OWBA+0x80`, row address at `OWBA+0x8B`, burst size
@@ -54,7 +54,6 @@ pub mod channel;
 pub mod device;
 pub mod geometry;
 pub mod overlay;
-pub mod protocol;
 pub mod timing;
 
 pub use buffers::BufferId;
@@ -62,5 +61,4 @@ pub use channel::PramChannel;
 pub use device::{PhaseTiming, PramModule, ProtocolError};
 pub use geometry::{PartitionId, PramGeometry, RowId};
 pub use overlay::OverlayWindow;
-pub use protocol::{Command, SignalPacket};
 pub use timing::{BurstLen, PramTiming};

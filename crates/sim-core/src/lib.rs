@@ -13,8 +13,8 @@
 //! * [`timeline`] — resource-occupancy timelines ([`Timeline`]) used by the
 //!   memory/storage subsystems to compute contention and overlap without a
 //!   full event queue.
-//! * [`stats`] / [`energy`] — counters, time-series and per-component
-//!   energy accounting used to regenerate the paper's figures.
+//! * [`stats`] / [`energy`] — time-series and per-component energy
+//!   accounting used to regenerate the paper's figures.
 //! * [`probe`] — the runtime-switchable telemetry facade ([`Probe`] /
 //!   [`Telemetry`]) over [`util::telemetry`]; disabled probes cost one
 //!   `Option` check per call site.
@@ -50,6 +50,6 @@ pub use mem::{Access, FidelityTier, MemoryBackend};
 pub use probe::{Probe, Telemetry};
 pub use rng::SimRng;
 pub use snapshot::{Snapshot, SnapshotError, StateImage};
-pub use stats::{Counter, Histogram, TimeSeries};
+pub use stats::TimeSeries;
 pub use time::Picos;
 pub use timeline::Timeline;

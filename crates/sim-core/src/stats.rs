@@ -1,194 +1,9 @@
-//! Measurement primitives: counters, histograms and time-series.
-//!
-//! These feed the reproduced figures: e.g. [`TimeSeries`] with a
-//! fixed bucket width produces the IPC-over-time curves of Figs. 18–19 and
-//! the power curves of Figs. 20–21.
+//! The measurement time-series behind the reproduced figures:
+//! [`TimeSeries`] with a fixed bucket width produces the IPC-over-time
+//! curves of Figs. 18–19 and the power curves of Figs. 20–21. Counters
+//! and latency histograms live in `util::telemetry`'s `MetricSet`.
 
 use crate::time::Picos;
-use std::fmt;
-
-/// A monotonically increasing named counter.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::stats::Counter;
-///
-/// let mut c = Counter::new("l2_misses");
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-util::json_struct!(Counter { name, value });
-
-impl Counter {
-    /// Creates a zeroed counter with a diagnostic name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
-/// A fixed-bucket latency histogram over [`Picos`] samples.
-///
-/// Buckets are exponential (powers of two of nanoseconds) which spans the
-/// nine decades between a 100 ns PRAM read and a 60 ms erase without
-/// configuration.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::{stats::Histogram, Picos};
-///
-/// let mut h = Histogram::new();
-/// h.record(Picos::from_ns(100));
-/// h.record(Picos::from_us(10));
-/// assert_eq!(h.count(), 2);
-/// assert!(h.mean() > Picos::from_us(5));
-/// assert_eq!(h.max(), Picos::from_us(10));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    /// bucket i counts samples with floor(log2(ns)) == i (ns < 1 goes to 0).
-    buckets: Vec<u64>,
-    count: u64,
-    sum: Picos,
-    min: Picos,
-    max: Picos,
-}
-
-util::json_struct!(Histogram {
-    buckets,
-    count,
-    sum,
-    min,
-    max
-});
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Number of exponential buckets: 2^39 ns ≈ 9 minutes, ample headroom.
-    const BUCKETS: usize = 40;
-
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; Self::BUCKETS],
-            count: 0,
-            sum: Picos::ZERO,
-            min: Picos::MAX,
-            max: Picos::ZERO,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: Picos) {
-        let ns = sample.as_ps() / 1_000;
-        let idx = if ns == 0 {
-            0
-        } else {
-            (63 - ns.leading_zeros() as usize).min(Self::BUCKETS - 1)
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += sample;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> Picos {
-        self.sum
-    }
-
-    /// Arithmetic mean (zero when empty).
-    pub fn mean(&self) -> Picos {
-        if self.count == 0 {
-            Picos::ZERO
-        } else {
-            self.sum / self.count
-        }
-    }
-
-    /// Smallest sample (zero when empty).
-    pub fn min(&self) -> Picos {
-        if self.count == 0 {
-            Picos::ZERO
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> Picos {
-        self.max
-    }
-
-    /// Approximate quantile (bucket upper bound), `q` in `0.0..=1.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `0.0..=1.0`.
-    pub fn quantile(&self, q: f64) -> Picos {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return Picos::ZERO;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Picos::from_ns(1u64 << (i + 1));
-            }
-        }
-        self.max
-    }
-}
 
 /// A time-bucketed series of accumulating samples — the backbone of the
 /// paper's IPC and power time-series figures.
@@ -324,58 +139,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.incr();
-        c.add(10);
-        assert_eq!(c.value(), 11);
-        assert_eq!(c.to_string(), "x=11");
-    }
-
-    #[test]
-    fn histogram_statistics() {
-        let mut h = Histogram::new();
-        for ns in [100u64, 200, 300, 400] {
-            h.record(Picos::from_ns(ns));
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.mean(), Picos::from_ns(250));
-        assert_eq!(h.min(), Picos::from_ns(100));
-        assert_eq!(h.max(), Picos::from_ns(400));
-        assert_eq!(h.sum(), Picos::from_ns(1000));
-    }
-
-    #[test]
-    fn histogram_empty_is_well_behaved() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), Picos::ZERO);
-        assert_eq!(h.min(), Picos::ZERO);
-        assert_eq!(h.max(), Picos::ZERO);
-        assert_eq!(h.quantile(0.5), Picos::ZERO);
-    }
-
-    #[test]
-    fn histogram_spans_erase_latency() {
-        let mut h = Histogram::new();
-        h.record(Picos::from_ms(60)); // PRAM erase
-        h.record(Picos::from_ns(100)); // PRAM read
-        assert_eq!(h.max(), Picos::from_ms(60));
-        assert!(h.quantile(1.0) >= Picos::from_ms(60));
-    }
-
-    #[test]
-    fn histogram_quantile_monotone() {
-        let mut h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(Picos::from_ns(i));
-        }
-        let q10 = h.quantile(0.1);
-        let q50 = h.quantile(0.5);
-        let q99 = h.quantile(0.99);
-        assert!(q10 <= q50 && q50 <= q99);
-    }
 
     #[test]
     fn timeseries_buckets_accumulate() {

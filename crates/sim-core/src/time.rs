@@ -307,11 +307,6 @@ impl Freq {
         Self::from_hz(ghz * 1_000_000_000)
     }
 
-    /// Frequency in hertz.
-    pub fn as_hz(self) -> u64 {
-        self.hz
-    }
-
     /// The period of one clock cycle.
     ///
     /// Exact for every frequency whose period is an integral number of

@@ -148,11 +148,6 @@ impl<P: PageStore> CachedStore<P> {
         &self.store
     }
 
-    /// Mutable access to the wrapped store (preloading).
-    pub fn store_mut(&mut self) -> &mut P {
-        &mut self.store
-    }
-
     /// Currently resident pages.
     pub fn resident_pages(&self) -> usize {
         self.resident.len()

@@ -6,7 +6,7 @@
 //! the peer-to-peer DMA engine) talks to it in block requests; internally
 //! a DRAM buffer absorbs re-reads and coalesces writes.
 
-use crate::cache::{CacheStats, CachedStore};
+use crate::cache::CachedStore;
 use crate::dram::DramParams;
 use flash::{CellKind, FlashDevice, FlashGeometry, FlashTiming};
 use sim_core::energy::{EnergyBook, Watts};
@@ -43,17 +43,6 @@ util::json_struct!(SsdParams {
 });
 
 impl SsdParams {
-    /// An Intel SSD 750-class MLC device with a 1 GB buffer.
-    pub fn intel750() -> Self {
-        SsdParams {
-            kind: CellKind::Mlc,
-            geometry: FlashGeometry::ssd(),
-            buffer_pages: (1 << 30) / (16 * 1024),
-            command_overhead: Picos::from_us(8),
-            queue_depth: 32,
-        }
-    }
-
     /// The Table I external SSD scaled to the simulated page size: the
     /// accelerator-class geometry, a 64-page buffer and NVMe-class
     /// command processing. Pair with `FlashTiming::table1_scaled` so
@@ -169,11 +158,6 @@ impl FlashSsd {
     /// The parameters.
     pub fn params(&self) -> &SsdParams {
         &self.params
-    }
-
-    /// Buffer-cache statistics.
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.cache.stats()
     }
 
     /// Requests serviced.

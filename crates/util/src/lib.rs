@@ -18,19 +18,16 @@
 //!   integer-keyed hot-path maps;
 //! * [`pow2`] — shift/mask division for runtime divisors that are
 //!   powers of two (the PRAM address path);
-//! * [`bytes`] — a cheap slice-able byte buffer pair
-//!   [`Bytes`](bytes::Bytes)/[`BytesMut`](bytes::BytesMut) (replaces
-//!   the `bytes` crate);
 //! * [`cases`] — the [`for_each_case!`] seeded case generator
 //!   (replaces `proptest`);
-//! * [`pool`] — a work-stealing thread pool with deterministic result
-//!   ordering and panic propagation (replaces `rayon`); sized by the
-//!   `DRAMLESS_THREADS` environment variable.
+//! * [`pool`] — [`Pool::map`](pool::Pool::map), a parallel map on
+//!   scoped threads with item-order results and panic propagation
+//!   (replaces `rayon`); sized by the `DRAMLESS_THREADS` environment
+//!   variable.
 //! * [`telemetry`] — trace events, a bounded ring-buffer tracer, a
 //!   sorted metric registry and a Chrome trace-event exporter (the
 //!   unit-agnostic core under `sim_core::probe`).
 
-pub mod bytes;
 pub mod cases;
 pub mod fingerprint;
 pub mod fxhash;

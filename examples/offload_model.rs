@@ -13,7 +13,6 @@ use accel::sched::MemSchedule;
 use host::PcieLink;
 use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
 use sim_core::{MemoryBackend, Picos};
-use util::bytes::Bytes;
 use workloads::{Kernel, Scale, Workload};
 
 fn main() {
@@ -23,19 +22,19 @@ fn main() {
             name: "shared".into(),
             load_addr: 0x0000,
             entry: None,
-            payload: Bytes::from(vec![0x4E; 2048]),
+            payload: vec![0x4E; 2048],
         },
         Segment {
             name: "app0".into(),
             load_addr: 0x1000,
             entry: Some(0x1000),
-            payload: Bytes::from(vec![0xA0; 4096]),
+            payload: vec![0xA0; 4096],
         },
         Segment {
             name: "app1".into(),
             load_addr: 0x3000,
             entry: Some(0x3000),
-            payload: Bytes::from(vec![0xA1; 4096]),
+            payload: vec![0xA1; 4096],
         },
     ]);
     let wire = image.to_bytes();
@@ -57,7 +56,7 @@ fn main() {
 
     // -- unpackData: the server parses metadata and loads each segment
     //    into the PRAM image space.
-    let parsed = KernelImage::from_bytes(wire).expect("image parses");
+    let parsed = KernelImage::from_bytes(&wire).expect("image parses");
     let mut pram = PramController::new(SubsystemConfig::paper(SchedulerKind::Final, 3));
     let mut t = irq.end;
     for seg in parsed.segments() {
