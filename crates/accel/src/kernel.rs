@@ -37,6 +37,8 @@ pub enum ParseImageError {
     Truncated,
     /// A segment name is not valid UTF-8.
     BadName,
+    /// The header claims zero segments; an image carries at least one.
+    NoSegments,
 }
 
 impl std::fmt::Display for ParseImageError {
@@ -45,6 +47,7 @@ impl std::fmt::Display for ParseImageError {
             ParseImageError::BadMagic => write!(f, "image header magic mismatch"),
             ParseImageError::Truncated => write!(f, "image shorter than header claims"),
             ParseImageError::BadName => write!(f, "segment name is not valid utf-8"),
+            ParseImageError::NoSegments => write!(f, "image header claims zero segments"),
         }
     }
 }
@@ -62,9 +65,25 @@ impl KernelImage {
     ///
     /// # Panics
     ///
-    /// Panics if `segments` is empty.
+    /// Panics if `segments` is empty or if the wire format cannot carry
+    /// them: more than `u32::MAX` segments, a name over `u16::MAX` bytes
+    /// or a payload over `u32::MAX` bytes.
     pub fn pack(segments: Vec<Segment>) -> Self {
         assert!(!segments.is_empty(), "an image needs at least one segment");
+        assert!(
+            u32::try_from(segments.len()).is_ok(),
+            "an image holds at most u32::MAX segments"
+        );
+        for s in &segments {
+            assert!(
+                u16::try_from(s.name.len()).is_ok(),
+                "segment name is over u16::MAX bytes"
+            );
+            assert!(
+                u32::try_from(s.payload.len()).is_ok(),
+                "segment payload is over u32::MAX bytes"
+            );
+        }
         KernelImage { segments }
     }
 
@@ -103,8 +122,8 @@ impl KernelImage {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseImageError`] when the magic is wrong, the buffer
-    /// is truncated, or a name is invalid.
+    /// Returns a [`ParseImageError`] when the magic is wrong, the header
+    /// claims no segments, the buffer is truncated, or a name is invalid.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ParseImageError> {
         if data.len() < 8 {
             return Err(ParseImageError::Truncated);
@@ -114,6 +133,9 @@ impl KernelImage {
             return Err(ParseImageError::BadMagic);
         }
         let count = u32::from_be_bytes(take(&mut rest)?) as usize;
+        if count == 0 {
+            return Err(ParseImageError::NoSegments);
+        }
         // The count comes off the wire: reserve no more segments than
         // the bytes left could hold.
         let mut segments = Vec::with_capacity(count.min(rest.len() / SEGMENT_HEADER));
@@ -235,5 +257,28 @@ mod tests {
     #[should_panic(expected = "at least one segment")]
     fn empty_image_rejected() {
         KernelImage::pack(vec![]);
+    }
+
+    #[test]
+    fn zero_segment_header_rejected() {
+        let err = KernelImage::from_bytes(&[0xD7, 0xA7, 0x1E, 0x55, 0, 0, 0, 0]);
+        assert_eq!(err, Err(ParseImageError::NoSegments));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "image header claims zero segments"
+        );
+    }
+
+    // The u16 name length is the limit a test can reach; the u32
+    // payload limit would need a 4 GiB allocation to trip.
+    #[test]
+    #[should_panic(expected = "name is over u16::MAX bytes")]
+    fn overlong_segment_name_rejected() {
+        KernelImage::pack(vec![Segment {
+            name: "n".repeat(70_000),
+            load_addr: 0,
+            entry: None,
+            payload: Vec::new(),
+        }]);
     }
 }

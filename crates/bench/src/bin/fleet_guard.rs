@@ -5,9 +5,9 @@
 //! readable delta table, when:
 //!
 //! * the two reports are not **byte-identical** — the fleet path's
-//!   determinism contract (serial serving loop, thread-count-independent
-//!   pricing and aggregation) is load-bearing for record/replay and for
-//!   every committed QoS number;
+//!   determinism contract (one serial serving pass that tallies as it
+//!   serves; the pool only prices kernels, in kernel order) is
+//!   load-bearing for record/replay and for every committed QoS number;
 //! * either report fails its own conservation ledger (offered =
 //!   completed + rejected, class/tenant histograms merge to the
 //!   aggregate, attribution records match completions); or

@@ -19,24 +19,25 @@
 //!   ([`Cause::EraseBlocked`]) — the driver of fleet p99.9.
 //!
 //! Every per-request latency decomposes into those causes plus service
-//! time, conserving by construction, and feeds the PR 9 attribution
-//! layer through the `sim-core` probe (tagged per tenant) plus the log2
-//! latency histograms per tenant and per QoS class.
+//! time, conserving by construction: an [`AttrSpan`] buckets each
+//! request, and its tenant-tagged [`AttrRecord`] folds into an
+//! [`AttrCollector`] the serving loop owns. The same pass tallies the
+//! log2 latency histograms per tenant, per QoS class and fleet-wide.
 //!
-//! Determinism: the serving loop is serial and seeded; histogram
-//! aggregation fans out over a worker pool in *fixed-size chunks* whose
-//! boundaries do not depend on the thread count, and merges partials in
-//! chunk order — so a fleet report is byte-identical at any
-//! thread count and replays entirely from its seed.
+//! Determinism: the serving loop is one serial, seeded pass, and every
+//! tally in it is an integer sum, so a fleet report is byte-identical at
+//! any thread count and replays entirely from its seed. The worker pool
+//! only prices the cell's kernels, in kernel order.
 
-use std::collections::BTreeMap;
-
-use sim_core::probe::{AttrScope, Telemetry};
+use sim_core::probe::AttrSpan;
 use sim_core::time::Picos;
+use util::fxhash::FxHashMap;
 use util::json::{field, FromJson, Json, JsonError, ToJson};
 use util::pool::{self, Pool};
 use util::rng::stream_seed;
-use util::telemetry::{AttrSummary, Cause, LatencyHistogram, TopRequest};
+use util::telemetry::{
+    AttrCollector, AttrRecord, AttrScope, AttrSummary, Cause, LatencyHistogram, TopRequest,
+};
 use workloads::{Kernel, Scale, Workload};
 
 use crate::analytic::ExecModel;
@@ -53,10 +54,12 @@ const STREAM_PART: u64 = 0xF1EE_7007;
 /// the paper's per-chip partition count.
 const PARTITIONS: usize = 8;
 
-/// Aggregation chunk size. Fixed (never derived from the worker count)
-/// so the chunk boundaries — and therefore every partial histogram —
-/// are identical at any thread count.
-const AGG_CHUNK: usize = 4096;
+/// The most kernel slots a fleet may have (`accelerators ×
+/// slots_per_accel`). The dispatcher scans every slot on each request
+/// and the serving loop allocates them all up front, so an absurd shape
+/// is refused by [`FleetSpec::validate`] instead of stalling or aborting
+/// on the allocation.
+pub const MAX_FLEET_SLOTS: usize = 1 << 16;
 
 /// How requests are spread across the fleet's accelerators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -245,6 +248,13 @@ impl FleetSpec {
         if self.slots_per_accel == 0 {
             return Err(SpecError::new("slots_per_accel must be >= 1"));
         }
+        let slots = self.accelerators.checked_mul(self.slots_per_accel);
+        if slots.is_none_or(|n| n > MAX_FLEET_SLOTS) {
+            return Err(SpecError::new(format!(
+                "accelerators x slots_per_accel ({} x {}) exceeds {MAX_FLEET_SLOTS} slots",
+                self.accelerators, self.slots_per_accel
+            )));
+        }
         if self.agents == 0 {
             return Err(SpecError::new("agents must be >= 1"));
         }
@@ -256,6 +266,8 @@ impl FleetSpec {
                 "either requests or duration_ms must bound the run",
             ));
         }
+        self.horizon_ps()?;
+        self.erase_every_bytes()?;
         if !self.admit_ms.is_finite() || self.admit_ms < 0.0 {
             return Err(SpecError::new(format!(
                 "admit_ms must be finite and >= 0, got {}",
@@ -278,6 +290,38 @@ impl FleetSpec {
         self.tenant_model().map(|_| ())
     }
 
+    /// The serving horizon in picoseconds; 0 means unbounded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError`] when `duration_ms` overflows a `u64` of
+    /// picoseconds (about 213 days).
+    fn horizon_ps(&self) -> Result<u64, SpecError> {
+        self.duration_ms.checked_mul(1_000_000_000).ok_or_else(|| {
+            SpecError::new(format!(
+                "duration_ms {} overflows the picosecond clock",
+                self.duration_ms
+            ))
+        })
+    }
+
+    /// Bytes written per accelerator between erase-blocking windows; 0
+    /// when the medium carries no PRAM or the write wall is disabled.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError`] when `erase_every_kb` overflows a `u64` of
+    /// bytes.
+    fn erase_every_bytes(&self) -> Result<u64, SpecError> {
+        let bytes = self.erase_every_kb.checked_mul(1024).ok_or_else(|| {
+            SpecError::new(format!(
+                "erase_every_kb {} overflows a byte count",
+                self.erase_every_kb
+            ))
+        })?;
+        Ok(if self.pram_bearing() { bytes } else { 0 })
+    }
+
     /// The partition (within its accelerator) tenant `tenant`'s working
     /// set hashes to.
     pub fn partition_of(&self, tenant: u32) -> usize {
@@ -287,25 +331,27 @@ impl FleetSpec {
 
 /// The analytic price of one kernel from the pool: service time per
 /// request and the write volume it contributes to the erase wall.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct KernelPrice {
     service_ps: u64,
     write_bytes: u64,
 }
 
-/// Prices every kernel in the pool, fanned out over `pool` (results in
-/// kernel order — deterministic at any thread count).
+/// Prices every kernel in the pool, fanned out over `pool`, into a
+/// table indexed by `Kernel as usize`. Kernels outside the pool stay
+/// unpriced: no request draws them.
 fn price_kernels(
     pool: &Pool,
     spec: &FleetSpec,
-) -> Result<BTreeMap<Kernel, KernelPrice>, SpecError> {
+) -> Result<[KernelPrice; Kernel::ALL.len()], SpecError> {
     let params = spec.params();
     let cfg = AccelConfig {
         pes: params.agents + 1,
         sample_bucket: Picos::from_us(params.sample_bucket_us),
         ..Default::default()
     };
-    pool.map(&spec.kernels, |&kernel| {
+    let mut prices = [KernelPrice::default(); Kernel::ALL.len()];
+    for priced in pool.map(&spec.kernels, |&kernel| {
         let built = Workload::of(kernel, Scale(spec.scale)).build(params.agents);
         let exec = ExecModel::for_spec(&spec.system, &built, &params)?.exec(&cfg);
         Ok((
@@ -315,9 +361,11 @@ fn price_kernels(
                 write_bytes: exec.bytes_to_mem,
             },
         ))
-    })
-    .into_iter()
-    .collect()
+    }) {
+        let (kernel, price) = priced?;
+        prices[kernel as usize] = price;
+    }
+    Ok(prices)
 }
 
 /// Live state of one simulated accelerator during the serving loop.
@@ -326,16 +374,22 @@ struct AccelState {
     slots: Vec<u64>,
     /// Per-partition completion times.
     partitions: [u64; PARTITIONS],
+    /// Write bytes that open an erase window; 0 disables the wall.
+    erase_every_bytes: u64,
+    /// Length of one erase window.
+    erase_window_ps: u64,
     /// Write bytes accumulated since the last erase window.
     bytes_since_erase: u64,
     stats: AccelStats,
 }
 
 impl AccelState {
-    fn new(slots: usize) -> AccelState {
+    fn new(slots: usize, erase_every_bytes: u64, erase_window_ps: u64) -> AccelState {
         AccelState {
             slots: vec![0; slots],
             partitions: [0; PARTITIONS],
+            erase_every_bytes,
+            erase_window_ps,
             bytes_since_erase: 0,
             stats: AccelStats::default(),
         }
@@ -360,17 +414,48 @@ impl AccelState {
         }
         best
     }
-}
 
-/// One served (or rejected) request — the serving loop's output row,
-/// consumed by the parallel aggregation phase.
-#[derive(Debug, Clone, Copy)]
-struct Done {
-    tenant: u32,
-    class: QosClass,
-    latency_ps: u64,
-    rejected: bool,
-    degraded: bool,
+    /// Serves a request arriving `at` whose working set lives in
+    /// `partition`: slot queueing, partition contention, the erase
+    /// wall, then the calibrated service time. Returns the request's
+    /// span, whose cursor is its completion time.
+    fn serve(&mut self, at: Picos, partition: usize, price: KernelPrice) -> AttrSpan {
+        let now = at.as_ps();
+        let slot = self.best_slot();
+        let start_slot = now.max(self.slots[slot]);
+        let start_exec = start_slot.max(self.partitions[partition]);
+        let erase_block = if self.erase_every_bytes > 0 {
+            self.bytes_since_erase += price.write_bytes;
+            if self.bytes_since_erase >= self.erase_every_bytes {
+                self.bytes_since_erase -= self.erase_every_bytes;
+                self.stats.erase_windows += 1;
+                self.erase_window_ps
+            } else {
+                0
+            }
+        } else {
+            0
+        };
+        let finish = start_exec + erase_block + price.service_ps;
+        self.slots[slot] = finish;
+        self.partitions[partition] = finish;
+        self.stats.requests += 1;
+        self.stats.busy_ps += erase_block + price.service_ps;
+        self.stats.queue_wait_ps += start_slot - now;
+        self.stats.partition_wait_ps += start_exec - start_slot;
+        self.stats.erase_blocked_ps += erase_block;
+
+        // Bucket the monotone cursor: conserving by construction.
+        let mut span = AttrSpan::new(at);
+        span.advance(Cause::QueueWait, Picos::from_ps(start_slot));
+        span.advance(Cause::PartitionConflict, Picos::from_ps(start_exec));
+        span.advance(
+            Cause::EraseBlocked,
+            Picos::from_ps(start_exec + erase_block),
+        );
+        span.advance(Cause::ArrayAccess, Picos::from_ps(finish));
+        span
+    }
 }
 
 /// Per-accelerator serving counters.
@@ -412,6 +497,31 @@ pub struct ClassStats {
     pub degraded: u64,
     /// Completed-request latency distribution.
     pub latency: LatencyHistogram,
+}
+
+impl ClassStats {
+    /// Counts one offered request: `None` when admission control
+    /// rejected it, else its latency and whether it was served degraded.
+    fn tally(&mut self, served: Option<(u64, bool)>) {
+        self.offered += 1;
+        match served {
+            None => self.rejected += 1,
+            Some((latency_ps, degraded)) => {
+                self.completed += 1;
+                self.degraded += u64::from(degraded);
+                self.latency.record_ps(latency_ps);
+            }
+        }
+    }
+}
+
+/// A tenant's row in the serving loop: its class, the partition its
+/// working set hashes to (computed once, when its first request
+/// arrives) and its running totals.
+struct TenantRow {
+    class: QosClass,
+    partition: usize,
+    stats: ClassStats,
 }
 
 /// Serving totals for one tenant (same shape as [`ClassStats`] plus
@@ -740,53 +850,6 @@ impl FromJson for FleetReport {
     }
 }
 
-/// Partial tallies of one aggregation chunk.
-struct Tally {
-    aggregate: LatencyHistogram,
-    classes: Vec<ClassStats>,
-    tenants: BTreeMap<u32, TenantStats>,
-}
-
-/// Tallies one fixed-size chunk of serving-loop output rows.
-fn tally_chunk(model: &TenantModel, chunk: &[Done]) -> Tally {
-    let mut aggregate = LatencyHistogram::new();
-    let mut classes = vec![ClassStats::default(); NUM_CLASSES];
-    let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
-    for d in chunk {
-        let class_i = d.class as usize;
-        let t = tenants.entry(d.tenant).or_insert_with(|| TenantStats {
-            tenant: d.tenant,
-            class: model.class_of(d.tenant),
-            offered: 0,
-            completed: 0,
-            rejected: 0,
-            degraded: 0,
-            latency: LatencyHistogram::new(),
-        });
-        classes[class_i].offered += 1;
-        t.offered += 1;
-        if d.rejected {
-            classes[class_i].rejected += 1;
-            t.rejected += 1;
-            continue;
-        }
-        classes[class_i].completed += 1;
-        t.completed += 1;
-        if d.degraded {
-            classes[class_i].degraded += 1;
-            t.degraded += 1;
-        }
-        aggregate.record_ps(d.latency_ps);
-        classes[class_i].latency.record_ps(d.latency_ps);
-        t.latency.record_ps(d.latency_ps);
-    }
-    Tally {
-        aggregate,
-        classes,
-        tenants,
-    }
-}
-
 /// Runs the fleet described by `spec` on the global worker pool.
 ///
 /// # Errors
@@ -799,10 +862,11 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, SpecError> {
 
 /// Runs the fleet described by `spec` on an explicit worker pool.
 ///
-/// The serving loop is serial (fleet state is one global ordered
-/// timeline); the pool parallelizes kernel pricing up front and
-/// histogram aggregation at the end, both in thread-count-independent
-/// work units — the report is byte-identical at any pool width.
+/// The pool prices the cell's kernels up front. The serving loop is one
+/// serial pass over a single ordered timeline that tallies as it serves:
+/// class and tenant rows, the aggregate histogram and the attribution
+/// collector are all integer sums, so the report is byte-identical at
+/// any pool width.
 ///
 /// # Errors
 ///
@@ -813,23 +877,18 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
     let prices = price_kernels(pool, spec)?;
     let model = spec.tenant_model()?;
     let mut arrivals = ArrivalGen::new(spec.arrivals, spec.seed)?;
-
+    let erase_every_bytes = spec.erase_every_bytes()?;
     let erase_window_ps = pram::PramTiming::default().t_erase.as_ps();
-    let erase_every_bytes = if spec.pram_bearing() {
-        spec.erase_every_kb * 1024
-    } else {
-        0
-    };
     let admit_ps = (spec.admit_ms * 1e9).round() as u64;
-    let horizon_ps = spec.duration_ms * 1_000_000_000;
+    let horizon_ps = spec.horizon_ps()?;
 
-    // The serving loop: serial, seeded, one global timeline.
-    let telemetry = Telemetry::counting(0, true);
-    let probe = telemetry.probe();
     let mut accels: Vec<AccelState> = (0..spec.accelerators)
-        .map(|_| AccelState::new(spec.slots_per_accel))
+        .map(|_| AccelState::new(spec.slots_per_accel, erase_every_bytes, erase_window_ps))
         .collect();
-    let mut done: Vec<Done> = Vec::new();
+    let mut tenants: FxHashMap<u32, TenantRow> = FxHashMap::default();
+    let mut classes = vec![ClassStats::default(); NUM_CLASSES];
+    let mut aggregate = LatencyHistogram::new();
+    let mut attr = AttrCollector::default();
     let mut makespan_ps = 0u64;
     let mut seq = 0u64;
     loop {
@@ -843,120 +902,56 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
         let req = model.request(seq, at);
         seq += 1;
         let now = at.as_ps();
+        let tenant = tenants.entry(req.tenant).or_insert_with(|| TenantRow {
+            class: req.class,
+            partition: spec.partition_of(req.tenant),
+            stats: ClassStats::default(),
+        });
 
         // Dispatch.
-        let least_loaded = (0..accels.len())
-            .min_by_key(|&i| (accels[i].backlog_ps(now), i))
-            .expect("at least one accelerator");
-        let (target, backlog) = match spec.balancer {
+        let (backlog, target) = match spec.balancer {
             BalancerKind::RoundRobin => {
                 let i = (req.seq % accels.len() as u64) as usize;
-                (i, accels[i].backlog_ps(now))
+                (accels[i].backlog_ps(now), i)
             }
-            BalancerKind::LeastLoaded | BalancerKind::QosAware => {
-                (least_loaded, accels[least_loaded].backlog_ps(now))
-            }
+            BalancerKind::LeastLoaded | BalancerKind::QosAware => accels
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (a.backlog_ps(now), i))
+                .min()
+                .expect("at least one accelerator"),
         };
         let over_limit = spec.balancer == BalancerKind::QosAware && backlog > admit_ps;
-        if over_limit && req.class == QosClass::BestEffort {
-            done.push(Done {
-                tenant: req.tenant,
-                class: req.class,
-                latency_ps: 0,
-                rejected: true,
-                degraded: false,
-            });
-            continue;
-        }
-        let degraded = over_limit && req.class == QosClass::Throughput;
-
-        // Serve: slot queueing, partition contention, the erase wall,
-        // then the calibrated service time.
-        let price = prices[&req.kernel];
-        let a = &mut accels[target];
-        let slot = a.best_slot();
-        let start_slot = now.max(a.slots[slot]);
-        let partition = spec.partition_of(req.tenant);
-        let start_exec = start_slot.max(a.partitions[partition]);
-        let erase_block = if erase_every_bytes > 0 {
-            a.bytes_since_erase += price.write_bytes;
-            if a.bytes_since_erase >= erase_every_bytes {
-                a.bytes_since_erase -= erase_every_bytes;
-                a.stats.erase_windows += 1;
-                erase_window_ps
-            } else {
-                0
-            }
+        let served = if over_limit && req.class == QosClass::BestEffort {
+            None
         } else {
-            0
+            let span = accels[target].serve(at, tenant.partition, prices[req.kernel as usize]);
+            makespan_ps = makespan_ps.max(span.cursor().as_ps());
+            let rec = AttrRecord {
+                tenant: Some(req.tenant),
+                ..span.record(AttrScope::Exec, req.seq, "fleet.request")
+            };
+            attr.record(rec);
+            aggregate.record_ps(rec.dur_ps);
+            Some((rec.dur_ps, over_limit && req.class == QosClass::Throughput))
         };
-        let finish = start_exec + erase_block + price.service_ps;
-        a.slots[slot] = finish;
-        a.partitions[partition] = finish;
-        a.stats.requests += 1;
-        a.stats.busy_ps += erase_block + price.service_ps;
-        a.stats.queue_wait_ps += start_slot - now;
-        a.stats.partition_wait_ps += start_exec - start_slot;
-        a.stats.erase_blocked_ps += erase_block;
-        makespan_ps = makespan_ps.max(finish);
-
-        // Attribution: tag the probe cursor with the request's identity,
-        // then bucket the monotone cursor — conserving by construction.
-        probe.attr_tag(AttrScope::Exec, req.seq);
-        probe.attr_tag_tenant(req.tenant);
-        let mut span = probe.attr_span(at).expect("attribution hub is live");
-        span.advance(Cause::QueueWait, Picos::from_ps(start_slot));
-        span.advance(Cause::PartitionConflict, Picos::from_ps(start_exec));
-        span.advance(
-            Cause::EraseBlocked,
-            Picos::from_ps(start_exec + erase_block),
-        );
-        span.advance(Cause::ArrayAccess, Picos::from_ps(finish));
-        probe.attr_record("fleet.request", &span);
-
-        done.push(Done {
-            tenant: req.tenant,
-            class: req.class,
-            latency_ps: finish - now,
-            rejected: false,
-            degraded,
-        });
-    }
-    probe.attr_untag_tenant();
-
-    // Aggregation: fixed-size chunks fan out over the pool; partials
-    // merge in chunk order, so the result is thread-count independent.
-    let mut aggregate = LatencyHistogram::new();
-    let mut classes = vec![ClassStats::default(); NUM_CLASSES];
-    let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
-    let chunks: Vec<&[Done]> = done.chunks(AGG_CHUNK).collect();
-    for tally in pool.map(&chunks, |chunk| tally_chunk(&model, chunk)) {
-        aggregate.merge(&tally.aggregate);
-        for (total, part) in classes.iter_mut().zip(tally.classes) {
-            total.offered += part.offered;
-            total.completed += part.completed;
-            total.rejected += part.rejected;
-            total.degraded += part.degraded;
-            total.latency.merge(&part.latency);
-        }
-        for (id, part) in tally.tenants {
-            let t = tenants.entry(id).or_insert_with(|| TenantStats {
-                tenant: id,
-                class: part.class,
-                offered: 0,
-                completed: 0,
-                rejected: 0,
-                degraded: 0,
-                latency: LatencyHistogram::new(),
-            });
-            t.offered += part.offered;
-            t.completed += part.completed;
-            t.rejected += part.rejected;
-            t.degraded += part.degraded;
-            t.latency.merge(&part.latency);
-        }
+        classes[req.class as usize].tally(served);
+        tenant.stats.tally(served);
     }
 
+    let mut per_tenant: Vec<TenantStats> = tenants
+        .into_iter()
+        .map(|(tenant, row)| TenantStats {
+            tenant,
+            class: row.class,
+            offered: row.stats.offered,
+            completed: row.stats.completed,
+            rejected: row.stats.rejected,
+            degraded: row.stats.degraded,
+            latency: row.stats.latency,
+        })
+        .collect();
+    per_tenant.sort_unstable_by_key(|t| t.tenant);
     let completed: u64 = classes.iter().map(|c| c.completed).sum();
     let rejected: u64 = classes.iter().map(|c| c.rejected).sum();
     let degraded: u64 = classes.iter().map(|c| c.degraded).sum();
@@ -972,9 +967,9 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
         makespan_ps,
         aggregate,
         classes: QosClass::ALL.into_iter().zip(classes).collect(),
-        per_tenant: tenants.into_values().collect(),
+        per_tenant,
         accels: accels.into_iter().map(|a| a.stats).collect(),
-        attr: telemetry.attribution().expect("attribution hub is live"),
+        attr: attr.summarize(),
     })
 }
 
@@ -1038,6 +1033,28 @@ mod tests {
                 FleetSpec {
                     balancer: BalancerKind::QosAware,
                     admit_ms: 0.0,
+                    ..tiny_spec()
+                },
+            ),
+            (
+                "horizon overflows the picosecond clock",
+                FleetSpec {
+                    requests: 0,
+                    duration_ms: 18_446_744_074,
+                    ..tiny_spec()
+                },
+            ),
+            (
+                "erase budget overflows a byte count",
+                FleetSpec {
+                    erase_every_kb: (1 << 54) + 1,
+                    ..tiny_spec()
+                },
+            ),
+            (
+                "more slots than the dispatcher scans",
+                FleetSpec {
+                    slots_per_accel: 1_000_000_000_000,
                     ..tiny_spec()
                 },
             ),

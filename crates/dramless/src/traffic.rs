@@ -459,9 +459,8 @@ const PREFERRED_KERNEL_P: f64 = 0.7;
 ///
 /// Every query is a stateless hash of `(seed, labels...)` — no draw
 /// order, no shared generator — so per-request properties can be asked
-/// for from any thread, in any order, with identical results. This is
-/// what lets the fleet aggregate histograms in parallel and stay
-/// byte-identical at any worker count.
+/// for from any thread, in any order, with identical results, and any
+/// request of a run can be rebuilt from the seed alone.
 #[derive(Debug, Clone)]
 pub struct TenantModel {
     seed: u64,

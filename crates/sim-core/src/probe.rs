@@ -42,14 +42,7 @@ struct AttrState {
     /// Per-scope next-ordinal counters for layers that number their own
     /// requests (offload segments, staging chunks).
     next: [AtomicU64; NUM_SCOPES],
-    /// Owning tenant of the in-flight request on multi-tenant (fleet)
-    /// runs; `NO_TENANT` outside fleet serving, so single-workload
-    /// records stay untagged.
-    tenant: AtomicU64,
 }
-
-/// Sentinel for "no tenant tagged" in [`AttrState::tenant`].
-const NO_TENANT: u64 = u64::MAX;
 
 /// Where a hub's `span`/`span_args`/`instant` calls go.
 #[derive(Debug)]
@@ -135,7 +128,6 @@ impl Telemetry {
                     scope: AtomicU8::new(AttrScope::Offload as u8),
                     index: AtomicU64::new(0),
                     next: [const { AtomicU64::new(0) }; NUM_SCOPES],
-                    tenant: AtomicU64::new(NO_TENANT),
                 }),
             }),
         }
@@ -349,25 +341,6 @@ impl Probe {
         }
     }
 
-    /// Tags the cursor with the owning tenant of the in-flight request —
-    /// the fleet dispatcher's per-request call. Records committed while
-    /// the tag is set carry the tenant;
-    /// [`attr_untag_tenant`](Self::attr_untag_tenant) clears it.
-    #[inline]
-    pub fn attr_tag_tenant(&self, tenant: u32) {
-        if let Some(attr) = self.0.as_ref().and_then(|h| h.attr.as_ref()) {
-            attr.tenant.store(u64::from(tenant), Ordering::Relaxed);
-        }
-    }
-
-    /// Clears the tenant tag; subsequent records are untagged again.
-    #[inline]
-    pub fn attr_untag_tenant(&self) {
-        if let Some(attr) = self.0.as_ref().and_then(|h| h.attr.as_ref()) {
-            attr.tenant.store(NO_TENANT, Ordering::Relaxed);
-        }
-    }
-
     /// Starts a conserving span builder at `start`, or `None` when
     /// attribution is off — the servicing layer's single check.
     #[inline]
@@ -384,16 +357,11 @@ impl Probe {
     /// conserves by construction.
     pub fn attr_record(&self, source: &'static str, span: &AttrSpan) {
         if let Some(attr) = self.0.as_ref().and_then(|h| h.attr.as_ref()) {
-            let tenant = attr.tenant.load(Ordering::Relaxed);
-            let rec = AttrRecord {
-                scope: AttrScope::from_u8(attr.scope.load(Ordering::Relaxed)),
-                index: attr.index.load(Ordering::Relaxed),
+            let rec = span.record(
+                AttrScope::from_u8(attr.scope.load(Ordering::Relaxed)),
+                attr.index.load(Ordering::Relaxed),
                 source,
-                start_ps: span.start.as_ps(),
-                dur_ps: span.cursor.as_ps().saturating_sub(span.start.as_ps()),
-                span: span.span,
-                tenant: (tenant != NO_TENANT).then_some(tenant as u32),
-            };
+            );
             attr.collector.lock().expect("attr lock").record(rec);
         }
     }
@@ -438,6 +406,20 @@ impl AttrSpan {
     /// The decomposition accumulated so far.
     pub fn span(&self) -> &LatencySpan {
         &self.span
+    }
+
+    /// The untagged record of request `(scope, index)` serviced at
+    /// `source`: issued at the span's start, completed at its cursor.
+    pub fn record(&self, scope: AttrScope, index: u64, source: &'static str) -> AttrRecord {
+        AttrRecord {
+            scope,
+            index,
+            source,
+            start_ps: self.start.as_ps(),
+            dur_ps: self.cursor.as_ps().saturating_sub(self.start.as_ps()),
+            span: self.span,
+            tenant: None,
+        }
     }
 }
 
@@ -548,7 +530,6 @@ mod tests {
 
         // Issue side tags, service side buckets a monotone cursor.
         p.attr_tag(AttrScope::Exec, 41);
-        p.attr_tag_tenant(7);
         p.attr_advance(); // batched path steps to 42
         let at = Picos::from_ns(100);
         let mut span = p.attr_span(at).expect("attr on");
@@ -558,9 +539,7 @@ mod tests {
         span.advance(Cause::DataBurst, Picos::from_ns(200));
         p.attr_record("pram.read", &span);
 
-        // Self-numbering scopes hand out 0, 1, 2, ...; untagging the
-        // tenant leaves later records untagged.
-        p.attr_untag_tenant();
+        // Self-numbering scopes hand out 0, 1, 2, ...
         p.attr_tag_next(AttrScope::StageIn);
         let mut s2 = p.attr_span(Picos::ZERO).expect("attr on");
         s2.advance(Cause::Media, Picos::from_ns(10));
@@ -574,9 +553,7 @@ mod tests {
         assert_eq!(exec.expect("exec scope").records, 1);
         assert_eq!(a.top[0].index, 42, "tag + advance = batched ordinal");
         assert_eq!(a.top[0].source, "pram.read");
-        assert_eq!(a.top[0].tenant, Some(7), "tenant tag rides the record");
         assert_eq!(a.top[1].index, 0, "stage_in numbered itself");
-        assert_eq!(a.top[1].tenant, None, "untagged after attr_untag_tenant");
         assert!(Telemetry::new(4).attribution().is_none());
     }
 

@@ -63,6 +63,11 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
         ..FleetSpec::example()
     };
     dir.write("huge-fleet.json", &huge.to_json_pretty());
+    let slots = FleetSpec {
+        slots_per_accel: 1_000_000_000_000,
+        ..FleetSpec::example()
+    };
+    dir.write("slots-fleet.json", &slots.to_json_pretty());
     // A well-formed recording whose workload claims n = 10^15.
     let systems = [(
         SystemId::Preset(SystemKind::DramLess),
@@ -86,6 +91,16 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
         &["--scale", "1e300"],
         &["--scale", "nan"],
         &["serve", "--fleet", "huge-fleet.json", "--requests", "10"],
+        &["serve", "--fleet", "slots-fleet.json", "--requests", "10"],
+        &[
+            "serve",
+            "--fleet",
+            "fleet.json",
+            "--requests",
+            "0",
+            "--duration",
+            "18446744074",
+        ],
         &["replay", "huge-n.json"],
         &["replay", "huge-n.json", "--window", "0..10"],
         &["record", "--json", "out.json"],

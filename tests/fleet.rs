@@ -4,6 +4,7 @@
 //! exactly to the fleet aggregate), and report JSON round trips.
 
 use dramless::{run_fleet_on, ArrivalProcess, BalancerKind, FleetReport, FleetSpec, QosClass};
+use util::fingerprint::fnv1a;
 use util::json::{FromJson, ToJson};
 use util::pool::Pool;
 use util::telemetry::LatencyHistogram;
@@ -38,9 +39,9 @@ fn acceptance_spec() -> FleetSpec {
 
 #[test]
 fn acceptance_cell_is_byte_identical_at_one_vs_four_threads() {
-    // The headline contract: the serving loop is serial and the
-    // parallel phases (kernel pricing, chunked aggregation) merge in
-    // submission order, so thread count must never leak into the
+    // The headline contract: the serving loop is one serial pass that
+    // tallies as it serves, and the one parallel phase (kernel pricing)
+    // returns in kernel order, so thread count must never leak into the
     // report — down to the last byte of JSON.
     let spec = acceptance_spec();
     let serial = run_fleet_on(&Pool::new(1), &spec).expect("1-thread run serves");
@@ -166,4 +167,54 @@ fn fleet_reports_round_trip_through_json() {
     parsed
         .check_conservation()
         .expect("parsed ledger still balances");
+}
+
+#[test]
+fn fleet_reports_match_their_golden_digests() {
+    // FNV-1a digests of `to_json_string()`, so a change to how the fleet
+    // serves, tallies or attributes cannot move one report byte unseen.
+    // The last cell is bound by its horizon and spreads a few hundred
+    // requests over 100k tenants, so the tenant ids it tallies are sparse.
+    let example = |balancer| FleetSpec {
+        balancer,
+        ..FleetSpec::example()
+    };
+    let cells = [
+        ("acceptance", acceptance_spec(), 0x9008_58f1_995d_ba60),
+        (
+            "example round-robin",
+            example(BalancerKind::RoundRobin),
+            0x0816_1031_47eb_a527,
+        ),
+        (
+            "example least-loaded",
+            example(BalancerKind::LeastLoaded),
+            0xcd64_a148_b756_aadf,
+        ),
+        (
+            "example qos-aware",
+            example(BalancerKind::QosAware),
+            0x4657_c98e_9c6a_29f2,
+        ),
+        (
+            "sparse tenants",
+            FleetSpec {
+                name: Some("sparse-tenants".into()),
+                tenants: 100_000,
+                requests: 0,
+                duration_ms: 500,
+                ..FleetSpec::example()
+            },
+            0x42e8_00ad_d0de_d240,
+        ),
+    ];
+    let pool = Pool::new(2);
+    for (what, spec, golden) in cells {
+        let report = run_fleet_on(&pool, &spec).expect("cell serves");
+        assert_eq!(
+            fnv1a(report.to_json_string().as_bytes()),
+            golden,
+            "{what}: report bytes moved"
+        );
+    }
 }
