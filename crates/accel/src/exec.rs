@@ -367,39 +367,40 @@ impl sim_core::Snapshot for ScheduleCursor {
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
-        use util::json::field;
         let data = image.expect(CURSOR_KIND, CURSOR_VERSION)?;
         let m = |e| SnapshotError::malformed(CURSOR_KIND, e);
-        let agents: Vec<SchedRun> = field(data, "agents").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        let agents: Vec<SchedRun> = f.get("agents").map_err(m)?;
         if agents.len() != self.agents.len() {
             return Err(SnapshotError::shape(
                 CURSOR_KIND,
                 "image was recorded under a different schedule (agent count differs)",
             ));
         }
-        let wq: Vec<Picos> = field(data, "wq").map_err(m)?;
+        let wq: Vec<Picos> = f.get("wq").map_err(m)?;
         if wq.len() != self.wq.len() {
             return Err(SnapshotError::shape(
                 CURSOR_KIND,
                 "image was recorded under a different MCU write-queue depth",
             ));
         }
-        self.start = field(data, "start").map_err(m)?;
+        self.start = f.get("start").map_err(m)?;
         self.agents = agents;
-        self.times = field(data, "times").map_err(m)?;
-        self.parked = field(data, "parked").map_err(m)?;
+        self.times = f.get("times").map_err(m)?;
+        self.parked = f.get("parked").map_err(m)?;
         self.wq = wq;
-        self.psc = field(data, "psc").map_err(m)?;
-        self.ipc_series = field(data, "ipc_series").map_err(m)?;
-        self.power_series = field(data, "power_series").map_err(m)?;
-        self.bytes_from = field(data, "bytes_from").map_err(m)?;
-        self.bytes_to = field(data, "bytes_to").map_err(m)?;
-        self.mem_requests = field(data, "mem_requests").map_err(m)?;
-        self.compute_e = field(data, "compute_e").map_err(m)?;
-        self.compute_n = field(data, "compute_n").map_err(m)?;
-        self.stall_e = field(data, "stall_e").map_err(m)?;
-        self.stall_n = field(data, "stall_n").map_err(m)?;
-        self.stream_fp = Fnv64::resume(field(data, "stream_fp").map_err(m)?);
+        self.psc = f.get("psc").map_err(m)?;
+        self.ipc_series = f.get("ipc_series").map_err(m)?;
+        self.power_series = f.get("power_series").map_err(m)?;
+        self.bytes_from = f.get("bytes_from").map_err(m)?;
+        self.bytes_to = f.get("bytes_to").map_err(m)?;
+        self.mem_requests = f.get("mem_requests").map_err(m)?;
+        self.compute_e = f.get("compute_e").map_err(m)?;
+        self.compute_n = f.get("compute_n").map_err(m)?;
+        self.stall_e = f.get("stall_e").map_err(m)?;
+        self.stall_n = f.get("stall_n").map_err(m)?;
+        self.stream_fp = Fnv64::resume(f.get("stream_fp").map_err(m)?);
+        f.finish().map_err(m)?;
         if self.times.len() != self.agents.len() || self.parked.len() != self.agents.len() {
             return Err(SnapshotError::shape(
                 CURSOR_KIND,

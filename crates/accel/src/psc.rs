@@ -17,7 +17,7 @@ pub enum PeState {
     Active,
 }
 
-util::json_unit_enum!(PeState { Sleep, Active });
+util::json_enum!(PeState { Sleep, Active });
 
 /// Transition timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -103,45 +103,11 @@ pub enum TraceOp {
     },
 }
 
-impl util::json::ToJson for TraceOp {
-    fn to_json(&self) -> util::json::Json {
-        use util::json::Json;
-        let span = |addr: u64, len: u32| {
-            Json::Obj(vec![
-                ("addr".to_string(), addr.to_json()),
-                ("len".to_string(), len.to_json()),
-            ])
-        };
-        match *self {
-            TraceOp::Compute(b) => Json::Obj(vec![("Compute".to_string(), b.to_json())]),
-            TraceOp::Load { addr, len } => Json::Obj(vec![("Load".to_string(), span(addr, len))]),
-            TraceOp::Store { addr, len } => Json::Obj(vec![("Store".to_string(), span(addr, len))]),
-        }
-    }
-}
-
-impl util::json::FromJson for TraceOp {
-    fn from_json(v: &util::json::Json) -> Result<Self, util::json::JsonError> {
-        use util::json::{field, Json, JsonError};
-        let pairs = match v {
-            Json::Obj(pairs) if pairs.len() == 1 => pairs,
-            _ => return Err(JsonError::new("expected single-key TraceOp object")),
-        };
-        let (tag, body) = &pairs[0];
-        match tag.as_str() {
-            "Compute" => Ok(TraceOp::Compute(InstrBlock::from_json(body)?)),
-            "Load" => Ok(TraceOp::Load {
-                addr: field(body, "addr")?,
-                len: field(body, "len")?,
-            }),
-            "Store" => Ok(TraceOp::Store {
-                addr: field(body, "addr")?,
-                len: field(body, "len")?,
-            }),
-            other => Err(JsonError::new(format!("unknown TraceOp variant {other:?}"))),
-        }
-    }
-}
+util::json_enum!(TraceOp {
+    Compute(block),
+    Load { addr, len },
+    Store { addr, len },
+});
 
 // --- packed encoding -------------------------------------------------
 //
@@ -224,6 +190,7 @@ impl util::json::ToJson for Trace {
 
 impl util::json::FromJson for Trace {
     fn from_json(v: &util::json::Json) -> Result<Self, util::json::JsonError> {
+        util::json::deny_unknown_keys(v, &["ops"]).map_err(|e| e.context("Trace"))?;
         let ops: Vec<TraceOp> = util::json::field(v, "ops")?;
         Ok(ops.into_iter().collect())
     }

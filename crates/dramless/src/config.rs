@@ -37,7 +37,7 @@ pub enum SystemKind {
     Ideal,
 }
 
-util::json_unit_enum!(SystemKind {
+util::json_enum!(SystemKind {
     Hetero,
     Heterodirect,
     HeteroPram,

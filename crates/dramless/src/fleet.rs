@@ -75,7 +75,7 @@ pub enum BalancerKind {
     QosAware,
 }
 
-util::json_unit_enum!(BalancerKind {
+util::json_enum!(BalancerKind {
     RoundRobin,
     LeastLoaded,
     QosAware
@@ -243,45 +243,45 @@ impl FleetSpec {
     /// Returns [`SpecError`] describing the first offending knob.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.accelerators == 0 {
-            return Err(SpecError::new("fleet needs at least one accelerator"));
+            return Err(SpecError::fleet("fleet needs at least one accelerator"));
         }
         if self.slots_per_accel == 0 {
-            return Err(SpecError::new("slots_per_accel must be >= 1"));
+            return Err(SpecError::fleet("slots_per_accel must be >= 1"));
         }
         let slots = self.accelerators.checked_mul(self.slots_per_accel);
         if slots.is_none_or(|n| n > MAX_FLEET_SLOTS) {
-            return Err(SpecError::new(format!(
+            return Err(SpecError::fleet(format!(
                 "accelerators x slots_per_accel ({} x {}) exceeds {MAX_FLEET_SLOTS} slots",
                 self.accelerators, self.slots_per_accel
             )));
         }
         if self.agents == 0 {
-            return Err(SpecError::new("agents must be >= 1"));
+            return Err(SpecError::fleet("agents must be >= 1"));
         }
         Scale(self.scale)
             .validate()
-            .map_err(|e| SpecError::new(e.to_string()))?;
+            .map_err(|e| SpecError::fleet(e.to_string()))?;
         if self.requests == 0 && self.duration_ms == 0 {
-            return Err(SpecError::new(
+            return Err(SpecError::fleet(
                 "either requests or duration_ms must bound the run",
             ));
         }
         self.horizon_ps()?;
         self.erase_every_bytes()?;
         if !self.admit_ms.is_finite() || self.admit_ms < 0.0 {
-            return Err(SpecError::new(format!(
+            return Err(SpecError::fleet(format!(
                 "admit_ms must be finite and >= 0, got {}",
                 self.admit_ms
             )));
         }
         if self.balancer == BalancerKind::QosAware && self.admit_ms == 0.0 {
-            return Err(SpecError::new(
+            return Err(SpecError::fleet(
                 "the qos-aware balancer needs admit_ms > 0 (a zero limit \
                  rejects every queued best-effort request)",
             ));
         }
         if self.system.faults.is_some() {
-            return Err(SpecError::new(
+            return Err(SpecError::fleet(
                 "fleet serving prices requests analytically and does not \
                  model fault injection; drop the faults knob",
             ));
@@ -298,7 +298,7 @@ impl FleetSpec {
     /// picoseconds (about 213 days).
     fn horizon_ps(&self) -> Result<u64, SpecError> {
         self.duration_ms.checked_mul(1_000_000_000).ok_or_else(|| {
-            SpecError::new(format!(
+            SpecError::fleet(format!(
                 "duration_ms {} overflows the picosecond clock",
                 self.duration_ms
             ))
@@ -314,7 +314,7 @@ impl FleetSpec {
     /// bytes.
     fn erase_every_bytes(&self) -> Result<u64, SpecError> {
         let bytes = self.erase_every_kb.checked_mul(1024).ok_or_else(|| {
-            SpecError::new(format!(
+            SpecError::fleet(format!(
                 "erase_every_kb {} overflows a byte count",
                 self.erase_every_kb
             ))
@@ -1070,8 +1070,22 @@ mod tests {
             ),
         ];
         for (what, spec) in cases {
-            assert!(spec.validate().is_err(), "{what} must be rejected");
+            let err = spec.validate().expect_err(what).to_string();
+            assert!(err.starts_with("invalid fleet spec: "), "{what}: {err}");
         }
+        // A fault in the embedded system keeps the system's prefix: TLC
+        // flash behind P2P DMA has no analytic calibration entry.
+        let uncalibrated = FleetSpec {
+            system: SystemSpec {
+                medium: Medium::FlashSsd {
+                    cell: flash::CellKind::Tlc,
+                },
+                ..crate::SystemKind::Heterodirect.spec()
+            },
+            ..tiny_spec()
+        };
+        let err = run_fleet(&uncalibrated).unwrap_err().to_string();
+        assert!(err.starts_with("invalid system spec: "), "{err}");
     }
 
     #[test]

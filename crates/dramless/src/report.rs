@@ -94,49 +94,18 @@ pub struct RunOutcome {
     pub attr: Option<AttrSummary>,
 }
 
-// Hand-written (not `json_struct!`) so the `metrics` key is *omitted*
-// when empty and `degraded` when `None`: fault-free, telemetry-off
-// reports are byte-identical to reports from before either existed.
-impl ToJson for RunOutcome {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("system".to_string(), self.system.to_json()),
-            ("kernel".to_string(), self.kernel.to_json()),
-            ("total_time".to_string(), self.total_time.to_json()),
-            ("data_bytes".to_string(), self.data_bytes.to_json()),
-            ("exec".to_string(), self.exec.to_json()),
-            ("breakdown".to_string(), self.breakdown.to_json()),
-            ("energy".to_string(), self.energy.to_json()),
-        ];
-        if !self.metrics.is_empty() {
-            fields.push(("metrics".to_string(), self.metrics.to_json()));
-        }
-        if let Some(d) = &self.degraded {
-            fields.push(("degraded".to_string(), d.to_json()));
-        }
-        if let Some(a) = &self.attr {
-            fields.push(("latency_attribution".to_string(), a.to_json()));
-        }
-        Json::Obj(fields)
-    }
-}
-
-impl FromJson for RunOutcome {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RunOutcome {
-            system: field(v, "system")?,
-            kernel: field(v, "kernel")?,
-            total_time: field(v, "total_time")?,
-            data_bytes: field(v, "data_bytes")?,
-            exec: field(v, "exec")?,
-            breakdown: field(v, "breakdown")?,
-            energy: field(v, "energy")?,
-            metrics: field::<Option<MetricSet>>(v, "metrics")?.unwrap_or_default(),
-            degraded: field(v, "degraded")?,
-            attr: field(v, "latency_attribution")?,
-        })
-    }
-}
+util::json_struct!(RunOutcome {
+    system,
+    kernel,
+    total_time,
+    data_bytes,
+    exec,
+    breakdown,
+    energy;
+    metrics,
+    degraded,
+    attr as "latency_attribution"
+});
 
 impl RunOutcome {
     /// Data-processing bandwidth in bytes/second over the whole run —

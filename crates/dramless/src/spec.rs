@@ -20,7 +20,6 @@ use pram_ctrl::{FirmwareParams, SchedulerKind};
 use sim_core::fault::FaultPlan;
 use sim_core::mem::FidelityTier;
 use std::fmt;
-use util::json::{field, FromJson, Json, JsonError, ToJson};
 
 /// The storage medium holding the dataset (Table I row "storage").
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,6 +44,15 @@ pub enum Medium {
     Dram,
 }
 
+util::json_enum!(Medium {
+    FlashSsd { cell },
+    PramSsd,
+    NorPram,
+    IntegratedFlash { cell },
+    Pram3x,
+    Dram,
+});
+
 /// How data moves between the medium and the agent PEs (Table I row
 /// "interface/datapath").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,7 +68,7 @@ pub enum Datapath {
     PageInterface,
 }
 
-util::json_unit_enum!(Datapath {
+util::json_enum!(Datapath {
     HostMediated,
     P2pDma,
     DirectLoadStore,
@@ -81,6 +89,11 @@ pub enum Buffer {
     },
 }
 
+util::json_enum!(Buffer {
+    None,
+    DramPageCache { frames },
+});
+
 /// Who drives the PRAM subsystem (the §VI control-logic axis).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Control {
@@ -98,6 +111,11 @@ pub enum Control {
         params: FirmwareParams,
     },
 }
+
+util::json_enum!(Control {
+    HardwareAutomated { scheduler },
+    Firmware { scheduler, params },
+});
 
 /// Telemetry knob of a spec: `Some` switches on event tracing and the
 /// per-component metric registry for every run of this spec.
@@ -122,27 +140,7 @@ pub struct TelemetrySpec {
     pub attribution: bool,
 }
 
-// Hand-written (not `json_struct!`) so `attribution` is omitted when
-// false: telemetry specs (and their reports) from before the knob
-// existed parse and serialize byte-identically.
-impl ToJson for TelemetrySpec {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("trace_events".to_string(), self.trace_events.to_json())];
-        if self.attribution {
-            fields.push(("attribution".to_string(), self.attribution.to_json()));
-        }
-        Json::Obj(fields)
-    }
-}
-
-impl FromJson for TelemetrySpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TelemetrySpec {
-            trace_events: field(v, "trace_events")?,
-            attribution: field::<Option<bool>>(v, "attribution")?.unwrap_or(false),
-        })
-    }
-}
+util::json_struct!(TelemetrySpec { trace_events; attribution });
 
 impl Default for TelemetrySpec {
     fn default() -> Self {
@@ -209,57 +207,42 @@ pub struct SystemSpec {
     pub tier: FidelityTier,
 }
 
-// Hand-written (not `json_struct!`) so the `telemetry` and `faults`
-// keys are *omitted* when `None`: specs with those knobs off serialize
-// exactly as they did before the knobs existed.
-impl ToJson for SystemSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("name".to_string(), self.name.to_json()),
-            ("medium".to_string(), self.medium.to_json()),
-            ("datapath".to_string(), self.datapath.to_json()),
-            ("buffer".to_string(), self.buffer.to_json()),
-            ("control".to_string(), self.control.to_json()),
-        ];
-        if let Some(t) = &self.telemetry {
-            fields.push(("telemetry".to_string(), t.to_json()));
-        }
-        if let Some(f) = &self.faults {
-            fields.push(("faults".to_string(), f.to_json()));
-        }
-        if self.tier != FidelityTier::default() {
-            fields.push(("tier".to_string(), self.tier.to_json()));
-        }
-        Json::Obj(fields)
-    }
-}
-
-impl FromJson for SystemSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SystemSpec {
-            name: field(v, "name")?,
-            medium: field(v, "medium")?,
-            datapath: field(v, "datapath")?,
-            buffer: field(v, "buffer")?,
-            control: field(v, "control")?,
-            telemetry: field(v, "telemetry")?,
-            faults: field(v, "faults")?,
-            tier: field::<Option<FidelityTier>>(v, "tier")?.unwrap_or_default(),
-        })
-    }
-}
+util::json_struct!(SystemSpec {
+    name,
+    medium,
+    datapath,
+    buffer,
+    control;
+    telemetry,
+    faults,
+    tier
+});
 
 /// A spec that names a combination the composition rules cannot build
-/// (e.g. flash served over direct load/store).
+/// (e.g. flash served over direct load/store), or a fleet spec whose
+/// own fields are out of range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
+    /// Which spec is at fault: `"system"` or `"fleet"`.
+    subject: &'static str,
     msg: String,
 }
 
 impl SpecError {
-    /// Creates the error.
+    /// An error in a system spec (or the parameters it runs under).
     pub fn new(msg: impl Into<String>) -> Self {
-        SpecError { msg: msg.into() }
+        SpecError {
+            subject: "system",
+            msg: msg.into(),
+        }
+    }
+
+    /// An error in a fleet spec's own fields, not its embedded system.
+    pub fn fleet(msg: impl Into<String>) -> Self {
+        SpecError {
+            subject: "fleet",
+            msg: msg.into(),
+        }
     }
 
     /// The human-readable reason.
@@ -270,7 +253,7 @@ impl SpecError {
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid system spec: {}", self.msg)
+        write!(f, "invalid {} spec: {}", self.subject, self.msg)
     }
 }
 
@@ -346,133 +329,6 @@ impl SystemSpec {
             self.buffer.label(),
             self.control.label()
         )
-    }
-}
-
-// Data-carrying enums serialize externally tagged (serde's default
-// layout): unit variants as their name string, data variants as a
-// one-key object.
-
-/// Externally-tagged variant: `{ "Tag": { ...body } }` — shared by the
-/// spec and traffic JSON layers.
-pub(crate) fn tagged(tag: &str, body: Vec<(String, Json)>) -> Json {
-    Json::Obj(vec![(tag.to_string(), Json::Obj(body))])
-}
-
-/// Splits an externally-tagged value into `(tag, body)`.
-pub(crate) fn variant<'j>(ty: &str, v: &'j Json) -> Result<(&'j str, &'j Json), JsonError> {
-    match v {
-        Json::Obj(pairs) if pairs.len() == 1 => Ok((pairs[0].0.as_str(), &pairs[0].1)),
-        _ => Err(JsonError::new(format!(
-            "expected {ty} variant (string or one-key object), got {}",
-            v.kind()
-        ))),
-    }
-}
-
-impl ToJson for Medium {
-    fn to_json(&self) -> Json {
-        match self {
-            Medium::FlashSsd { cell } => {
-                tagged("FlashSsd", vec![("cell".to_string(), cell.to_json())])
-            }
-            Medium::PramSsd => Json::Str("PramSsd".to_string()),
-            Medium::NorPram => Json::Str("NorPram".to_string()),
-            Medium::IntegratedFlash { cell } => tagged(
-                "IntegratedFlash",
-                vec![("cell".to_string(), cell.to_json())],
-            ),
-            Medium::Pram3x => Json::Str("Pram3x".to_string()),
-            Medium::Dram => Json::Str("Dram".to_string()),
-        }
-    }
-}
-
-impl FromJson for Medium {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(s) = v.as_str() {
-            return match s {
-                "PramSsd" => Ok(Medium::PramSsd),
-                "NorPram" => Ok(Medium::NorPram),
-                "Pram3x" => Ok(Medium::Pram3x),
-                "Dram" => Ok(Medium::Dram),
-                other => Err(JsonError::new(format!("unknown Medium variant {other:?}"))),
-            };
-        }
-        let (tag, body) = variant("Medium", v)?;
-        match tag {
-            "FlashSsd" => Ok(Medium::FlashSsd {
-                cell: field(body, "cell")?,
-            }),
-            "IntegratedFlash" => Ok(Medium::IntegratedFlash {
-                cell: field(body, "cell")?,
-            }),
-            other => Err(JsonError::new(format!("unknown Medium variant {other:?}"))),
-        }
-    }
-}
-
-impl ToJson for Buffer {
-    fn to_json(&self) -> Json {
-        match self {
-            Buffer::None => Json::Str("None".to_string()),
-            Buffer::DramPageCache { frames } => tagged(
-                "DramPageCache",
-                vec![("frames".to_string(), frames.to_json())],
-            ),
-        }
-    }
-}
-
-impl FromJson for Buffer {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(s) = v.as_str() {
-            return match s {
-                "None" => Ok(Buffer::None),
-                other => Err(JsonError::new(format!("unknown Buffer variant {other:?}"))),
-            };
-        }
-        let (tag, body) = variant("Buffer", v)?;
-        match tag {
-            "DramPageCache" => Ok(Buffer::DramPageCache {
-                frames: field(body, "frames")?,
-            }),
-            other => Err(JsonError::new(format!("unknown Buffer variant {other:?}"))),
-        }
-    }
-}
-
-impl ToJson for Control {
-    fn to_json(&self) -> Json {
-        match self {
-            Control::HardwareAutomated { scheduler } => tagged(
-                "HardwareAutomated",
-                vec![("scheduler".to_string(), scheduler.to_json())],
-            ),
-            Control::Firmware { scheduler, params } => tagged(
-                "Firmware",
-                vec![
-                    ("scheduler".to_string(), scheduler.to_json()),
-                    ("params".to_string(), params.to_json()),
-                ],
-            ),
-        }
-    }
-}
-
-impl FromJson for Control {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, body) = variant("Control", v)?;
-        match tag {
-            "HardwareAutomated" => Ok(Control::HardwareAutomated {
-                scheduler: field(body, "scheduler")?,
-            }),
-            "Firmware" => Ok(Control::Firmware {
-                scheduler: field(body, "scheduler")?,
-                params: field(body, "params")?,
-            }),
-            other => Err(JsonError::new(format!("unknown Control variant {other:?}"))),
-        }
     }
 }
 
@@ -579,6 +435,7 @@ impl SystemKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use util::json::{FromJson, ToJson};
 
     #[test]
     fn presets_cover_table1_axes() {

@@ -128,8 +128,8 @@ pub fn sweep_on(
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] — before any cell runs — if a spec's axes are
-/// incompatible.
+/// Returns [`SpecError`] if a spec's axes are incompatible or a cell's
+/// tier refuses its spec (see [`sweep_systems_on`]).
 pub fn sweep_specs(
     specs: &[SystemSpec],
     workloads: &[Workload],
@@ -142,7 +142,8 @@ pub fn sweep_specs(
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] if a spec's axes are incompatible.
+/// Returns [`SpecError`] if a spec's axes are incompatible or a cell's
+/// tier refuses its spec.
 pub fn sweep_specs_on(
     pool: &Pool,
     specs: &[SystemSpec],
@@ -164,8 +165,10 @@ pub fn sweep_specs_on(
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] if the parameters are malformed or any spec's
-/// axes are incompatible.
+/// Returns [`SpecError`] if the parameters are malformed, any spec's
+/// axes are incompatible, or a cell's tier refuses its spec (the
+/// analytic tier with faults armed or no calibration entry); the
+/// error names the first such cell in output order.
 pub fn sweep_systems_on(
     pool: &Pool,
     systems: &[(SystemId, SystemSpec)],
@@ -198,11 +201,14 @@ pub fn sweep_systems_on(
     let ran = pool.map(&order, |&(_, slot)| {
         let (id, spec) = &systems[slot % n];
         simulate_spec_as(id.clone(), spec, &built[slot / n], params)
-            .expect("spec validated before the sweep")
+            .map_err(|e| SpecError::new(format!("{}: {}", id.name(), e.message())))
     });
 
-    // Scatter back to canonical order, independent of who ran what.
-    let mut outcomes: Vec<Option<RunOutcome>> = (0..order.len()).map(|_| None).collect();
+    // Scatter back to canonical order, independent of who ran what. A
+    // cell its tier refuses fails the sweep with the first such cell in
+    // that order, so the error is the same at any thread count.
+    let mut outcomes: Vec<Option<Result<RunOutcome, SpecError>>> =
+        (0..order.len()).map(|_| None).collect();
     for (outcome, (_, slot)) in ran.into_iter().zip(order) {
         outcomes[slot] = Some(outcome);
     }
@@ -210,7 +216,7 @@ pub fn sweep_systems_on(
         outcomes: outcomes
             .into_iter()
             .map(|o| o.expect("every cell simulated exactly once"))
-            .collect(),
+            .collect::<Result<_, _>>()?,
     };
     let stats = SweepStats {
         cells: result.outcomes.len(),

@@ -88,17 +88,18 @@ impl PageStore for PageAdapter {
     }
 
     fn store_restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
-        use util::json::field;
         let data = image.expect(ADAPTER_KIND, ADAPTER_VERSION)?;
         let m = |e| SnapshotError::malformed(ADAPTER_KIND, e);
-        let page_bytes: u32 = field(data, "page_bytes").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        let page_bytes: u32 = f.get("page_bytes").map_err(m)?;
         if page_bytes != self.page_bytes {
             return Err(SnapshotError::shape(
                 ADAPTER_KIND,
                 "image was recorded under a different page size",
             ));
         }
-        let inner: StateImage = field(data, "inner").map_err(m)?;
+        let inner: StateImage = f.get("inner").map_err(m)?;
+        f.finish().map_err(m)?;
         self.inner.restore_state(&inner)
     }
 
@@ -190,18 +191,19 @@ impl PageStore for HeteroStore {
     }
 
     fn store_restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
-        use util::json::field;
         let data = image.expect(HETERO_KIND, HETERO_VERSION)?;
         let m = |e| SnapshotError::malformed(HETERO_KIND, e);
-        let page_bytes: u32 = field(data, "page_bytes").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        let page_bytes: u32 = f.get("page_bytes").map_err(m)?;
         if page_bytes != self.page_bytes {
             return Err(SnapshotError::shape(
                 HETERO_KIND,
                 "image was recorded under a different page size",
             ));
         }
-        let stager: StateImage = field(data, "stager").map_err(m)?;
-        let ssd: StateImage = field(data, "ssd").map_err(m)?;
+        let stager: StateImage = f.get("stager").map_err(m)?;
+        let ssd: StateImage = f.get("ssd").map_err(m)?;
+        f.finish().map_err(m)?;
         sim_core::Snapshot::restore(&mut self.stager, &stager)?;
         self.ssd.restore_state(&ssd)
     }

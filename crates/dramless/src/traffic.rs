@@ -21,11 +21,10 @@
 //! and prices them against the calibrated analytic execution model.
 
 use sim_core::time::Picos;
-use util::json::{field, FromJson, Json, JsonError, ToJson};
 use util::rng::{stream_seed, stream_unit, Rng64};
 use workloads::Kernel;
 
-use crate::spec::{tagged, variant, SpecError};
+use crate::spec::SpecError;
 
 /// Number of QoS classes (the length of [`QosClass::ALL`]).
 pub const NUM_CLASSES: usize = 3;
@@ -45,7 +44,7 @@ pub enum QosClass {
     BestEffort,
 }
 
-util::json_unit_enum!(QosClass {
+util::json_enum!(QosClass {
     LatencySensitive,
     Throughput,
     BestEffort
@@ -118,13 +117,13 @@ impl ClassMix {
             ("best_effort", self.best_effort),
         ] {
             if !w.is_finite() || w < 0.0 {
-                return Err(SpecError::new(format!(
+                return Err(SpecError::fleet(format!(
                     "class mix weight {name} must be finite and >= 0, got {w}"
                 )));
             }
         }
         if self.latency_sensitive + self.throughput + self.best_effort <= 0.0 {
-            return Err(SpecError::new("class mix weights must not all be zero"));
+            return Err(SpecError::fleet("class mix weights must not all be zero"));
         }
         Ok(())
     }
@@ -175,6 +174,21 @@ pub enum ArrivalProcess {
     },
 }
 
+util::json_enum!(ArrivalProcess {
+    Poisson { rate_per_s },
+    Bursty {
+        base_per_s,
+        burst_per_s,
+        mean_burst_ms,
+        mean_calm_ms,
+    },
+    Diurnal {
+        mean_per_s,
+        swing,
+        period_ms,
+    },
+});
+
 impl ArrivalProcess {
     /// Short lowercase tag for CLI output and test labels.
     pub fn label(&self) -> &'static str {
@@ -213,7 +227,7 @@ impl ArrivalProcess {
             if v.is_finite() && v > 0.0 {
                 Ok(())
             } else {
-                Err(SpecError::new(format!(
+                Err(SpecError::fleet(format!(
                     "arrival parameter {name} must be finite and > 0, got {v}"
                 )))
             }
@@ -239,74 +253,12 @@ impl ArrivalProcess {
                 positive("mean_per_s", mean_per_s)?;
                 positive("period_ms", period_ms)?;
                 if !swing.is_finite() || !(0.0..=1.0).contains(&swing) {
-                    return Err(SpecError::new(format!(
+                    return Err(SpecError::fleet(format!(
                         "arrival parameter swing must be in [0, 1], got {swing}"
                     )));
                 }
                 Ok(())
             }
-        }
-    }
-}
-
-impl ToJson for ArrivalProcess {
-    fn to_json(&self) -> Json {
-        match *self {
-            ArrivalProcess::Poisson { rate_per_s } => tagged(
-                "Poisson",
-                vec![("rate_per_s".to_string(), rate_per_s.to_json())],
-            ),
-            ArrivalProcess::Bursty {
-                base_per_s,
-                burst_per_s,
-                mean_burst_ms,
-                mean_calm_ms,
-            } => tagged(
-                "Bursty",
-                vec![
-                    ("base_per_s".to_string(), base_per_s.to_json()),
-                    ("burst_per_s".to_string(), burst_per_s.to_json()),
-                    ("mean_burst_ms".to_string(), mean_burst_ms.to_json()),
-                    ("mean_calm_ms".to_string(), mean_calm_ms.to_json()),
-                ],
-            ),
-            ArrivalProcess::Diurnal {
-                mean_per_s,
-                swing,
-                period_ms,
-            } => tagged(
-                "Diurnal",
-                vec![
-                    ("mean_per_s".to_string(), mean_per_s.to_json()),
-                    ("swing".to_string(), swing.to_json()),
-                    ("period_ms".to_string(), period_ms.to_json()),
-                ],
-            ),
-        }
-    }
-}
-
-impl FromJson for ArrivalProcess {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let (tag, body) = variant("ArrivalProcess", v)?;
-        match tag {
-            "Poisson" => Ok(ArrivalProcess::Poisson {
-                rate_per_s: field(body, "rate_per_s")?,
-            }),
-            "Bursty" => Ok(ArrivalProcess::Bursty {
-                base_per_s: field(body, "base_per_s")?,
-                burst_per_s: field(body, "burst_per_s")?,
-                mean_burst_ms: field(body, "mean_burst_ms")?,
-                mean_calm_ms: field(body, "mean_calm_ms")?,
-            }),
-            "Diurnal" => Ok(ArrivalProcess::Diurnal {
-                mean_per_s: field(body, "mean_per_s")?,
-                swing: field(body, "swing")?,
-                period_ms: field(body, "period_ms")?,
-            }),
-            other => Err(JsonError::new(format!(
-                "unknown ArrivalProcess variant {other:?}"
-            ))),
         }
     }
 }
@@ -483,10 +435,10 @@ impl TenantModel {
         kernels: &[Kernel],
     ) -> Result<Self, SpecError> {
         if tenants == 0 {
-            return Err(SpecError::new("fleet needs at least one tenant"));
+            return Err(SpecError::fleet("fleet needs at least one tenant"));
         }
         if kernels.is_empty() {
-            return Err(SpecError::new("fleet kernel pool must not be empty"));
+            return Err(SpecError::fleet("fleet kernel pool must not be empty"));
         }
         mix.validate()?;
         Ok(TenantModel {
@@ -558,6 +510,7 @@ impl TenantModel {
 mod tests {
     use super::*;
     use util::for_each_case;
+    use util::json::{FromJson, ToJson};
 
     /// A randomized process of any of the three families.
     fn random_process(rng: &mut Rng64) -> ArrivalProcess {

@@ -85,42 +85,11 @@ pub enum FtlOp {
     },
 }
 
-impl util::json::ToJson for FtlOp {
-    fn to_json(&self) -> util::json::Json {
-        use util::json::Json;
-        match *self {
-            FtlOp::Read(p) => Json::Obj(vec![("Read".to_string(), p.to_json())]),
-            FtlOp::Program(p) => Json::Obj(vec![("Program".to_string(), p.to_json())]),
-            FtlOp::Erase { die, block } => Json::Obj(vec![(
-                "Erase".to_string(),
-                Json::Obj(vec![
-                    ("die".to_string(), die.to_json()),
-                    ("block".to_string(), block.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl util::json::FromJson for FtlOp {
-    fn from_json(v: &util::json::Json) -> Result<Self, util::json::JsonError> {
-        use util::json::{field, Json, JsonError};
-        let pairs = match v {
-            Json::Obj(pairs) if pairs.len() == 1 => pairs,
-            _ => return Err(JsonError::new("expected single-key FtlOp object")),
-        };
-        let (tag, body) = &pairs[0];
-        match tag.as_str() {
-            "Read" => Ok(FtlOp::Read(PhysPage::from_json(body)?)),
-            "Program" => Ok(FtlOp::Program(PhysPage::from_json(body)?)),
-            "Erase" => Ok(FtlOp::Erase {
-                die: field(body, "die")?,
-                block: field(body, "block")?,
-            }),
-            other => Err(JsonError::new(format!("unknown FtlOp variant {other:?}"))),
-        }
-    }
-}
+util::json_enum!(FtlOp {
+    Read(page),
+    Program(page),
+    Erase { die, block },
+});
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Block {

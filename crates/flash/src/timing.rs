@@ -13,7 +13,7 @@ pub enum CellKind {
     Tlc,
 }
 
-util::json_unit_enum!(CellKind { Slc, Mlc, Tlc });
+util::json_enum!(CellKind { Slc, Mlc, Tlc });
 
 impl CellKind {
     /// All kinds in Table I order.

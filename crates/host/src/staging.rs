@@ -28,7 +28,7 @@ pub enum StagingPath {
     P2pDma,
 }
 
-util::json_unit_enum!(StagingPath {
+util::json_enum!(StagingPath {
     HostMediated,
     P2pDma
 });
@@ -94,13 +94,14 @@ impl sim_core::Snapshot for Stager {
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
-        use util::json::field;
         let data = image.expect(STAGING_KIND, STAGING_VERSION)?;
         let m = |e| SnapshotError::malformed(STAGING_KIND, e);
-        self.stack = field(data, "stack").map_err(m)?;
-        self.link_ssd = field(data, "link_ssd").map_err(m)?;
-        self.link_accel = field(data, "link_accel").map_err(m)?;
-        self.path = field(data, "path").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        self.stack = f.get("stack").map_err(m)?;
+        self.link_ssd = f.get("link_ssd").map_err(m)?;
+        self.link_accel = f.get("link_accel").map_err(m)?;
+        self.path = f.get("path").map_err(m)?;
+        f.finish().map_err(m)?;
         // `probe` is a runtime attachment, deliberately left untouched.
         Ok(())
     }

@@ -37,40 +37,11 @@ pub enum ReadPlan {
     },
 }
 
-impl util::json::ToJson for ReadPlan {
-    fn to_json(&self) -> util::json::Json {
-        use util::json::Json;
-        let (tag, ba) = match *self {
-            ReadPlan::RdbHit { ba } => ("RdbHit", ba),
-            ReadPlan::RabHit { ba } => ("RabHit", ba),
-            ReadPlan::Full { ba } => ("Full", ba),
-        };
-        Json::Obj(vec![(
-            tag.to_string(),
-            Json::Obj(vec![("ba".to_string(), ba.to_json())]),
-        )])
-    }
-}
-
-impl util::json::FromJson for ReadPlan {
-    fn from_json(v: &util::json::Json) -> Result<Self, util::json::JsonError> {
-        use util::json::{field, Json, JsonError};
-        let pairs = match v {
-            Json::Obj(pairs) if pairs.len() == 1 => pairs,
-            _ => return Err(JsonError::new("expected single-key ReadPlan object")),
-        };
-        let (tag, body) = &pairs[0];
-        let ba = field(body, "ba")?;
-        match tag.as_str() {
-            "RdbHit" => Ok(ReadPlan::RdbHit { ba }),
-            "RabHit" => Ok(ReadPlan::RabHit { ba }),
-            "Full" => Ok(ReadPlan::Full { ba }),
-            other => Err(JsonError::new(format!(
-                "unknown ReadPlan variant {other:?}"
-            ))),
-        }
-    }
-}
+util::json_enum!(ReadPlan {
+    RdbHit { ba },
+    RabHit { ba },
+    Full { ba },
+});
 
 impl ReadPlan {
     /// The buffer the plan uses.

@@ -1023,32 +1023,33 @@ impl sim_core::Snapshot for PramController {
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
-        use util::json::field;
         let data = image.expect(CTRL_KIND, CTRL_VERSION)?;
         let m = |e| SnapshotError::malformed(CTRL_KIND, e);
-        let cfg: SubsystemConfig = field(data, "cfg").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        let cfg: SubsystemConfig = f.get("cfg").map_err(m)?;
         if cfg != self.cfg {
             return Err(SnapshotError::shape(
                 CTRL_KIND,
                 "image was recorded under a different subsystem configuration",
             ));
         }
-        let channels: Vec<PramChannel> = field(data, "channels").map_err(m)?;
+        let channels: Vec<PramChannel> = f.get("channels").map_err(m)?;
         if channels.len() != self.channels.len() {
             return Err(SnapshotError::shape(CTRL_KIND, "channel count differs"));
         }
-        let announced = field(data, "announced").map_err(m)?;
-        let last_touch = field(data, "last_touch").map_err(m)?;
-        let faults: Option<FaultState> = field(data, "faults").map_err(m)?;
+        let announced = f.get("announced").map_err(m)?;
+        let last_touch = f.get("last_touch").map_err(m)?;
+        let faults: Option<FaultState> = f.get("faults").map_err(m)?;
         self.channels = channels;
-        self.channel_serial = field(data, "channel_serial").map_err(m)?;
-        self.program_buffer_free = field(data, "program_buffer_free").map_err(m)?;
+        self.channel_serial = f.get("channel_serial").map_err(m)?;
+        self.program_buffer_free = f.get("program_buffer_free").map_err(m)?;
         self.announced = announced;
         self.last_touch = last_touch;
-        self.wear = field(data, "wear").map_err(m)?;
+        self.wear = f.get("wear").map_err(m)?;
         self.faults = faults.map(Box::new);
-        self.stats = field(data, "stats").map_err(m)?;
-        self.ctrl_energy = field(data, "ctrl_energy").map_err(m)?;
+        self.stats = f.get("stats").map_err(m)?;
+        self.ctrl_energy = f.get("ctrl_energy").map_err(m)?;
+        f.finish().map_err(m)?;
         // `probe` is a runtime attachment, deliberately left untouched.
         Ok(())
     }

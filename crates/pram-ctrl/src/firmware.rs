@@ -142,15 +142,16 @@ impl sim_core::Snapshot for FirmwareController {
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
-        use util::json::field;
         let data = image.expect(FW_KIND, FW_VERSION)?;
         let m = |e| SnapshotError::malformed(FW_KIND, e);
-        let inner_img: StateImage = field(data, "inner").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        let inner_img: StateImage = f.get("inner").map_err(m)?;
         self.inner.restore(&inner_img)?;
-        self.params = field(data, "params").map_err(m)?;
-        self.cores = field(data, "cores").map_err(m)?;
-        self.energy = field(data, "energy").map_err(m)?;
-        self.requests = field(data, "requests").map_err(m)?;
+        self.params = f.get("params").map_err(m)?;
+        self.cores = f.get("cores").map_err(m)?;
+        self.energy = f.get("energy").map_err(m)?;
+        self.requests = f.get("requests").map_err(m)?;
+        f.finish().map_err(m)?;
         Ok(())
     }
 }

@@ -29,7 +29,7 @@ pub enum SchedulerKind {
     Final,
 }
 
-util::json_unit_enum!(SchedulerKind {
+util::json_enum!(SchedulerKind {
     BareMetal,
     Interleaving,
     SelectiveErasing,

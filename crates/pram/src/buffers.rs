@@ -14,7 +14,7 @@
 use crate::cell::WORD_BYTES;
 use crate::geometry::{RowId, UpperRow};
 use std::fmt;
-use util::json::{field, Json, JsonError, ToJson};
+use util::json::{deny_unknown_keys, field, Json, JsonError, ToJson};
 
 /// A buffer address: selects one RAB/RDB pair (2-bit BA signal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,7 +29,7 @@ pub enum BufferId {
     B3,
 }
 
-util::json_unit_enum!(BufferId { B0, B1, B2, B3 });
+util::json_enum!(BufferId { B0, B1, B2, B3 });
 
 impl BufferId {
     /// All buffer ids in order.
@@ -240,6 +240,7 @@ impl RowBufferSet {
         v: &Json,
         bytes: impl Fn(RowId) -> Option<[u8; WORD_BYTES]>,
     ) -> Result<Self, JsonError> {
+        deny_unknown_keys(v, &["buffers"]).map_err(|e| e.context("RowBufferSet"))?;
         let images: Vec<RowBufferImage> =
             field(v, "buffers").map_err(|e| e.context("RowBufferSet"))?;
         if !(1..=MAX_BUFFERS).contains(&images.len()) {

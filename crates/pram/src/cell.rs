@@ -19,7 +19,7 @@
 
 use crate::geometry::{PartitionId, PramGeometry, RowId};
 use util::fxhash::FxHashMap;
-use util::json::{field, FromJson, Json, JsonError, ToJson};
+use util::json::{Fields, FromJson, Json, JsonError, ToJson};
 use util::pow2;
 
 /// Size of one program unit (row word) in bytes.
@@ -67,7 +67,7 @@ pub enum ProgramKind {
     NoopErase,
 }
 
-util::json_unit_enum!(ProgramKind {
+util::json_enum!(ProgramKind {
     SetOnly,
     Overwrite,
     SelectiveErase,
@@ -141,11 +141,10 @@ impl ToJson for CellArray {
 
 impl FromJson for CellArray {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        fn get<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
-            field(v, name).map_err(|e| e.context("CellArray"))
-        }
-        let mut cells = CellArray::new(get(v, "geometry")?);
-        let rows: Vec<(RowId, Word)> = get(v, "rows")?;
+        let ctx = |e: JsonError| e.context("CellArray");
+        let mut f = Fields::new(v);
+        let mut cells = CellArray::new(f.get("geometry").map_err(ctx)?);
+        let rows: Vec<(RowId, Word)> = f.get("rows").map_err(ctx)?;
         for (row, word) in rows {
             if !cells.contains(row) {
                 return Err(JsonError::new(format!(
@@ -155,10 +154,11 @@ impl FromJson for CellArray {
             *cells.slot_mut(row) = Some(word);
         }
         cells.words = cells.groups.values().flatten().flatten().count();
-        cells.programs = get(v, "programs")?;
-        cells.overwrites = get(v, "overwrites")?;
-        cells.selective_erases = get(v, "selective_erases")?;
-        cells.erases = get(v, "erases")?;
+        cells.programs = f.get("programs").map_err(ctx)?;
+        cells.overwrites = f.get("overwrites").map_err(ctx)?;
+        cells.selective_erases = f.get("selective_erases").map_err(ctx)?;
+        cells.erases = f.get("erases").map_err(ctx)?;
+        f.finish().map_err(ctx)?;
         Ok(cells)
     }
 }

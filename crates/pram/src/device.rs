@@ -21,7 +21,7 @@ use sim_core::energy::{EnergyAccount, EnergyBook, Joules};
 use sim_core::time::Picos;
 use sim_core::timeline::TimelineBank;
 use sim_core::SimRng;
-use util::json::{field, FromJson, Json, JsonError, ToJson};
+use util::json::{Fields, FromJson, Json, JsonError, ToJson};
 
 /// Per-event energy constants for the PRAM array, chosen so that the
 /// write:read energy asymmetry of phase-change cells is preserved
@@ -226,29 +226,30 @@ impl ToJson for PramModule {
 
 impl FromJson for PramModule {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        fn get<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
-            field(v, name).map_err(|e| e.context("PramModule"))
-        }
-        let cells: CellArray = get(v, "cells")?;
-        let buffers =
-            RowBufferSet::from_json_with(v.get("buffers").unwrap_or(&Json::Null), |row| {
-                cells.contains(row).then(|| cells.read(row))
-            })
-            .map_err(|e| e.context("buffers").context("PramModule"))?;
-        Ok(PramModule {
-            timing: get(v, "timing")?,
-            geometry: get(v, "geometry")?,
+        let ctx = |e: JsonError| e.context("PramModule");
+        let mut f = Fields::new(v);
+        let cells: CellArray = f.get("cells").map_err(ctx)?;
+        let buffers: Json = f.get("buffers").map_err(ctx)?;
+        let buffers = RowBufferSet::from_json_with(&buffers, |row| {
+            cells.contains(row).then(|| cells.read(row))
+        })
+        .map_err(|e| ctx(e.context("buffers")))?;
+        let module = PramModule {
+            timing: f.get("timing").map_err(ctx)?,
+            geometry: f.get("geometry").map_err(ctx)?,
             cells,
             buffers,
-            overlay: get(v, "overlay")?,
-            partitions: get(v, "partitions")?,
-            rng: get(v, "rng")?,
-            energy: get(v, "energy")?,
-            stats: get(v, "stats")?,
-            program_done_at: get(v, "program_done_at")?,
-            write_pausing: get(v, "write_pausing")?,
-            program_windows: get(v, "program_windows")?,
-        })
+            overlay: f.get("overlay").map_err(ctx)?,
+            partitions: f.get("partitions").map_err(ctx)?,
+            rng: f.get("rng").map_err(ctx)?,
+            energy: f.get("energy").map_err(ctx)?,
+            stats: f.get("stats").map_err(ctx)?,
+            program_done_at: f.get("program_done_at").map_err(ctx)?,
+            write_pausing: f.get("write_pausing").map_err(ctx)?,
+            program_windows: f.get("program_windows").map_err(ctx)?,
+        };
+        f.finish().map_err(ctx)?;
+        Ok(module)
     }
 }
 

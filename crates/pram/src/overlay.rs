@@ -47,7 +47,7 @@ pub enum OverlayCommand {
     Erase = 0x20,
 }
 
-util::json_unit_enum!(OverlayCommand {
+util::json_enum!(OverlayCommand {
     BufferedProgram,
     Erase
 });
@@ -62,7 +62,7 @@ pub enum OverlayStatus {
     Busy,
 }
 
-util::json_unit_enum!(OverlayStatus { Ready, Busy });
+util::json_enum!(OverlayStatus { Ready, Busy });
 
 /// The overlay-window state machine of one PRAM module.
 ///

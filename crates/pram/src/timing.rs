@@ -28,7 +28,7 @@ pub enum BurstLen {
     Bl16,
 }
 
-util::json_unit_enum!(BurstLen { Bl4, Bl8, Bl16 });
+util::json_enum!(BurstLen { Bl4, Bl8, Bl16 });
 
 impl BurstLen {
     /// Burst duration in interface cycles (Table II maps BLn to n cycles).

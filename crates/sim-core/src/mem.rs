@@ -35,7 +35,7 @@ pub enum FidelityTier {
     Analytic,
 }
 
-util::json_unit_enum!(FidelityTier { Accurate, Analytic });
+util::json_enum!(FidelityTier { Accurate, Analytic });
 
 impl FidelityTier {
     /// Lower-case label for CLI flags and report tables.

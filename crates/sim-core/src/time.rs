@@ -273,7 +273,9 @@ impl util::json::ToJson for Freq {
 
 impl util::json::FromJson for Freq {
     fn from_json(v: &util::json::Json) -> Result<Self, util::json::JsonError> {
-        let hz: u64 = util::json::field(v, "hz").map_err(|e| e.context("Freq"))?;
+        let ctx = |e: util::json::JsonError| e.context("Freq");
+        util::json::deny_unknown_keys(v, &["hz"]).map_err(ctx)?;
+        let hz: u64 = util::json::field(v, "hz").map_err(ctx)?;
         if hz == 0 {
             return Err(util::json::JsonError::new(
                 "Freq: frequency must be non-zero",

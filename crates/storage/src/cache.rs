@@ -18,7 +18,7 @@ use sim_core::probe::{AttrSpan, Cause, Probe};
 use sim_core::snapshot::{Snapshot, SnapshotError, StateImage};
 use sim_core::time::Picos;
 use util::fxhash::FxHashMap;
-use util::json::{field, Json, ToJson};
+use util::json::{Json, ToJson};
 use util::telemetry::{MetricSet, Track};
 
 /// A page-addressed backing store (flash device, PRAM page adapter …).
@@ -250,13 +250,15 @@ impl<P: PageStore> CachedStore<P> {
     fn restore_own(&mut self, image: &StateImage) -> Result<StateImage, SnapshotError> {
         let data = image.expect(CACHE_KIND, CACHE_VERSION)?;
         let m = |e| SnapshotError::malformed(CACHE_KIND, e);
-        let store: StateImage = field(data, "store").map_err(m)?;
-        let resident = field(data, "resident").map_err(m)?;
-        self.dram = field(data, "dram").map_err(m)?;
-        self.capacity_pages = field(data, "capacity_pages").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        let store: StateImage = f.get("store").map_err(m)?;
+        let resident = f.get("resident").map_err(m)?;
+        self.dram = f.get("dram").map_err(m)?;
+        self.capacity_pages = f.get("capacity_pages").map_err(m)?;
         self.resident = resident;
-        self.clock = field(data, "clock").map_err(m)?;
-        self.stats = field(data, "stats").map_err(m)?;
+        self.clock = f.get("clock").map_err(m)?;
+        self.stats = f.get("stats").map_err(m)?;
+        f.finish().map_err(m)?;
         Ok(store)
     }
 }

@@ -138,15 +138,16 @@ impl sim_core::Snapshot for PramSsd {
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
-        use util::json::field;
         let data = image.expect(PRAM_SSD_KIND, PRAM_SSD_VERSION)?;
         let m = |e| SnapshotError::malformed(PRAM_SSD_KIND, e);
-        let written = field(data, "written").map_err(m)?;
-        self.params = field(data, "params").map_err(m)?;
-        self.lanes = field(data, "lanes").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        let written = f.get("written").map_err(m)?;
+        self.params = f.get("params").map_err(m)?;
+        self.lanes = f.get("lanes").map_err(m)?;
         self.written = written;
-        self.energy = field(data, "energy").map_err(m)?;
-        self.requests = field(data, "requests").map_err(m)?;
+        self.energy = f.get("energy").map_err(m)?;
+        self.requests = f.get("requests").map_err(m)?;
+        f.finish().map_err(m)?;
         Ok(())
     }
 }

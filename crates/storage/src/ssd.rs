@@ -207,16 +207,17 @@ impl sim_core::Snapshot for FlashSsd {
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
-        use util::json::field;
         let data = image.expect(SSD_KIND, SSD_VERSION)?;
         let m = |e| SnapshotError::malformed(SSD_KIND, e);
-        let cache_img: StateImage = field(data, "cache").map_err(m)?;
+        let mut f = util::json::Fields::new(data);
+        let cache_img: StateImage = f.get("cache").map_err(m)?;
         sim_core::Snapshot::restore(&mut self.cache, &cache_img)?;
-        self.params = field(data, "params").map_err(m)?;
-        self.contexts = field(data, "contexts").map_err(m)?;
-        self.ctrl_energy = field(data, "ctrl_energy").map_err(m)?;
-        self.requests = field(data, "requests").map_err(m)?;
-        self.faults = field(data, "faults").map_err(m)?;
+        self.params = f.get("params").map_err(m)?;
+        self.contexts = f.get("contexts").map_err(m)?;
+        self.ctrl_energy = f.get("ctrl_energy").map_err(m)?;
+        self.requests = f.get("requests").map_err(m)?;
+        self.faults = f.get("faults").map_err(m)?;
+        f.finish().map_err(m)?;
         // `probe` is a runtime attachment, deliberately left untouched.
         Ok(())
     }

@@ -4,10 +4,10 @@
 //! The workspace serializes experiment reports and configurations to
 //! JSON; this module provides everything needed without external
 //! crates. Types opt in by implementing [`ToJson`]/[`FromJson`], most
-//! conveniently through [`crate::json_struct!`],
-//! [`crate::json_unit_enum!`] or [`crate::json_newtype!`]; enums with
-//! data-carrying variants write short manual impls using the same
-//! externally-tagged layout serde used (`{"Variant": {..fields..}}`).
+//! conveniently through [`crate::json_struct!`], [`crate::json_enum!`]
+//! or [`crate::json_newtype!`], which write serde's layouts (enums
+//! externally tagged: `"Unit"`, `{"Variant": {..fields..}}`). Decoders
+//! reject keys they do not know.
 //!
 //! # Examples
 //!
@@ -523,6 +523,102 @@ pub fn field<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
     T::from_json(item).map_err(|e| e.context(name))
 }
 
+/// Looks up an optional `name` in an object and converts it, reading a
+/// missing key (or a non-object) as `T::default()`.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if the field does not convert.
+pub fn opt_field<T: FromJson + Default>(v: &Json, name: &str) -> Result<T, JsonError> {
+    v.get(name).map_or_else(
+        || Ok(T::default()),
+        |item| T::from_json(item).map_err(|e| e.context(name)),
+    )
+}
+
+/// Whether `v` equals its type's default: the test that leaves an
+/// optional [`crate::json_struct!`] field out of the output.
+pub fn is_default<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
+}
+
+/// Rejects an object carrying a key outside `known`, naming the key and
+/// the known keys. Every decoder that reads an object calls this with
+/// the keys it reads, so a misspelled key is an error rather than a
+/// silently absent field.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if `v` is not an object or has an unknown
+/// key.
+pub fn deny_unknown_keys(v: &Json, known: &[&str]) -> Result<(), JsonError> {
+    let Json::Obj(pairs) = v else {
+        return mismatch("object", v);
+    };
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(JsonError::new(format!(
+            "unknown key {k:?}; expected one of {}",
+            known.join(", ")
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Reads an object's fields by name, then rejects any key it did not
+/// read: [`deny_unknown_keys`] for a layout written by hand, without a
+/// second list of its keys.
+pub struct Fields<'j> {
+    v: &'j Json,
+    read: Vec<&'static str>,
+}
+
+impl<'j> Fields<'j> {
+    /// Starts reading `v`.
+    pub fn new(v: &'j Json) -> Self {
+        Fields {
+            v,
+            read: Vec::new(),
+        }
+    }
+
+    /// Reads `name` like [`field`].
+    ///
+    /// # Errors
+    ///
+    /// As [`field`].
+    pub fn get<T: FromJson>(&mut self, name: &'static str) -> Result<T, JsonError> {
+        self.read.push(name);
+        field(self.v, name)
+    }
+
+    /// Checks that every key of the object was read.
+    ///
+    /// # Errors
+    ///
+    /// As [`deny_unknown_keys`] with the keys read so far.
+    pub fn finish(&self) -> Result<(), JsonError> {
+        deny_unknown_keys(self.v, &self.read)
+    }
+}
+
+/// Splits an externally tagged [`crate::json_enum!`] value into its tag
+/// and its body: `"Tag"` has none, `{"Tag": body}` has one.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] if `v` is neither a string nor a one-key
+/// object.
+pub fn variant<'j>(ty: &str, v: &'j Json) -> Result<(&'j str, Option<&'j Json>), JsonError> {
+    match v {
+        Json::Str(tag) => Ok((tag, None)),
+        Json::Obj(pairs) if pairs.len() == 1 => Ok((&pairs[0].0, Some(&pairs[0].1))),
+        _ => Err(JsonError::new(format!(
+            "expected {ty} variant (string or one-key object), got {}",
+            v.kind()
+        ))),
+    }
+}
+
 fn mismatch<T>(expected: &str, got: &Json) -> Result<T, JsonError> {
     Err(JsonError::new(format!(
         "expected {expected}, got {}",
@@ -829,17 +925,39 @@ where
 /// Implements [`ToJson`]/[`FromJson`] for a struct with named fields,
 /// serializing as an object keyed by field name. Invoke in the module
 /// that defines the struct so private fields are reachable.
+///
+/// * `field as "key"` serializes `field` under `key` (serde's
+///   `rename`).
+/// * Fields after a `;` are optional (serde's `default` plus
+///   `skip_serializing_if`): each is written only while it differs from
+///   its type's `Default`, and reads back as that default when absent.
+/// * Decoding rejects any key the struct does not name (serde's
+///   `deny_unknown_fields`); the error names the type, the key and the
+///   known keys.
 #[macro_export]
 macro_rules! json_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident {
+        $($field:ident $(as $key:literal)?),+ $(,)?
+        $(; $($opt:ident $(as $okey:literal)?),+ $(,)?)?
+    }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
+                #[allow(unused_mut)]
+                let mut pairs = vec![
                     $((
-                        stringify!($field).to_string(),
+                        $crate::json_struct!(@key $field $($key)?).to_string(),
                         $crate::json::ToJson::to_json(&self.$field),
                     )),+
-                ])
+                ];
+                $($(
+                    if !$crate::json::is_default(&self.$opt) {
+                        pairs.push((
+                            $crate::json_struct!(@key $opt $($okey)?).to_string(),
+                            $crate::json::ToJson::to_json(&self.$opt),
+                        ));
+                    }
+                )+)?
+                $crate::json::Json::Obj(pairs)
             }
         }
 
@@ -847,28 +965,46 @@ macro_rules! json_struct {
             fn from_json(
                 v: &$crate::json::Json,
             ) -> Result<Self, $crate::json::JsonError> {
+                let ctx = |e: $crate::json::JsonError| e.context(stringify!($ty));
+                $crate::json::deny_unknown_keys(v, &[
+                    $($crate::json_struct!(@key $field $($key)?),)+
+                    $($($crate::json_struct!(@key $opt $($okey)?),)+)?
+                ])
+                .map_err(ctx)?;
                 Ok($ty {
-                    $($field: $crate::json::field(v, stringify!($field))
-                        .map_err(|e| e.context(stringify!($ty)))?,)+
+                    $($field: $crate::json::field(v, $crate::json_struct!(@key $field $($key)?))
+                        .map_err(ctx)?,)+
+                    $($($opt: $crate::json::opt_field(v, $crate::json_struct!(@key $opt $($okey)?))
+                        .map_err(ctx)?,)+)?
                 })
             }
         }
     };
+    (@key $field:ident) => {
+        stringify!($field)
+    };
+    (@key $field:ident $key:literal) => {
+        $key
+    };
 }
 
-/// Implements [`ToJson`]/[`FromJson`] for an enum of unit variants,
-/// serializing each variant as its name string (serde's layout).
+/// Implements [`ToJson`]/[`FromJson`] for an enum in serde's externally
+/// tagged layout: a unit variant is its name string, a struct variant
+/// `V { a, b }` is `{"V": {"a": .., "b": ..}}`, and a one-field tuple
+/// variant `V(x)` is `{"V": x}` (`x` names the field for the generated
+/// match). Decoding rejects unknown variants and unknown body keys.
 #[macro_export]
-macro_rules! json_unit_enum {
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
+macro_rules! json_enum {
+    ($ty:ident {
+        $($variant:ident $({ $($field:ident),+ $(,)? })? $(($inner:ident))?),+ $(,)?
+    }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Str(
-                    match self {
-                        $($ty::$variant => stringify!($variant),)+
-                    }
-                    .to_string(),
-                )
+                match self {
+                    $($ty::$variant $({ $($field),+ })? $(($inner))? => {
+                        $crate::json_enum!(@to $variant $({ $($field),+ })? $(($inner))?)
+                    })+
+                }
             }
         }
 
@@ -876,21 +1012,70 @@ macro_rules! json_unit_enum {
             fn from_json(
                 v: &$crate::json::Json,
             ) -> Result<Self, $crate::json::JsonError> {
-                match v.as_str() {
-                    $(Some(stringify!($variant)) => Ok($ty::$variant),)+
-                    Some(other) => Err($crate::json::JsonError::new(format!(
+                let (tag, body) = $crate::json::variant(stringify!($ty), v)?;
+                match tag {
+                    $(stringify!($variant) => {
+                        $crate::json_enum!(@from $ty $variant $({ $($field),+ })? $(($inner))?; body)
+                    })+
+                    other => Err($crate::json::JsonError::new(format!(
                         "unknown {} variant {:?}",
                         stringify!($ty),
                         other
                     ))),
-                    None => Err($crate::json::JsonError::new(format!(
-                        "expected {} variant string, got {}",
-                        stringify!($ty),
-                        v.kind()
-                    ))),
                 }
             }
         }
+    };
+    (@to $variant:ident) => {
+        $crate::json::Json::Str(stringify!($variant).to_string())
+    };
+    (@to $variant:ident { $($field:ident),+ }) => {
+        $crate::json::Json::Obj(vec![(
+            stringify!($variant).to_string(),
+            $crate::json::Json::Obj(vec![
+                $((stringify!($field).to_string(), $crate::json::ToJson::to_json($field))),+
+            ]),
+        )])
+    };
+    (@to $variant:ident ($inner:ident)) => {
+        $crate::json::Json::Obj(vec![(
+            stringify!($variant).to_string(),
+            $crate::json::ToJson::to_json($inner),
+        )])
+    };
+    (@from $ty:ident $variant:ident; $body:ident) => {
+        match $body {
+            None => Ok($ty::$variant),
+            Some(_) => Err($crate::json::JsonError::new(format!(
+                "{} variant {:?} takes no body",
+                stringify!($ty),
+                stringify!($variant)
+            ))),
+        }
+    };
+    (@from $ty:ident $variant:ident { $($field:ident),+ }; $body:ident) => {{
+        let ctx = |e: $crate::json::JsonError| e.context(stringify!($variant));
+        let body = $crate::json_enum!(@body $ty $variant $body)?;
+        $crate::json::deny_unknown_keys(body, &[$(stringify!($field)),+]).map_err(ctx)?;
+        Ok($ty::$variant {
+            $($field: $crate::json::field(body, stringify!($field)).map_err(ctx)?),+
+        })
+    }};
+    (@from $ty:ident $variant:ident ($inner:ident); $body:ident) => {{
+        let body = $crate::json_enum!(@body $ty $variant $body)?;
+        Ok($ty::$variant(
+            $crate::json::FromJson::from_json(body)
+                .map_err(|e| e.context(stringify!($variant)))?,
+        ))
+    }};
+    (@body $ty:ident $variant:ident $body:ident) => {
+        $body.ok_or_else(|| {
+            $crate::json::JsonError::new(format!(
+                "{} variant {:?} needs a body",
+                stringify!($ty),
+                stringify!($variant)
+            ))
+        })
     };
 }
 
@@ -1033,10 +1218,81 @@ mod tests {
             Alpha,
             Beta,
         }
-        crate::json_unit_enum!(E { Alpha, Beta });
+        crate::json_enum!(E { Alpha, Beta });
         assert_eq!(E::Alpha.to_json_string(), "\"Alpha\"");
         assert_eq!(E::from_json_str("\"Beta\"").unwrap(), E::Beta);
         assert!(E::from_json_str("\"Gamma\"").is_err());
+    }
+
+    #[test]
+    fn struct_macro_renames_omits_defaults_and_denies_unknown_keys() {
+        #[derive(Debug, PartialEq)]
+        struct S {
+            a: u32,
+            b: Option<u32>,
+            on: bool,
+        }
+        crate::json_struct!(S { a as "alpha"; b, on });
+        let off = S {
+            a: 1,
+            b: None,
+            on: false,
+        };
+        let full = S {
+            a: 1,
+            b: Some(2),
+            on: true,
+        };
+        assert_eq!(off.to_json_string(), r#"{"alpha":1}"#);
+        assert_eq!(full.to_json_string(), r#"{"alpha":1,"b":2,"on":true}"#);
+        for s in [&off, &full] {
+            assert_eq!(&S::from_json_str(&s.to_json_string()).unwrap(), s);
+        }
+        let err = S::from_json_str(r#"{"alpha":1,"bb":2}"#).unwrap_err();
+        assert_eq!(
+            err.msg,
+            r#"S: unknown key "bb"; expected one of alpha, b, on"#
+        );
+        assert!(
+            S::from_json_str(r#"{"a":1}"#).is_err(),
+            "the old name is unknown"
+        );
+        assert!(S::from_json_str(r#"{"alpha":1,"on":null}"#).is_err());
+        assert!(S::from_json_str("[]").is_err());
+    }
+
+    #[test]
+    fn enum_macro_writes_serde_layout_and_denies_unknowns() {
+        #[derive(Debug, PartialEq)]
+        enum E {
+            Unit,
+            Pair { x: u32, y: Option<u32> },
+            Wrap(bool),
+        }
+        crate::json_enum!(E { Unit, Pair { x, y }, Wrap(inner) });
+        let cases = [
+            (E::Unit, r#""Unit""#),
+            (E::Pair { x: 1, y: None }, r#"{"Pair":{"x":1,"y":null}}"#),
+            (E::Wrap(true), r#"{"Wrap":true}"#),
+        ];
+        for (e, text) in cases {
+            assert_eq!(e.to_json_string(), text);
+            assert_eq!(E::from_json_str(text).unwrap(), e);
+        }
+        for bad in [
+            r#""Triple""#,
+            r#"{"Triple":1}"#,
+            r#"{"Unit":{}}"#,
+            r#""Pair""#,
+            r#"{"Pair":{"x":1,"z":2}}"#,
+            r#"{"Wrap":1}"#,
+            r#"{"Pair":{"x":1},"Wrap":true}"#,
+            "7",
+        ] {
+            assert!(E::from_json_str(bad).is_err(), "{bad} should fail");
+        }
+        let err = E::from_json_str(r#"{"Pair":{"x":1,"z":2}}"#).unwrap_err();
+        assert_eq!(err.msg, r#"Pair: unknown key "z"; expected one of x, y"#);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`json`] — a JSON value type, writer, parser and the
 //!   [`ToJson`](json::ToJson)/[`FromJson`](json::FromJson) traits with
-//!   the [`json_struct!`], [`json_unit_enum!`] and [`json_newtype!`]
+//!   the [`json_struct!`], [`json_enum!`] and [`json_newtype!`]
 //!   derive macros (replaces `serde`/`serde_json`);
 //! * [`rng`] — a seeded SplitMix64/xoshiro256++ generator (replaces
 //!   `rand`);

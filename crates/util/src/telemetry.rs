@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{Fields, FromJson, Json, JsonError, ToJson};
 
 /// A named horizontal lane in the exported trace — e.g. PRAM partition
 /// 3 of channel 0, PE 7, or the staging datapath.
@@ -265,6 +265,8 @@ impl FromJson for LatencyHistogram {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         // p50/p90/p99 are derived values: ignored on parse, re-derived
         // on serialize, so round trips stay byte-stable.
+        crate::json::deny_unknown_keys(v, &["count", "buckets", "p50_ns", "p90_ns", "p99_ns"])
+            .map_err(|e| e.context("LatencyHistogram"))?;
         let mut h = LatencyHistogram::new();
         h.count = crate::json::field(v, "count")?;
         let buckets = v
@@ -1211,82 +1213,76 @@ impl ToJson for AttrSummary {
 
 impl FromJson for AttrSummary {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let scope_of = |o: &Json| -> Result<AttrScope, JsonError> {
-            let key = o
-                .get("scope")
-                .and_then(Json::as_str)
-                .ok_or_else(|| JsonError::new("missing scope key"))?;
-            AttrScope::from_key(key).ok_or_else(|| JsonError::new(format!("unknown scope `{key}`")))
+        /// Decodes each element of the array `name` with `row`,
+        /// rejecting any key the row does not read.
+        fn rows<T>(
+            f: &mut Fields,
+            name: &'static str,
+            row: impl Fn(&mut Fields) -> Result<T, JsonError>,
+        ) -> Result<Vec<T>, JsonError> {
+            let items: Vec<Json> = f.get(name)?;
+            items
+                .iter()
+                .map(|o| {
+                    let mut r = Fields::new(o);
+                    let out = row(&mut r)?;
+                    r.finish().map(|()| out)
+                })
+                .collect()
+        }
+        let scope = |r: &mut Fields| -> Result<AttrScope, JsonError> {
+            let key: String = r.get("scope")?;
+            AttrScope::from_key(&key)
+                .ok_or_else(|| JsonError::new(format!("unknown scope `{key}`")))
         };
-        let causes_of = |o: &Json| -> Result<[u64; NUM_CAUSES], JsonError> {
-            causes_from_json(
-                o.get("causes")
-                    .ok_or_else(|| JsonError::new("missing causes"))?,
-            )
-        };
-        let scopes = v
-            .get("scopes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| JsonError::new("attribution missing scopes"))?
-            .iter()
-            .map(|o| {
-                Ok(ScopeSummary {
-                    scope: scope_of(o)?,
-                    records: crate::json::field(o, "records")?,
-                    wall_ps: crate::json::field(o, "wall_ps")?,
-                    causes: causes_of(o)?,
-                })
+        let causes = |r: &mut Fields| causes_from_json(&r.get::<Json>("causes")?);
+        let mut f = Fields::new(v);
+        let scopes = rows(&mut f, "scopes", |r| {
+            Ok(ScopeSummary {
+                scope: scope(r)?,
+                records: r.get("records")?,
+                wall_ps: r.get("wall_ps")?,
+                causes: causes(r)?,
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let top = v
-            .get("top")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| JsonError::new("attribution missing top"))?
-            .iter()
-            .map(|o| {
-                Ok(TopRequest {
-                    scope: scope_of(o)?,
-                    index: crate::json::field(o, "index")?,
-                    source: crate::json::field(o, "source")?,
-                    start_ps: crate::json::field(o, "start_ps")?,
-                    dur_ps: crate::json::field(o, "dur_ps")?,
-                    causes: causes_of(o)?,
-                    tenant: match o.get("tenant") {
-                        Some(t) => Some(u32::from_json(t)?),
-                        None => None,
-                    },
-                })
+        })?;
+        let top = rows(&mut f, "top", |r| {
+            Ok(TopRequest {
+                scope: scope(r)?,
+                index: r.get("index")?,
+                source: r.get("source")?,
+                start_ps: r.get("start_ps")?,
+                dur_ps: r.get("dur_ps")?,
+                causes: causes(r)?,
+                tenant: r.get("tenant")?,
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let windows = v
-            .get("windows")
-            .ok_or_else(|| JsonError::new("attribution missing windows"))?;
-        let buckets = windows
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| JsonError::new("windows missing buckets"))?
-            .iter()
-            .map(|o| {
-                Ok(WindowRow {
-                    index: crate::json::field(o, "index")?,
-                    count: crate::json::field(o, "count")?,
-                    wall_ps: crate::json::field(o, "wall_ps")?,
-                    causes: causes_of(o)?,
-                })
+        })?;
+        let windows: Json = f.get("windows")?;
+        let mut w = Fields::new(&windows);
+        let buckets = rows(&mut w, "buckets", |r| {
+            Ok(WindowRow {
+                index: r.get("index")?,
+                count: r.get("count")?,
+                wall_ps: r.get("wall_ps")?,
+                causes: causes(r)?,
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(AttrSummary {
-            records: crate::json::field(v, "records")?,
-            violations: crate::json::field(v, "violations")?,
-            wall_ps: crate::json::field(v, "wall_ps")?,
-            attributed_ps: crate::json::field(v, "attributed_ps")?,
+        })?;
+        let summary = AttrSummary {
+            records: f.get("records")?,
+            violations: f.get("violations")?,
+            wall_ps: f.get("wall_ps")?,
+            attributed_ps: f.get("attributed_ps")?,
             scopes,
             top,
             windows: WindowSummary {
-                width_ps: crate::json::field(windows, "width_ps")?,
+                width_ps: w.get("width_ps")?,
                 buckets,
             },
-        })
+        };
+        // The total `causes` is derived: read only to mark the key known.
+        causes(&mut f)?;
+        w.finish()?;
+        f.finish()?;
+        Ok(summary)
     }
 }
 

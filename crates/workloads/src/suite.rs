@@ -36,7 +36,7 @@ pub enum Kernel {
     Trmm,
 }
 
-util::json_unit_enum!(Kernel {
+util::json_enum!(Kernel {
     Adi,
     Chol,
     Doitg,

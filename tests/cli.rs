@@ -79,40 +79,117 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
     };
     let w = Workload::of(Kernel::Gemver, Scale(0.1));
     let mut rec = replay::record_run(&systems, &[w], &params, 1000).unwrap();
+    let mut stray = rec.clone();
     rec.cells[0].workload.n = 1_000_000_000_000_000;
     assert!(matches!(
         replay::verify(&rec),
         Err(ReplayError::Workload(_))
     ));
     dir.write("huge-n.json", &rec.to_json_string());
+    // The same recording with one key no build writes in the
+    // request-zero checkpoint's controller image.
+    let backend = &mut stray.cells[0].checkpoints[0].backend;
+    assert_eq!(backend.kind, "pram-ctrl/controller");
+    let Json::Obj(pairs) = &mut backend.data else {
+        panic!("controller images are objects")
+    };
+    pairs.push(("stray_key".into(), Json::Null));
+    dir.write("stray-key.json", &stray.to_json_string());
+    // The committed inputs CI runs, each with one key misspelled.
+    let plan = include_str!("../examples/chaos-plan.json");
+    let tlc = include_str!("../examples/tlc-p2p.json");
+    dir.write("plan.json", plan);
+    dir.write("tlc.json", tlc);
+    dir.write(
+        "bad-plan.json",
+        &plan.replacen("\"drift_rate\"", "\"drift_rat\"", 1),
+    );
+    dir.write(
+        "bad-tlc.json",
+        &tlc.replacen("\"scheduler\"", "\"schedulr\"", 1),
+    );
+    let fleet = FleetSpec::example().to_json_pretty();
+    dir.write(
+        "bad-fleet.json",
+        &fleet.replacen("\"tenants\"", "\"tennants\"", 1),
+    );
 
-    for line in [
-        &["--scale", "inf"][..],
-        &["--scale", "1e300"],
-        &["--scale", "nan"],
-        &["serve", "--fleet", "huge-fleet.json", "--requests", "10"],
-        &["serve", "--fleet", "slots-fleet.json", "--requests", "10"],
-        &[
-            "serve",
-            "--fleet",
-            "fleet.json",
-            "--requests",
-            "0",
-            "--duration",
-            "18446744074",
-        ],
-        &["replay", "huge-n.json"],
-        &["replay", "huge-n.json", "--window", "0..10"],
-        &["record", "--json", "out.json"],
-        &["--checkpoint-every", "5"],
-        &["replay"],
-        &["serve"],
-        &["serve", "--fleet", "fleet.json", "--threads", "0"],
+    // Each row: a command line and a phrase its error line must carry.
+    for (line, needle) in [
+        (&["--scale", "inf"][..], ""),
+        (&["--scale", "1e300"], ""),
+        (&["--scale", "nan"], ""),
+        (
+            &["serve", "--fleet", "huge-fleet.json", "--requests", "10"],
+            "",
+        ),
+        (
+            &["serve", "--fleet", "slots-fleet.json", "--requests", "10"],
+            "invalid fleet spec: accelerators x slots_per_accel",
+        ),
+        (
+            &[
+                "serve",
+                "--fleet",
+                "fleet.json",
+                "--requests",
+                "0",
+                "--duration",
+                "18446744074",
+            ],
+            "invalid fleet spec: duration_ms",
+        ),
+        (&["replay", "huge-n.json"], ""),
+        (&["replay", "huge-n.json", "--window", "0..10"], ""),
+        (&["replay", "stray-key.json"], "stray_key"),
+        (&["record", "--json", "out.json"], ""),
+        (&["--checkpoint-every", "5"], ""),
+        (&["replay"], ""),
+        (&["serve"], ""),
+        (&["serve", "--fleet", "fleet.json", "--threads", "0"], ""),
+        // The analytic tier refuses these inside the sweep's cells.
+        (
+            &[
+                "--system",
+                "dram-less",
+                "--kernel",
+                "gemver",
+                "--tier",
+                "analytic",
+                "--faults",
+                "plan.json",
+            ],
+            "invalid system spec",
+        ),
+        (
+            &[
+                "--spec", "tlc.json", "--kernel", "trisolv", "--tier", "analytic",
+            ],
+            "invalid system spec",
+        ),
+        // A misspelled key in any input file names the key.
+        (
+            &["--spec", "bad-tlc.json", "--kernel", "trisolv"],
+            "schedulr",
+        ),
+        (
+            &["--system", "dram-less", "--faults", "bad-plan.json"],
+            "drift_rat",
+        ),
+        (
+            &["serve", "--fleet", "bad-fleet.json", "--requests", "10"],
+            "tennants",
+        ),
     ] {
         let out = dir.sim(line);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{line:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{line:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{line:?}: {stderr}");
+        assert!(
+            stderr.contains(needle),
+            "{line:?} must name {needle:?}: {stderr}"
+        );
     }
 }
 

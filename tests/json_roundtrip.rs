@@ -3,12 +3,19 @@
 //!
 //! These pin the serialization format the CI bench artifacts and
 //! `dramless-sim --json` rely on: serialize → parse → compare must be
-//! the identity for every type a report contains.
+//! the identity for every type a report contains. The input files
+//! (specs, fault plans, fleets, recordings) are strict: a mutated key,
+//! tag or truncated text is an error, never a panic or a silent default.
 
+use dramless::replay::{self, Recording};
 use dramless::report::Breakdown;
-use dramless::{SystemKind, SystemParams};
+use dramless::traffic::ArrivalProcess;
+use dramless::{Control, FleetSpec, SystemId, SystemKind, SystemParams, SystemSpec};
+use pram_ctrl::{FirmwareParams, SchedulerKind};
+use sim_core::fault::FaultPlan;
 use sim_core::Picos;
-use util::json::{FromJson, Json, ToJson};
+use util::json::{FromJson, Json, JsonError, ToJson};
+use util::rng::Rng64;
 use workloads::{Kernel, Scale, Workload};
 
 fn round_trip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(v: &T) {
@@ -121,4 +128,200 @@ fn sim_rng_pinned_first_draws() {
     for w in first.windows(2) {
         assert_ne!(w[0], w[1]);
     }
+}
+
+#[test]
+fn committed_ci_inputs_decode_strictly() {
+    let plan = FaultPlan::from_json_str(include_str!("../examples/chaos-plan.json"))
+        .expect("CI's fault plan matches FaultPlan's fields");
+    assert!(!plan.pram.is_inert(), "CI's chaos plan must inject faults");
+    let spec = SystemSpec::from_json_str(include_str!("../examples/tlc-p2p.json"))
+        .expect("the README's spec matches SystemSpec's fields");
+    assert_eq!(spec.display_name(), "tlc-p2p");
+}
+
+/// One input file: its compact JSON and the strict decoder that reads it.
+struct Input {
+    label: String,
+    text: String,
+    decode: fn(&str) -> Result<(), JsonError>,
+}
+
+fn decode_as<T: FromJson>(text: &str) -> Result<(), JsonError> {
+    T::from_json_str(text).map(drop)
+}
+
+fn input<T: ToJson + FromJson>(label: &str, v: &T) -> Input {
+    Input {
+        label: label.to_string(),
+        text: v.to_json_string(),
+        decode: decode_as::<T>,
+    }
+}
+
+/// Every input family: the presets plus a firmware spec with both
+/// optional knobs on, the example fleet on all three arrival families,
+/// a seeded fault plan and a small recording.
+fn inputs() -> Vec<Input> {
+    let mut all: Vec<Input> = SystemKind::EVALUATED
+        .into_iter()
+        .chain([SystemKind::Ideal])
+        .map(|k| input(k.label(), &k.spec()))
+        .collect();
+    let firmware = SystemSpec {
+        control: Control::Firmware {
+            scheduler: SchedulerKind::Interleaving,
+            params: FirmwareParams::default(),
+        },
+        telemetry: Some(Default::default()),
+        faults: Some(FaultPlan::seeded(3)),
+        ..SystemKind::DramLess.spec()
+    };
+    all.push(input("firmware spec", &firmware));
+    for arrivals in [
+        ArrivalProcess::Poisson { rate_per_s: 500.0 },
+        FleetSpec::example().arrivals,
+        ArrivalProcess::Diurnal {
+            mean_per_s: 500.0,
+            swing: 0.5,
+            period_ms: 100.0,
+        },
+    ] {
+        let fleet = FleetSpec {
+            arrivals,
+            ..FleetSpec::example()
+        };
+        all.push(input(&format!("{} fleet", arrivals.label()), &fleet));
+    }
+    all.push(input("fault plan", &FaultPlan::seeded(7)));
+    let systems = [(
+        SystemId::Preset(SystemKind::DramLess),
+        SystemKind::DramLess.spec(),
+    )];
+    let params = SystemParams {
+        agents: 2,
+        ..SystemParams::default()
+    };
+    let w = Workload::of(Kernel::Trisolv, Scale::small());
+    let rec: Recording = replay::record_run(&systems, &[w], &params, 1 << 40).unwrap();
+    all.push(input("recording", &rec));
+    all
+}
+
+/// Whether `s` reads like a variant tag (`"Tlc"`, `"HardwareAutomated"`).
+fn is_tag(s: &str) -> bool {
+    s.starts_with(|c: char| c.is_ascii_uppercase()) && s.chars().all(|c| c.is_ascii_alphanumeric())
+}
+
+/// Child-index paths to every non-empty object the typed decoders read,
+/// and to
+/// every variant tag (a tag string, or a one-key object keyed by one).
+/// State-image payloads (`data`) are skipped: they are checked when a
+/// replay restores them, not when the recording decodes. `name` and
+/// `system` hold free-form names, so their strings are not tags.
+fn walk(
+    v: &Json,
+    path: &mut Vec<usize>,
+    objects: &mut Vec<Vec<usize>>,
+    tags: &mut Vec<Vec<usize>>,
+) {
+    match v {
+        Json::Obj(pairs) => {
+            if !pairs.is_empty() {
+                objects.push(path.clone());
+            }
+            if let [(k, _)] = &pairs[..] {
+                if is_tag(k) {
+                    tags.push(path.clone());
+                }
+            }
+            for (i, (k, child)) in pairs.iter().enumerate() {
+                let named = matches!(k.as_str(), "name" | "system");
+                if k == "data" || (named && matches!(child, Json::Str(_))) {
+                    continue;
+                }
+                path.push(i);
+                walk(child, path, objects, tags);
+                path.pop();
+            }
+        }
+        Json::Arr(items) => {
+            for (i, child) in items.iter().enumerate() {
+                path.push(i);
+                walk(child, path, objects, tags);
+                path.pop();
+            }
+        }
+        Json::Str(s) if is_tag(s) => tags.push(path.clone()),
+        _ => {}
+    }
+}
+
+fn at<'j>(v: &'j mut Json, path: &[usize]) -> &'j mut Json {
+    match (v, path) {
+        (v, []) => v,
+        (Json::Obj(pairs), [i, rest @ ..]) => at(&mut pairs[*i].1, rest),
+        (Json::Arr(items), [i, rest @ ..]) => at(&mut items[*i], rest),
+        _ => unreachable!("paths come from walk"),
+    }
+}
+
+fn pick<'a, T>(rng: &mut Rng64, items: &'a [T]) -> &'a T {
+    &items[rng.range_usize(0, items.len() - 1)]
+}
+
+/// Applies one mutation: an unknown key at some object, a renamed key,
+/// an unknown variant tag, or truncated text.
+fn mutate(rng: &mut Rng64, text: &str) -> (String, String) {
+    let mut v = Json::parse(text).unwrap();
+    let (mut objects, mut tags) = (Vec::new(), Vec::new());
+    walk(&v, &mut Vec::new(), &mut objects, &mut tags);
+    let what = match rng.range_u64(0, 3) {
+        0 => {
+            let Json::Obj(pairs) = at(&mut v, pick::<Vec<usize>>(rng, &objects)) else {
+                unreachable!()
+            };
+            pairs.push(("stray_key".to_string(), Json::Null));
+            "added stray_key".to_string()
+        }
+        1 => {
+            let Json::Obj(pairs) = at(&mut v, pick::<Vec<usize>>(rng, &objects)) else {
+                unreachable!()
+            };
+            let i = rng.range_usize(0, pairs.len() - 1);
+            pairs[i].0.push('x');
+            format!("renamed {}", pairs[i].0)
+        }
+        2 if !tags.is_empty() => match at(&mut v, pick::<Vec<usize>>(rng, &tags)) {
+            Json::Str(s) => format!("retagged {}", std::mem::replace(s, "Bogus".into())),
+            Json::Obj(pairs) => format!(
+                "retagged {}",
+                std::mem::replace(&mut pairs[0].0, "Bogus".into())
+            ),
+            _ => unreachable!(),
+        },
+        _ => {
+            let cut = rng.range_usize(0, text.len() - 1);
+            let cut = (0..=cut).rev().find(|&c| text.is_char_boundary(c)).unwrap();
+            return (text[..cut].to_string(), format!("truncated to {cut} bytes"));
+        }
+    };
+    (v.render(false), what)
+}
+
+#[test]
+fn mutated_inputs_are_errors_not_panics_or_defaults() {
+    let inputs = inputs();
+    for i in &inputs {
+        (i.decode)(&i.text).unwrap_or_else(|e| panic!("{}: pristine input fails: {e}", i.label));
+    }
+    util::for_each_case!(256, |rng| {
+        let i = pick(&mut rng, &inputs);
+        let (text, what) = mutate(&mut rng, &i.text);
+        assert!(
+            (i.decode)(&text).is_err(),
+            "{}: {what} still decodes",
+            i.label
+        );
+    });
 }

@@ -8,6 +8,7 @@ use dramless::{
     TelemetrySpec,
 };
 use pram_ctrl::SchedulerKind;
+use util::fingerprint::fnv1a;
 use util::json::{FromJson, ToJson};
 use workloads::{Kernel, Scale, Workload};
 
@@ -237,16 +238,6 @@ fn fault_free_presets_serialize_without_fault_keys() {
             "{kind}: fault-free report grew a degraded key"
         );
     }
-}
-
-/// FNV-1a over a report's pretty-printed JSON.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]
