@@ -179,7 +179,10 @@ pub struct Accelerator {
 }
 
 /// Replay cursor of one agent: where it is in its step and event
-/// streams.
+/// streams. `event` counts the stored event words consumed plus one per
+/// single-hit-run op, whose word the schedule does not store — the index
+/// a schedule that stored every op's words would give, so cursor images
+/// keep one layout.
 #[derive(Debug, Clone)]
 struct SchedRun {
     step: usize,
@@ -229,14 +232,19 @@ pub struct ScheduleCursor {
     stall_n: u64,
     stream_fp: Fnv64,
     // Transient scheduling state and fast-path caches. Deliberately
-    // excluded from snapshots (restore rebuilds the order; the memos
-    // depend only on the configuration): they only skip re-deriving
+    // excluded from snapshots (restore rebuilds the order, `bind` the
+    // lanes' positions; the priced classes and the memo depend only on
+    // the schedule and the configuration): they only skip re-deriving
     // bit-identical values, never change them.
     /// The non-parked agents sorted by `(time, index)`: the head runs
     /// next, the runner-up bounds its slice.
     order: Vec<usize>,
-    memo_compute: EnergyMemo<(Picos, Joules, f64)>,
-    memo_stall: EnergyMemo<(Joules, f64)>,
+    /// Per agent: its priced classes and its stored-event position.
+    lanes: Vec<Lane>,
+    /// Whether every lane's `stored` matches its agent's `event` —
+    /// false from `restore` until [`ScheduleCursor::bind`].
+    bound: bool,
+    memo_stall: StallMemo,
     buf: Vec<StreamOp>,
     /// `pe.mem_op` samples of the current call, filled only while the
     /// probe is live and drained into it before `advance_slice`
@@ -244,34 +252,96 @@ pub struct ScheduleCursor {
     mem_op: LatencyHistogram,
 }
 
-/// Slots of an [`EnergyMemo`] (a power of two).
-const MEMO_SLOTS: usize = 64;
-
-/// A direct-mapped memo of the per-step energy floats, keyed by a
-/// compute block's cycle count or a memory op's stall duration. Kernel
-/// loops repeat a handful of block sizes and hit patterns, and
-/// `Watts * Picos` plus `Joules::as_j` each round through f64 —
-/// memoizing on the key reproduces the identical per-step values while
-/// skipping the conversions for repeats. Every slot starts out holding
-/// key 0's true value, so a lookup never needs a valid bit.
-#[derive(Debug, Clone)]
-struct EnergyMemo<V> {
-    slots: Box<[(u64, V); MEMO_SLOTS]>,
+/// One distinct step of an agent's schedule, priced once per cursor with
+/// the same conversions a per-step pricing would make, so every charged
+/// and sampled value keeps its bits.
+#[derive(Debug, Clone, Copy)]
+enum Priced {
+    /// A compute block: its issue cycles, instructions, duration and
+    /// energy (as charged and as sampled).
+    Compute {
+        cycles: u64,
+        instrs: u64,
+        dt: Picos,
+        e: Joules,
+        e_j: f64,
+    },
+    /// A memory op served by one hit run: its service time and stall
+    /// energy.
+    HitRun {
+        store: bool,
+        dt: Picos,
+        e: Joules,
+        e_j: f64,
+    },
+    /// A memory op that issues backend requests: its stored event words.
+    Mem { store: bool, events: usize },
 }
 
-impl<V: Copy> EnergyMemo<V> {
-    fn new(derive: impl Fn(u64) -> V) -> Self {
-        EnergyMemo {
-            slots: Box::new([(0, derive(0)); MEMO_SLOTS]),
+/// Prices one step class on `pe`.
+fn price(pe: &PeConfig, step: ReplayStep) -> Priced {
+    match step {
+        ReplayStep::Compute { cycles, instrs } => {
+            let (dt, e, e_j) = compute_energy(pe, cycles);
+            Priced::Compute {
+                cycles,
+                instrs,
+                dt,
+                e,
+                e_j,
+            }
+        }
+        ReplayStep::HitRun { store, l1, l2 } => {
+            // Hit service times are exact linear functions of the hit
+            // count (`Picos * u64` is integer-exact).
+            let dt = pe.clock.cycles_to_time(pe.l1_hit_cycles) * l1
+                + pe.clock.cycles_to_time(pe.l2_hit_cycles) * l2;
+            let (e, e_j) = stall_energy(pe, dt.as_ps());
+            Priced::HitRun { store, dt, e, e_j }
+        }
+        ReplayStep::Mem { store, events } => Priced::Mem {
+            store,
+            events: events as usize,
+        },
+    }
+}
+
+/// One agent's transient replay state.
+#[derive(Debug, Clone)]
+struct Lane {
+    /// The agent's step classes, priced (indexed by class id).
+    classes: Vec<Priced>,
+    /// Position in the agent's stored event words.
+    stored: usize,
+}
+
+/// Slots of a [`StallMemo`] (a power of two).
+const MEMO_SLOTS: usize = 64;
+
+/// A direct-mapped memo of the stall energy of request-issuing memory
+/// ops, keyed by stall duration. `Watts * Picos` plus `Joules::as_j`
+/// each round through f64 — memoizing on the key reproduces the
+/// identical per-op values while skipping the conversions for repeats.
+/// Every slot starts out holding key 0's true value, so a lookup never
+/// needs a valid bit.
+#[derive(Debug, Clone)]
+struct StallMemo {
+    slots: Box<[(u64, (Joules, f64)); MEMO_SLOTS]>,
+}
+
+impl StallMemo {
+    fn new(pe: &PeConfig) -> Self {
+        StallMemo {
+            slots: Box::new([(0, stall_energy(pe, 0)); MEMO_SLOTS]),
         }
     }
 
     #[inline]
-    fn get(&mut self, key: u64, derive: impl Fn(u64) -> V) -> V {
+    fn get(&mut self, ps: u64, pe: &PeConfig) -> (Joules, f64) {
         let slot = &mut self.slots
-            [(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.ilog2())) as usize];
-        if slot.0 != key {
-            *slot = (key, derive(key));
+            [(ps.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.ilog2())) as usize];
+        if slot.0 != ps {
+            *slot = (ps, stall_energy(pe, ps));
         }
         slot.1
     }
@@ -334,6 +404,77 @@ impl ScheduleCursor {
     /// Whether every agent has completed (the run can be finished).
     pub fn is_done(&self) -> bool {
         self.parked.iter().all(|&p| p)
+    }
+
+    /// Checks a restored cursor against the schedule it resumes over and
+    /// re-derives what its image leaves out: each agent's position in
+    /// the stored event words. An image's `event` index also counts one
+    /// word per single-hit-run op, which the schedule does not store, so
+    /// it is a function of `step`; an image whose pair the schedule
+    /// cannot produce is refused. [`Accelerator::advance_slice`] binds a
+    /// restored cursor itself and panics on a mismatch, so a caller
+    /// resuming from an untrusted image binds first.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::ShapeMismatch`] naming the agent and the field
+    /// when an agent's `step` lies past its schedule or its `event`
+    /// disagrees with the steps before it, or when the cursor was opened
+    /// on a schedule of another shape.
+    pub fn bind(&mut self, sched: &MemSchedule) -> Result<(), SnapshotError> {
+        if sched.agents.len() != self.agents.len() {
+            return Err(SnapshotError::shape(
+                CURSOR_KIND,
+                "cursor and schedule disagree on the agent count",
+            ));
+        }
+        for (i, ((a, lane), sa)) in self
+            .agents
+            .iter()
+            .zip(&mut self.lanes)
+            .zip(&sched.agents)
+            .enumerate()
+        {
+            if lane.classes.len() != sa.class_count() {
+                return Err(SnapshotError::shape(
+                    CURSOR_KIND,
+                    format!("agent {i}: cursor was opened on another schedule"),
+                ));
+            }
+            if a.step > sa.step_count() {
+                return Err(SnapshotError::shape(
+                    CURSOR_KIND,
+                    format!(
+                        "agent {i}: `step` {} lies past the schedule's {} steps",
+                        a.step,
+                        sa.step_count()
+                    ),
+                ));
+            }
+            let (mut event, mut stored) = (0, 0);
+            for step in 0..a.step {
+                match lane.classes[sa.class_id(step)] {
+                    Priced::Compute { .. } => {}
+                    Priced::HitRun { .. } => event += 1,
+                    Priced::Mem { events, .. } => {
+                        event += events;
+                        stored += events;
+                    }
+                }
+            }
+            if a.event != event {
+                return Err(SnapshotError::shape(
+                    CURSOR_KIND,
+                    format!(
+                        "agent {i}: `event` {} but its first {} steps give {event}",
+                        a.event, a.step
+                    ),
+                ));
+            }
+            lane.stored = stored;
+        }
+        self.bound = true;
+        Ok(())
     }
 }
 
@@ -408,6 +549,7 @@ impl sim_core::Snapshot for ScheduleCursor {
             ));
         }
         self.order = ranked(&self.times, &self.parked);
+        self.bound = false;
         self.buf.clear();
         Ok(())
     }
@@ -534,7 +676,17 @@ impl Accelerator {
         let times: Vec<Picos> = agents.iter().map(|a| a.time).collect();
         let parked = vec![false; agents.len()];
         let order = ranked(&times, &parked);
-        let pe = cfg.pe;
+        // Each distinct step is priced once here, not on every step.
+        let lanes = sched
+            .agents
+            .iter()
+            .map(|sa| Lane {
+                classes: (0..sa.class_count())
+                    .map(|c| price(&cfg.pe, sa.class(c)))
+                    .collect(),
+                stored: 0,
+            })
+            .collect();
         ScheduleCursor {
             start,
             agents,
@@ -557,8 +709,9 @@ impl Accelerator {
             stall_n: 0,
             stream_fp: Fnv64::new(),
             order,
-            memo_compute: EnergyMemo::new(|cycles| compute_energy(&pe, cycles)),
-            memo_stall: EnergyMemo::new(|ps| stall_energy(&pe, ps)),
+            lanes,
+            bound: true,
+            memo_stall: StallMemo::new(&cfg.pe),
             // Reused request slice handed to the backend per memory op.
             buf: Vec::with_capacity(16),
             mem_op: LatencyHistogram::new(),
@@ -580,12 +733,22 @@ impl Accelerator {
     /// Call boundaries are the only legal snapshot points: between two
     /// calls the cursor holds no borrowed or half-applied state, and
     /// the call's `pe.mem_op` samples are already in the probe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a restored cursor does not fit `sched` (see
+    /// [`ScheduleCursor::bind`]).
     pub fn advance_slice(
         &self,
         cur: &mut ScheduleCursor,
         sched: &MemSchedule,
         backend: &mut dyn MemoryBackend,
     ) -> bool {
+        if !cur.bound {
+            if let Err(e) = cur.bind(sched) {
+                panic!("cannot resume the restored cursor: {e}");
+            }
+        }
         let cfg = &self.config;
         let l2_line = cfg.l2.line;
         // Hit service times are exact linear functions of the hit count
@@ -610,6 +773,7 @@ impl Accelerator {
                 None => u64::MAX,
             };
             let sa = &sched.agents[idx];
+            let lane = &mut cur.lanes[idx];
             let a = &mut cur.agents[idx];
             loop {
                 if a.step == sa.step_count() {
@@ -668,10 +832,14 @@ impl Accelerator {
                     cur.psc.sleep(a.time, idx + 1);
                     break;
                 }
-                let mem_op = match sa.step(a.step) {
-                    ReplayStep::Compute { cycles, instrs } => {
-                        let (dt, e, e_j) =
-                            cur.memo_compute.get(cycles, |c| compute_energy(&cfg.pe, c));
+                let mem_op = match lane.classes[sa.class_id(a.step)] {
+                    Priced::Compute {
+                        cycles,
+                        instrs,
+                        dt,
+                        e,
+                        e_j,
+                    } => {
                         cur.compute_e += e;
                         cur.compute_n += 1;
                         cur.power_series.add(a.time - start, e_j);
@@ -688,26 +856,24 @@ impl Accelerator {
                         a.time += dt;
                         None
                     }
-                    ReplayStep::HitRun { store, l1, l2 } => {
+                    Priced::HitRun { store, dt, e, e_j } => {
                         // Fast path: most memory ops are a single hit
                         // run — pure cache service time, no backend
-                        // traffic, no batch to assemble, and the step
-                        // word carries the run, so the op's one event
-                        // word is skipped unread.
+                        // traffic, no batch to assemble, priced with its
+                        // class. Its event word is counted, not stored.
                         let t0 = a.time;
                         a.event += 1;
-                        a.time += l1_hit * l1 + l2_hit * l2;
-                        Some((store, t0))
+                        a.time += dt;
+                        Some((store, t0, e, e_j))
                     }
-                    ReplayStep::Mem { store, events } => {
+                    Priced::Mem { store, events } => {
                         let t0 = a.time;
                         // Fold hit runs into the next request's advance;
                         // trailing hits land after the batch returns.
                         let mut pending = Picos::ZERO;
                         cur.buf.clear();
-                        let end = a.event + events as usize;
-                        while a.event < end {
-                            match sa.event(a.event) {
+                        for ei in lane.stored..lane.stored + events {
+                            match sa.event(ei) {
                                 ReplayEvent::Hits { l1, l2 } => {
                                     pending += l1_hit * l1 + l2_hit * l2;
                                 }
@@ -732,8 +898,9 @@ impl Accelerator {
                                     cur.mem_requests += 1;
                                 }
                             }
-                            a.event += 1;
                         }
+                        lane.stored += events;
+                        a.event += events;
                         if !cur.buf.is_empty() {
                             self.probe
                                 .attr_tag(AttrScope::Exec, cur.mem_requests - cur.buf.len() as u64);
@@ -751,14 +918,12 @@ impl Accelerator {
                             cur.stream_fp.mix_u64(a.time.as_ps());
                         }
                         a.time += pending;
-                        Some((store, t0))
+                        let (e, e_j) = cur.memo_stall.get((a.time - t0).as_ps(), &cfg.pe);
+                        Some((store, t0, e, e_j))
                     }
                 };
-                if let Some((store, t0)) = mem_op {
+                if let Some((store, t0, e, e_j)) = mem_op {
                     let dt = a.time - t0;
-                    let (e, e_j) = cur
-                        .memo_stall
-                        .get(dt.as_ps(), |ps| stall_energy(&cfg.pe, ps));
                     cur.stall_e += e;
                     cur.stall_n += 1;
                     cur.power_series.add(t0 - start, e_j);
@@ -1569,16 +1734,13 @@ mod sched_replay_tests {
         assert_eq!(got.histogram("pe.mem_op"), Some(want));
     }
 
-    #[test]
-    fn cursor_snapshot_resume_is_byte_identical() {
-        // Snapshot cursor + backend mid-run, rebuild both fresh, restore
-        // the images, resume — the report, the backend energy and the
-        // stream fingerprint must all match the straight run exactly.
+    /// Snapshots cursor + backend mid-run, rebuilds both fresh, restores
+    /// the images and resumes: the report, the backend energy and the
+    /// stream fingerprint must all match the straight run exactly.
+    fn assert_resume_is_byte_identical(accel: &Accelerator, traces: &[Trace]) {
         use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
         use sim_core::Snapshot;
-        let accel = Accelerator::new(AccelConfig::default());
-        let traces = stress_traces(2);
-        let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
+        let sched = MemSchedule::build(traces, accel.config().l1, accel.config().l2);
 
         // Straight run (counting its request-issuing slices).
         let mut pram_a = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
@@ -1616,5 +1778,175 @@ mod sched_replay_tests {
             pram_a.energy().to_json().render(false),
             pram_c.energy().to_json().render(false)
         );
+    }
+
+    /// Replays `traces` against the walker on the fixed backend and on
+    /// `PramController` (reports and backend ledgers), then resumes a
+    /// snapshot taken mid-run.
+    fn assert_replays_like_the_walker(traces: &[Trace]) {
+        use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
+        let accel = Accelerator::new(AccelConfig::default());
+        let sched = MemSchedule::build(traces, accel.config().l1, accel.config().l2);
+        let direct = walker::run_at(&accel, Picos::from_us(3), traces, &mut FixedMem);
+        let replay = accel.run_schedule_at(Picos::from_us(3), &sched, &mut FixedMem);
+        assert_eq!(report_json(&direct), report_json(&replay), "fixed");
+
+        let mut pram_a = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+        let direct = walker::run_at(&accel, Picos::ZERO, traces, &mut pram_a);
+        let mut pram_b = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+        let replay = accel.run_schedule_at(Picos::ZERO, &sched, &mut pram_b);
+        assert_eq!(report_json(&direct), report_json(&replay), "pram");
+        assert_eq!(
+            pram_a.energy().to_json().render(false),
+            pram_b.energy().to_json().render(false)
+        );
+        assert_resume_is_byte_identical(&accel, traces);
+    }
+
+    #[test]
+    fn cursor_snapshot_resume_is_byte_identical() {
+        let accel = Accelerator::new(AccelConfig::default());
+        assert_resume_is_byte_identical(&accel, &stress_traces(2));
+    }
+
+    #[test]
+    fn agents_past_256_step_classes_replay_like_the_walker() {
+        // 300 distinct compute-block sizes push agent 0 onto wide class
+        // ids; agent 1 keeps a handful of classes and one byte per step.
+        let mut wide = Trace::new();
+        for k in 0..300u64 {
+            wide.compute(InstrBlock::alu(2 * (k + 1)));
+            wide.load((k % 89) * 48, 8);
+            if k % 7 == 0 {
+                wide.store((k % 41) * 96, 100);
+            }
+        }
+        let mut traces = stress_traces(2);
+        traces[0] = wide;
+        let cfg = AccelConfig::default();
+        let sched = MemSchedule::build(&traces, cfg.l1, cfg.l2);
+        assert!(sched.agents[0].class_count() > 256);
+        assert_eq!(sched.agents[0].bytes_per_step(), 4);
+        assert_eq!(sched.agents[1].bytes_per_step(), 1);
+        assert_replays_like_the_walker(&traces);
+    }
+
+    /// [`FixedMem`] that also logs every request it serves.
+    #[derive(Default)]
+    struct LoggingMem {
+        log: Vec<(u64, bool)>,
+    }
+
+    impl MemoryBackend for LoggingMem {
+        fn read(&mut self, at: Picos, addr: u64, len: u32) -> Access {
+            self.log.push((addr, false));
+            FixedMem.read(at, addr, len)
+        }
+        fn write(&mut self, at: Picos, addr: u64, len: u32) -> Access {
+            self.log.push((addr, true));
+            FixedMem.write(at, addr, len)
+        }
+        fn energy(&self) -> EnergyBook {
+            EnergyBook::new()
+        }
+        fn label(&self) -> &'static str {
+            "logging"
+        }
+    }
+
+    #[test]
+    fn addresses_past_62_bits_replay_like_the_walker() {
+        // Addresses at and above 2^62 do not fit the packed event word;
+        // the replay must still issue them whole, fills and write-backs.
+        let traces: Vec<Trace> = (0..2u64)
+            .map(|a| {
+                let mut t = Trace::new();
+                for i in 0..120u64 {
+                    t.load((a << 24) + (i % 23) * 256, 8);
+                    t.compute(InstrBlock::mac(3, 2));
+                    t.load((1 << 62) | (a << 24) | ((i % 37) * 4096), 8);
+                    if i % 5 == 0 {
+                        t.store((1 << 63) | (a << 24) | ((i % 11) * 8192), 8);
+                    }
+                }
+                t
+            })
+            .collect();
+        let accel = Accelerator::new(AccelConfig::default());
+        let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
+        let (mut walked, mut replayed) = (LoggingMem::default(), LoggingMem::default());
+        let direct = walker::run_at(&accel, Picos::ZERO, &traces, &mut walked);
+        let replay = accel.run_schedule_at(Picos::ZERO, &sched, &mut replayed);
+        assert_eq!(report_json(&direct), report_json(&replay));
+        assert!(walked.log.contains(&((1 << 62) | 4096, false)));
+        assert!(walked.log.contains(&((1 << 63) | 8192, true)));
+        assert_eq!(walked.log, replayed.log);
+
+        // The PRAM controller refuses an address past its capacity; the
+        // replay must hand it the same full address the walker does,
+        // not an in-range alias it would quietly serve.
+        use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
+        let refusal = |run: &dyn Fn(&mut PramController)| {
+            let mut pram = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut pram)))
+                .expect_err("the controller refuses the address");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let walker_refusal = refusal(&|pram| {
+            walker::run_at(&accel, Picos::ZERO, &traces, pram);
+        });
+        let replay_refusal = refusal(&|pram| {
+            accel.run_schedule_at(Picos::ZERO, &sched, pram);
+        });
+        assert!(
+            walker_refusal.contains("beyond module capacity"),
+            "{walker_refusal}"
+        );
+        assert_eq!(walker_refusal, replay_refusal);
+    }
+
+    #[test]
+    fn bind_refuses_images_the_schedule_cannot_produce() {
+        // `event` is a function of `step`; a restored image that breaks
+        // either bound gets a typed error naming the agent and field.
+        use sim_core::Snapshot;
+        use util::json::Json;
+        let accel = Accelerator::new(AccelConfig::default());
+        let traces = stress_traces(2);
+        let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
+        let mut cur = accel.schedule_cursor(Picos::ZERO, &sched, &mut FixedMem);
+        for _ in 0..4 {
+            assert!(accel.advance_slice(&mut cur, &sched, &mut FixedMem));
+        }
+        let image = cur.snapshot();
+        let forge = |field: &str, f: &dyn Fn(u64) -> u64| {
+            let mut img = image.clone();
+            let Json::Obj(pairs) = &mut img.data else {
+                unreachable!()
+            };
+            let (_, Json::Arr(agents)) = pairs.iter_mut().find(|(k, _)| k == "agents").unwrap()
+            else {
+                unreachable!()
+            };
+            let Json::Obj(agent) = &mut agents[1] else {
+                unreachable!()
+            };
+            let (_, v) = agent.iter_mut().find(|(k, _)| k == field).unwrap();
+            *v = f(v.as_u64().unwrap()).to_json();
+            img
+        };
+        for (img, needle) in [
+            (forge("step", &|s| s + 1_000_000), "agent 1: `step`"),
+            (forge("event", &|_| 1_000_000_000), "agent 1: `event`"),
+            (forge("event", &|e| e + 1), "agent 1: `event`"),
+        ] {
+            let mut fresh = accel.schedule_cursor(Picos::ZERO, &sched, &mut FixedMem);
+            fresh.restore(&img).expect("the image decodes");
+            let err = fresh.bind(&sched).expect_err("the schedule refuses it");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        let mut fresh = accel.schedule_cursor(Picos::ZERO, &sched, &mut FixedMem);
+        fresh.restore(&image).unwrap();
+        fresh.bind(&sched).expect("an unforged image binds");
     }
 }

@@ -8,21 +8,29 @@
 //! of `(trace, cache geometry)`. [`MemSchedule::build`] performs the
 //! exact cache walk a per-op trace execution would — including the
 //! end-of-kernel flush — without a clock or a backend, and records the
-//! per-agent counts plus the ordered fill addresses. Unit tests hold it
+//! per-agent counts plus the ordered request stream. Unit tests hold it
 //! to the per-op trace walker kept as a test reference in
 //! `crate::exec`.
 //!
 //! The accurate tier replays this schedule through the real backend
 //! ([`crate::exec::Accelerator::run_schedule_at`]); the analytic tier
-//! ([`dramless::analytic`]) prices it with calibrated closed-form
+//! (`dramless::analytic`) prices it with calibrated closed-form
 //! coefficients instead of simulating every request. Because the
 //! schedule is system-independent, both reuse one schedule across every
 //! system of a sweep row.
 //!
-//! [`dramless::analytic`]: https://docs.rs/dramless
+//! A schedule stores only what the replay reads. Kernel loops repeat a
+//! handful of compute blocks and hit patterns, so each agent keeps a
+//! table of its distinct step words (its *classes*) and one class id per
+//! op — a byte while the agent has at most 256 classes. Event words are
+//! stored only for ops that issue backend requests, plus the completion
+//! flush: an op served by one hit run carries the run in its step word.
+//! The request stream ([`AgentSchedule::ops`]) is read back from the
+//! stored fill and write-back words.
 
 use crate::cache::{Cache, CacheConfig, CacheLevelStats};
 use crate::trace::{Trace, TraceOp};
+use util::fxhash::FxHashMap;
 
 /// One backend request in an agent's issue order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +56,8 @@ pub enum ReplayStep {
         /// Instructions the block retires.
         instrs: u64,
     },
-    /// A memory op (load or store) consuming the next `events` words of
-    /// the agent's event stream.
+    /// A memory op (load or store) consuming the next `events` stored
+    /// words of the agent's event stream.
     Mem {
         /// Whether the op is a store (loads otherwise).
         store: bool,
@@ -57,9 +65,10 @@ pub enum ReplayStep {
         events: u64,
     },
     /// A memory op served by a single run of cache hits, decoded from
-    /// the step word itself. It still owns one event-stream word (the
-    /// same [`ReplayEvent::Hits`]), so the executor steps past it
-    /// without reading it.
+    /// the step word itself. The schedule stores no event word for it,
+    /// but a replay cursor's event index counts one, so the index is the
+    /// same whichever ops store their words and cursor images keep one
+    /// layout.
     HitRun {
         /// Whether the op is a store (loads otherwise).
         store: bool,
@@ -90,7 +99,7 @@ pub enum ReplayEvent {
     Writeback(u64),
 }
 
-// Packed word layout (one `u64` per step / event). Tag in bits[0:2].
+// Packed word layout (one `u64` per step class / event). Tag in bits[0:2].
 const TAG_COMPUTE: u64 = 0; // cycles in bits[2:33], instrs in bits[33:64]
 const TAG_LOAD: u64 = 1; // see MEM_HIT_RUN
 const TAG_STORE: u64 = 2; // see MEM_HIT_RUN
@@ -98,6 +107,7 @@ const TAG_COMPUTE_BIG: u64 = 3; // index into `big` in bits[2:64]
 const TAG_HITS: u64 = 0; // l1 count in bits[2:33], l2 count in bits[33:64]
 const TAG_FILL: u64 = 1; // address in bits[2:64]
 const TAG_WB: u64 = 2; // address in bits[2:64]
+const TAG_FAR: u64 = 3; // write-back flag in bit 2, index into `far` in bits[3:64]
 const HALF_BITS: u64 = 31;
 const HALF_MASK: u64 = (1 << HALF_BITS) - 1;
 // Load/store step flag in bit 2. Set: the op is one hit run, l1 count in
@@ -112,10 +122,56 @@ fn pack2(tag: u64, lo: u64, hi: u64) -> Option<u64> {
     (lo <= HALF_MASK && hi <= HALF_MASK).then_some(tag | (lo << 2) | (hi << (2 + HALF_BITS)))
 }
 
-#[inline]
-fn pack_addr(tag: u64, value: u64) -> u64 {
-    debug_assert!(value < 1 << 62, "replay payload exceeds 62 bits");
-    tag | (value << 2)
+/// An agent's step stream: one class id per op, a byte each while the
+/// agent has at most 256 classes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ClassIds {
+    Narrow(Vec<u8>),
+    Wide(Vec<u32>),
+}
+
+impl Default for ClassIds {
+    fn default() -> Self {
+        ClassIds::Narrow(Vec::new())
+    }
+}
+
+impl ClassIds {
+    fn len(&self) -> usize {
+        match self {
+            ClassIds::Narrow(ids) => ids.len(),
+            ClassIds::Wide(ids) => ids.len(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> usize {
+        match self {
+            ClassIds::Narrow(ids) => ids[i] as usize,
+            ClassIds::Wide(ids) => ids[i] as usize,
+        }
+    }
+
+    fn push(&mut self, id: usize) {
+        match self {
+            ClassIds::Narrow(ids) => match u8::try_from(id) {
+                Ok(id) => ids.push(id),
+                Err(_) => {
+                    let mut wide: Vec<u32> = ids.iter().map(|&id| id.into()).collect();
+                    wide.push(u32::try_from(id).expect("class ids fit 32 bits"));
+                    *self = ClassIds::Wide(wide);
+                }
+            },
+            ClassIds::Wide(ids) => ids.push(u32::try_from(id).expect("class ids fit 32 bits")),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            ClassIds::Narrow(ids) => ids.shrink_to_fit(),
+            ClassIds::Wide(ids) => ids.shrink_to_fit(),
+        }
+    }
 }
 
 /// The backend-facing behaviour of one agent's kernel, exactly as the
@@ -135,27 +191,32 @@ pub struct AgentSchedule {
     /// Fill-path L2 lookups that hit (each costs `l2_hit_cycles`; L2
     /// hits on the L1-victim write-back path are free in the engine).
     pub l2_hits: u64,
-    /// Backend requests with addresses, in issue order — kept so
-    /// buffered backends' page-cache behaviour (hits, misses, dirty
-    /// evictions) can be replayed cheaply.
-    pub ops: Vec<BackendOp>,
     /// Exact L1 counters the accurate engine would report.
     pub l1_stats: CacheLevelStats,
     /// Exact L2 counters the accurate engine would report.
     pub l2_stats: CacheLevelStats,
-    /// Packed replay program: one word per trace op (decode with
-    /// [`AgentSchedule::step`]).
-    steps: Vec<u64>,
-    /// Packed per-op event stream (decode with [`AgentSchedule::event`]);
-    /// each `Mem` step consumes the next `events` words, each `HitRun`
-    /// step one.
+    /// The agent's distinct packed step words, in first-use order
+    /// (decode with [`AgentSchedule::class`]).
+    classes: Vec<u64>,
+    /// The replay program: one class id per trace op.
+    steps: ClassIds,
+    /// Packed event words of the ops that issue backend requests, then
+    /// the completion flush (decode with [`AgentSchedule::event`]); each
+    /// `Mem` step consumes the next `events` words, a `HitRun` step none.
     events: Vec<u64>,
     /// Overflow storage for compute blocks whose cycles/instrs exceed the
     /// packed 31-bit fields.
     big: Vec<(u64, u64)>,
+    /// Overflow storage for request addresses that exceed the packed
+    /// 62-bit field (addresses at or above 2^62).
+    far: Vec<u64>,
     /// Index into `events` where the completion-flush section starts
     /// (fills and write-backs issued after the last trace op).
     flush_start: usize,
+    /// Fill words in `events`, counted as they are stored.
+    fill_requests: u64,
+    /// Write-back words in `events`, counted as they are stored.
+    writeback_requests: u64,
     /// `Trace::store_targets(32)` memoized — the engine's per-run
     /// announce-overwrites payload.
     pub store_targets: Vec<u64>,
@@ -168,9 +229,34 @@ impl AgentSchedule {
     }
 
     /// Decodes replay step `i`.
-    #[inline]
     pub fn step(&self, i: usize) -> ReplayStep {
-        let w = self.steps[i];
+        self.class(self.class_id(i))
+    }
+
+    /// The class id of replay step `i`: an index below
+    /// [`AgentSchedule::class_count`].
+    #[inline]
+    pub(crate) fn class_id(&self, i: usize) -> usize {
+        self.steps.get(i)
+    }
+
+    /// Number of distinct replay steps.
+    pub(crate) fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Bytes each replay step stores: 1 while the agent has at most 256
+    /// classes, 4 otherwise.
+    pub fn bytes_per_step(&self) -> usize {
+        match self.steps {
+            ClassIds::Narrow(_) => 1,
+            ClassIds::Wide(_) => 4,
+        }
+    }
+
+    /// Decodes step class `c`.
+    pub(crate) fn class(&self, c: usize) -> ReplayStep {
+        let w = self.classes[c];
         match w & 3 {
             TAG_COMPUTE => ReplayStep::Compute {
                 cycles: (w >> 2) & HALF_MASK,
@@ -198,10 +284,14 @@ impl AgentSchedule {
         }
     }
 
-    /// Decodes event-stream word `i`.
+    /// Decodes stored event word `i`.
     #[inline]
     pub fn event(&self, i: usize) -> ReplayEvent {
-        let w = self.events[i];
+        self.decode_event(self.events[i])
+    }
+
+    #[inline]
+    fn decode_event(&self, w: u64) -> ReplayEvent {
         match w & 3 {
             TAG_HITS => ReplayEvent::Hits {
                 l1: (w >> 2) & HALF_MASK,
@@ -209,34 +299,92 @@ impl AgentSchedule {
             },
             TAG_FILL => ReplayEvent::Fill(w >> 2),
             TAG_WB => ReplayEvent::Writeback(w >> 2),
-            _ => unreachable!("unused event tag"),
+            _ => {
+                let addr = self.far[(w >> 3) as usize];
+                if w & 4 != 0 {
+                    ReplayEvent::Writeback(addr)
+                } else {
+                    ReplayEvent::Fill(addr)
+                }
+            }
         }
     }
 
-    /// Where the completion-flush section of the event stream begins.
+    /// Where the completion-flush section of the stored event words
+    /// begins.
     pub fn flush_start(&self) -> usize {
         self.flush_start
     }
 
-    /// Total event-stream words (flush section included).
+    /// Stored event words (flush section included).
     pub fn event_count(&self) -> usize {
         self.events.len()
     }
 
+    /// Backend requests with addresses, in issue order — what buffered
+    /// backends' page-cache behaviour (hits, misses, dirty evictions) is
+    /// replayed from.
+    pub fn ops(&self) -> impl Iterator<Item = BackendOp> + '_ {
+        self.events
+            .iter()
+            .filter_map(|&w| match self.decode_event(w) {
+                ReplayEvent::Fill(addr) => Some(BackendOp::Fill(addr)),
+                ReplayEvent::Writeback(addr) => Some(BackendOp::Writeback(addr)),
+                ReplayEvent::Hits { .. } => None,
+            })
+    }
+
+    /// Backend reads (L2 line fills) this agent issues.
+    pub fn fill_count(&self) -> u64 {
+        self.fill_requests
+    }
+
+    /// Backend write-backs this agent posts.
+    pub fn writeback_count(&self) -> u64 {
+        self.writeback_requests
+    }
+
+    /// The fill addresses in issue order.
+    pub fn fills(&self) -> impl Iterator<Item = u64> + '_ {
+        self.ops().filter_map(|op| match op {
+            BackendOp::Fill(addr) => Some(addr),
+            BackendOp::Writeback(_) => None,
+        })
+    }
+}
+
+/// Assembles one [`AgentSchedule`] during the cache walk.
+#[derive(Default)]
+struct AgentBuilder {
+    s: AgentSchedule,
+    /// Step word → class id.
+    class_ids: FxHashMap<u64, usize>,
+}
+
+impl AgentBuilder {
+    fn push_step(&mut self, word: u64) {
+        let next = self.s.classes.len();
+        let id = *self.class_ids.entry(word).or_insert(next);
+        if id == next {
+            self.s.classes.push(word);
+        }
+        self.s.steps.push(id);
+    }
+
     fn push_compute(&mut self, cycles: u64, instrs: u64) {
         let w = pack2(TAG_COMPUTE, cycles, instrs).unwrap_or_else(|| {
-            self.big.push((cycles, instrs));
-            pack_addr(TAG_COMPUTE_BIG, (self.big.len() - 1) as u64)
+            self.s.big.push((cycles, instrs));
+            TAG_COMPUTE_BIG | ((self.s.big.len() - 1) as u64) << 2
         });
-        self.steps.push(w);
+        self.push_step(w);
     }
 
     /// Closes a memory op whose event words start at `first_event`. An
-    /// op that is a single hit run also carries the run in its step
-    /// word (its event word stays, so event indices do not move).
+    /// op that is a single hit run carries the run in its step word and
+    /// drops its event word.
     fn push_mem(&mut self, store: bool, first_event: usize) {
         let tag = if store { TAG_STORE } else { TAG_LOAD };
-        let hit_run = match self.events[first_event..] {
+        let hit_run = match self.s.events[first_event..] {
             [w] if w & 3 == TAG_HITS => {
                 let (l1, l2) = ((w >> 2) & HALF_MASK, w >> (2 + HALF_BITS));
                 (l1 <= RUN_MASK && l2 <= RUN_MASK)
@@ -244,8 +392,14 @@ impl AgentSchedule {
             }
             _ => None,
         };
-        let events = (self.events.len() - first_event) as u64;
-        self.steps.push(hit_run.unwrap_or(tag | events << 3));
+        let w = match hit_run {
+            Some(w) => {
+                self.s.events.truncate(first_event);
+                w
+            }
+            None => tag | ((self.s.events.len() - first_event) as u64) << 3,
+        };
+        self.push_step(w);
     }
 
     fn push_hits(&mut self, l1: u64, l2: u64) {
@@ -259,39 +413,43 @@ impl AgentSchedule {
         while l1 > HALF_MASK || l2 > HALF_MASK {
             let c1 = l1.min(HALF_MASK);
             let c2 = l2.min(HALF_MASK);
-            self.events.push(pack2(TAG_HITS, c1, c2).expect("clamped"));
+            self.s
+                .events
+                .push(pack2(TAG_HITS, c1, c2).expect("clamped"));
             l1 -= c1;
             l2 -= c2;
         }
         if l1 > 0 || l2 > 0 {
-            self.events.push(pack2(TAG_HITS, l1, l2).expect("clamped"));
+            self.s
+                .events
+                .push(pack2(TAG_HITS, l1, l2).expect("clamped"));
         }
     }
-}
 
-impl AgentSchedule {
-    /// Backend reads (L2 line fills) this agent issues.
-    pub fn fill_count(&self) -> u64 {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, BackendOp::Fill(_)))
-            .count() as u64
+    fn push_request(&mut self, op: BackendOp) {
+        let (tag, addr) = match op {
+            BackendOp::Fill(addr) => {
+                self.s.fill_requests += 1;
+                (TAG_FILL, addr)
+            }
+            BackendOp::Writeback(addr) => {
+                self.s.writeback_requests += 1;
+                (TAG_WB, addr)
+            }
+        };
+        let w = if addr < 1 << 62 {
+            tag | addr << 2
+        } else {
+            self.s.far.push(addr);
+            TAG_FAR | u64::from(tag == TAG_WB) << 2 | ((self.s.far.len() - 1) as u64) << 3
+        };
+        self.s.events.push(w);
     }
 
-    /// Backend write-backs this agent posts.
-    pub fn writeback_count(&self) -> u64 {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, BackendOp::Writeback(_)))
-            .count() as u64
-    }
-
-    /// The fill addresses in issue order.
-    pub fn fills(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ops.iter().filter_map(|op| match op {
-            BackendOp::Fill(addr) => Some(*addr),
-            BackendOp::Writeback(_) => None,
-        })
+    fn finish(mut self) -> AgentSchedule {
+        self.s.steps.shrink_to_fit();
+        self.s.events.shrink_to_fit();
+        self.s
     }
 }
 
@@ -354,7 +512,7 @@ impl MemSchedule {
 fn replay_agent(trace: &Trace, l1_cfg: CacheConfig, l2_cfg: CacheConfig) -> AgentSchedule {
     let mut l1 = Cache::new(l1_cfg);
     let mut l2 = Cache::new(l2_cfg);
-    let mut s = AgentSchedule::default();
+    let mut b = AgentBuilder::default();
     let line_bytes = l1_cfg.line as u64;
     // Pending hit run (L1 + fill-path L2 hits) since the last backend
     // event of the current memory op.
@@ -363,93 +521,86 @@ fn replay_agent(trace: &Trace, l1_cfg: CacheConfig, l2_cfg: CacheConfig) -> Agen
     for op in trace.iter() {
         match op {
             TraceOp::Compute(block) => {
-                s.instructions += block.total();
-                s.compute_cycles += block.cycles();
-                s.push_compute(block.cycles(), block.total());
+                b.s.instructions += block.total();
+                b.s.compute_cycles += block.cycles();
+                b.push_compute(block.cycles(), block.total());
             }
             TraceOp::Load { addr, len } | TraceOp::Store { addr, len } => {
                 let is_store = matches!(op, TraceOp::Store { .. });
-                s.instructions += 1;
+                b.s.instructions += 1;
                 if is_store {
-                    s.stores += 1;
+                    b.s.stores += 1;
                 } else {
-                    s.loads += 1;
+                    b.s.loads += 1;
                 }
-                let events_before = s.events.len();
+                let events_before = b.s.events.len();
                 let first = addr / line_bytes;
                 let last = (addr + len.max(1) as u64 - 1) / line_bytes;
                 for line in (first..=last).map(|l| l * line_bytes) {
                     let l1_out = l1.access(line, is_store);
                     if l1_out.hit {
-                        s.l1_hits += 1;
+                        b.s.l1_hits += 1;
                         run_l1 += 1;
                         continue;
                     }
                     if let Some(wb) = l1_out.writeback {
                         let out = l2.access(wb, true);
                         if let Some(fill) = out.fill {
-                            s.push_hits(run_l1, run_l2);
+                            b.push_hits(run_l1, run_l2);
                             (run_l1, run_l2) = (0, 0);
-                            s.ops.push(BackendOp::Fill(fill));
-                            s.events.push(pack_addr(TAG_FILL, fill));
+                            b.push_request(BackendOp::Fill(fill));
                         }
                         if let Some(l2wb) = out.writeback {
-                            s.push_hits(run_l1, run_l2);
+                            b.push_hits(run_l1, run_l2);
                             (run_l1, run_l2) = (0, 0);
-                            s.ops.push(BackendOp::Writeback(l2wb));
-                            s.events.push(pack_addr(TAG_WB, l2wb));
+                            b.push_request(BackendOp::Writeback(l2wb));
                         }
                     }
                     let out = l2.access(line, false);
                     if out.hit {
-                        s.l2_hits += 1;
+                        b.s.l2_hits += 1;
                         run_l2 += 1;
                     } else {
                         if let Some(l2wb) = out.writeback {
-                            s.push_hits(run_l1, run_l2);
+                            b.push_hits(run_l1, run_l2);
                             (run_l1, run_l2) = (0, 0);
-                            s.ops.push(BackendOp::Writeback(l2wb));
-                            s.events.push(pack_addr(TAG_WB, l2wb));
+                            b.push_request(BackendOp::Writeback(l2wb));
                         }
                         let fill = out.fill.expect("miss always fills");
-                        s.push_hits(run_l1, run_l2);
+                        b.push_hits(run_l1, run_l2);
                         (run_l1, run_l2) = (0, 0);
-                        s.ops.push(BackendOp::Fill(fill));
-                        s.events.push(pack_addr(TAG_FILL, fill));
+                        b.push_request(BackendOp::Fill(fill));
                     }
                 }
                 // Trailing hits stay inside this op's event window — an
                 // op boundary is a timing boundary (per-op stall energy,
                 // arbitration bound check).
-                s.push_hits(run_l1, run_l2);
+                b.push_hits(run_l1, run_l2);
                 (run_l1, run_l2) = (0, 0);
-                s.push_mem(is_store, events_before);
+                b.push_mem(is_store, events_before);
             }
         }
     }
     // Completion flush: L1 dirty lines land in L2 (possibly filling or
     // evicting), then L2 dirty lines go to memory. No hit costs here —
     // the engine's flush only issues backend requests.
-    s.flush_start = s.events.len();
+    b.s.flush_start = b.s.events.len();
     for addr in l1.flush() {
         let out = l2.access(addr, true);
         if let Some(fill) = out.fill {
-            s.ops.push(BackendOp::Fill(fill));
-            s.events.push(pack_addr(TAG_FILL, fill));
+            b.push_request(BackendOp::Fill(fill));
         }
         if let Some(l2wb) = out.writeback {
-            s.ops.push(BackendOp::Writeback(l2wb));
-            s.events.push(pack_addr(TAG_WB, l2wb));
+            b.push_request(BackendOp::Writeback(l2wb));
         }
     }
     for addr in l2.flush() {
-        s.ops.push(BackendOp::Writeback(addr));
-        s.events.push(pack_addr(TAG_WB, addr));
+        b.push_request(BackendOp::Writeback(addr));
     }
-    s.l1_stats = *l1.stats();
-    s.l2_stats = *l2.stats();
-    s.store_targets = trace.store_targets(32);
-    s
+    b.s.l1_stats = *l1.stats();
+    b.s.l2_stats = *l2.stats();
+    b.s.store_targets = trace.store_targets(32);
+    b.finish()
 }
 
 #[cfg(test)]
@@ -466,6 +617,16 @@ mod tests {
         reads: Vec<u64>,
         writes: u64,
         ops: Vec<BackendOp>,
+    }
+
+    impl CountingMem {
+        fn new() -> Self {
+            CountingMem {
+                reads: Vec::new(),
+                writes: 0,
+                ops: Vec::new(),
+            }
+        }
     }
 
     impl MemoryBackend for CountingMem {
@@ -510,6 +671,14 @@ mod tests {
             .collect()
     }
 
+    /// The walker's request stream for a single-agent trace.
+    fn walker_ops(trace: &Trace) -> Vec<BackendOp> {
+        let mut mem = CountingMem::new();
+        let accel = Accelerator::new(AccelConfig::default());
+        walker::run_at(&accel, Picos::ZERO, std::slice::from_ref(trace), &mut mem);
+        mem.ops
+    }
+
     #[test]
     fn schedule_matches_engine_counts_exactly() {
         // The schedule must agree with the per-op trace walker on every
@@ -519,11 +688,7 @@ mod tests {
         let traces = mixed_traces(3);
         let sched = MemSchedule::build(&traces, cfg.l1, cfg.l2);
 
-        let mut mem = CountingMem {
-            reads: Vec::new(),
-            writes: 0,
-            ops: Vec::new(),
-        };
+        let mut mem = CountingMem::new();
         let report = walker::run_at(&Accelerator::new(cfg), Picos::ZERO, &traces, &mut mem);
 
         assert_eq!(sched.instructions(), report.instructions);
@@ -543,16 +708,33 @@ mod tests {
             assert_eq!(a.compute_cycles, report.pe_stats[i].compute_cycles);
         }
         // Single-agent run: the walker's full request stream — fills and
-        // write-backs, interleaved with addresses — is the schedule's.
+        // write-backs, interleaved with addresses — is the one `ops()`
+        // reads back from the stored event words.
         let solo = mixed_traces(1);
         let sched1 = MemSchedule::build(&solo, cfg.l1, cfg.l2);
-        let mut mem1 = CountingMem {
-            reads: Vec::new(),
-            writes: 0,
-            ops: Vec::new(),
-        };
-        walker::run_at(&Accelerator::new(cfg), Picos::ZERO, &solo, &mut mem1);
-        assert_eq!(sched1.agents[0].ops, mem1.ops);
+        let ops: Vec<BackendOp> = sched1.agents[0].ops().collect();
+        assert_eq!(ops, walker_ops(&solo[0]));
+    }
+
+    #[test]
+    fn addresses_past_62_bits_keep_every_bit() {
+        // The packed event word holds 62 address bits; longer addresses
+        // take the escape word and must come back whole, for fills and
+        // for write-backs (the dirty line's flush).
+        let mut t = Trace::new();
+        t.load((1 << 62) | 4096, 8);
+        t.store((1 << 63) | 8192, 8);
+        t.load(u64::MAX - 1023, 8);
+        t.load(4096, 8);
+        let cfg = AccelConfig::default();
+        let s = MemSchedule::build(std::slice::from_ref(&t), cfg.l1, cfg.l2);
+        let ops: Vec<BackendOp> = s.agents[0].ops().collect();
+        assert!(ops.contains(&BackendOp::Fill((1 << 62) | 4096)));
+        assert!(ops.contains(&BackendOp::Writeback((1 << 63) | 8192)));
+        assert_eq!(ops, walker_ops(&t));
+        let fills = ops.iter().filter(|op| matches!(op, BackendOp::Fill(_)));
+        assert_eq!(s.fills(), fills.count() as u64);
+        assert_eq!(s.fills() + s.writebacks(), ops.len() as u64);
     }
 
     #[test]
@@ -568,6 +750,7 @@ mod tests {
 
     #[test]
     fn single_hit_run_ops_carry_the_run_in_the_step_word() {
+        use sim_core::Snapshot;
         let mut t = Trace::new();
         t.load(0, 8); // L1 + L2 miss: a fill
         t.store(8, 8); // same L1 line: one L1 hit
@@ -599,12 +782,20 @@ mod tests {
                 events: 3
             }
         ));
-        // The run's event word stays in the stream, so event indices and
-        // cursor images do not depend on the inline copy.
-        let ReplayStep::Mem { events, .. } = a.step(0) else {
-            unreachable!()
-        };
-        assert_eq!(a.event(events as usize), ReplayEvent::Hits { l1: 1, l2: 0 });
+        // Only the two request-issuing ops store event words.
+        assert_eq!(a.flush_start(), 1 + 3);
+        // A replay cursor's event index advances by one over each hit
+        // run all the same, so it reads 1 + 1 + 1 + 3 at the end.
+        let accel = Accelerator::new(AccelConfig::default());
+        let mut mem = CountingMem::new();
+        let mut cur = accel.schedule_cursor(Picos::ZERO, &s, &mut mem);
+        while accel.advance_slice(&mut cur, &s, &mut mem) {}
+        let image = cur.snapshot();
+        let event = image
+            .data
+            .get("agents")
+            .and_then(|agents| agents.as_arr()?.first()?.get("event")?.as_u64());
+        assert_eq!(event, Some(6));
     }
 
     #[test]

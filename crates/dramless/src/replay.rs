@@ -535,6 +535,7 @@ pub fn replay_window(
     let mut cur = accel.schedule_cursor(prep.exec_start, &sched, prep.sys.backend.as_mut());
     prep.sys.backend.restore_state(&ckpt.backend)?;
     cur.restore(&ckpt.exec)?;
+    cur.bind(&sched)?;
     if cur.mem_requests() != ckpt.requests || cur.stream_fingerprint() != ckpt.stream {
         // The cursor image disagrees with its own envelope — a tampered
         // or cross-wired checkpoint.

@@ -95,6 +95,36 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
     };
     pairs.push(("stray_key".into(), Json::Null));
     dir.write("stray-key.json", &stray.to_json_string());
+    // A recording whose checkpoint-1 cursor image decodes but holds a
+    // position agent 0's schedule cannot reach: a `step` past its end,
+    // or an `event` index its steps do not give.
+    let w = Workload::of(Kernel::Trisolv, Scale(0.25));
+    let rec = replay::record_run(&systems, &[w], &SystemParams::default(), 64).unwrap();
+    let ckpt = &rec.cells[0].checkpoints[1];
+    assert_eq!(ckpt.exec.kind, "accel/schedule-cursor");
+    let window = format!("{}..{}", ckpt.requests, ckpt.requests + 36);
+    let step = ckpt
+        .exec
+        .data
+        .get("agents")
+        .and_then(|a| a.as_arr()?[0].get("step")?.as_u64());
+    for (file, field, value) in [
+        ("forged-step.json", "step", step.unwrap() + 1_000_000),
+        ("forged-event.json", "event", 1_000_000_000),
+    ] {
+        let mut forged = rec.clone();
+        let Json::Obj(pairs) = &mut forged.cells[0].checkpoints[1].exec.data else {
+            panic!("cursor images are objects")
+        };
+        let Some((_, Json::Arr(agents))) = pairs.iter_mut().find(|(k, _)| k == "agents") else {
+            panic!("cursor images list their agents")
+        };
+        let Json::Obj(agent) = &mut agents[0] else {
+            panic!("agent entries are objects")
+        };
+        agent.iter_mut().find(|(k, _)| k == field).unwrap().1 = value.to_json();
+        dir.write(file, &forged.to_json_string());
+    }
     // The committed inputs CI runs, each with one key misspelled.
     let plan = include_str!("../examples/chaos-plan.json");
     let tlc = include_str!("../examples/tlc-p2p.json");
@@ -142,6 +172,14 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
         (&["replay", "huge-n.json"], ""),
         (&["replay", "huge-n.json", "--window", "0..10"], ""),
         (&["replay", "stray-key.json"], "stray_key"),
+        (
+            &["replay", "forged-step.json", "--window", window.as_str()],
+            "agent 0: `step`",
+        ),
+        (
+            &["replay", "forged-event.json", "--window", window.as_str()],
+            "agent 0: `event`",
+        ),
         (&["record", "--json", "out.json"], ""),
         (&["--checkpoint-every", "5"], ""),
         (&["replay"], ""),

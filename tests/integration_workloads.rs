@@ -2,7 +2,7 @@
 //! every kernel plus trace/accelerator interoperation.
 
 use accel::exec::{AccelConfig, Accelerator, ExecReport};
-use accel::sched::MemSchedule;
+use accel::sched::{MemSchedule, ReplayEvent, ReplayStep};
 use accel::Trace;
 use sim_core::energy::EnergyBook;
 use sim_core::mem::{Access, MemoryBackend};
@@ -78,6 +78,39 @@ fn every_trace_replays_on_the_accelerator() {
         );
         assert!(report.total_time > Picos::ZERO);
         assert!(report.l1.hits + report.l1.misses > 0);
+    }
+}
+
+#[test]
+fn suite_schedules_store_a_byte_per_step_and_no_hit_run_words() {
+    // The schedule cache's footprint: a paper kernel's agent repeats a
+    // handful of distinct steps, so each step costs one byte, and only
+    // ops that issue a backend request keep event words — an op served
+    // by one hit run carries its run in its step.
+    let accel = Accelerator::new(AccelConfig::default());
+    let cfg = accel.config();
+    for w in Workload::suite(Scale(0.25)) {
+        let built = w.build_cached(accel.agents());
+        let sched = workloads::cache::schedule_for(&built, cfg.l1, cfg.l2);
+        for (i, a) in sched.agents.iter().enumerate() {
+            let at = format!("{} agent {i}", w.kernel);
+            assert_eq!(a.bytes_per_step(), 1, "{at}");
+            let mut stored = 0;
+            for step in 0..a.step_count() {
+                let ReplayStep::Mem { events, .. } = a.step(step) else {
+                    continue;
+                };
+                let words = stored..stored + events as usize;
+                assert!(
+                    words
+                        .clone()
+                        .any(|e| !matches!(a.event(e), ReplayEvent::Hits { .. })),
+                    "{at}: step {step} stores words but issues no request"
+                );
+                stored = words.end;
+            }
+            assert_eq!(stored, a.flush_start(), "{at}");
+        }
     }
 }
 
