@@ -182,7 +182,9 @@ pub struct Accelerator {
 /// streams. `event` counts the stored event words consumed plus one per
 /// single-hit-run op, whose word the schedule does not store — the index
 /// a schedule that stored every op's words would give, so cursor images
-/// keep one layout.
+/// keep one layout. While the cursor runs, `stats` and `event` leave out
+/// the agent's request-free steps: its [`Lane`] tallies those per class,
+/// and [`ScheduleCursor::counters`] folds them back in.
 #[derive(Debug, Clone)]
 struct SchedRun {
     step: usize,
@@ -217,10 +219,9 @@ util::json_struct!(SchedRun {
 pub struct ScheduleCursor {
     start: Picos,
     agents: Vec<SchedRun>,
-    times: Vec<Picos>,
-    parked: Vec<bool>,
     wq: Vec<Picos>,
     psc: PowerSleepController,
+    /// The closed IPC buckets; each lane holds its agent's open one.
     ipc_series: TimeSeries,
     power_series: TimeSeries,
     bytes_from: u64,
@@ -232,14 +233,15 @@ pub struct ScheduleCursor {
     stall_n: u64,
     stream_fp: Fnv64,
     // Transient scheduling state and fast-path caches. Deliberately
-    // excluded from snapshots (restore rebuilds the order, `bind` the
-    // lanes' positions; the priced classes and the memo depend only on
-    // the schedule and the configuration): they only skip re-deriving
-    // bit-identical values, never change them.
-    /// The non-parked agents sorted by `(time, index)`: the head runs
-    /// next, the runner-up bounds its slice.
-    order: Vec<usize>,
-    /// Per agent: its priced classes and its stored-event position.
+    // excluded from snapshots (restore rebuilds the order and closes the
+    // lanes, `bind` re-derives their positions; the priced classes and
+    // the memo depend only on the schedule and the configuration): they
+    // only skip re-deriving bit-identical values, never change them.
+    /// The non-parked agents as `(clock ps, index)` keys in ascending
+    /// order: the head runs next, the runner-up bounds its slice.
+    order: Vec<(u64, usize)>,
+    /// Per agent: its priced classes, free-step tallies, stored-event
+    /// position and open IPC bucket.
     lanes: Vec<Lane>,
     /// Whether every lane's `stored` matches its agent's `event` —
     /// false from `restore` until [`ScheduleCursor::bind`].
@@ -252,27 +254,31 @@ pub struct ScheduleCursor {
     mem_op: LatencyHistogram,
 }
 
+/// What a request-free step is: which counters its tally folds into,
+/// and which span the probe records for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FreeKind {
+    Compute,
+    Load,
+    Store,
+}
+
 /// One distinct step of an agent's schedule, priced once per cursor with
 /// the same conversions a per-step pricing would make, so every charged
 /// and sampled value keeps its bits.
 #[derive(Debug, Clone, Copy)]
 enum Priced {
-    /// A compute block: its issue cycles, instructions, duration and
-    /// energy (as charged and as sampled).
-    Compute {
-        cycles: u64,
+    /// A step that issues no backend request — a compute block, or a
+    /// memory op served by one hit run: its duration, its energy as
+    /// charged and as sampled, the instructions it retires (the block's
+    /// count, or 1) and a block's issue cycles.
+    Free {
+        kind: FreeKind,
+        dt: Picos,
+        e: Joules,
+        e_j: f64,
         instrs: u64,
-        dt: Picos,
-        e: Joules,
-        e_j: f64,
-    },
-    /// A memory op served by one hit run: its service time and stall
-    /// energy.
-    HitRun {
-        store: bool,
-        dt: Picos,
-        e: Joules,
-        e_j: f64,
+        cycles: u64,
     },
     /// A memory op that issues backend requests: its stored event words.
     Mem { store: bool, events: usize },
@@ -283,12 +289,13 @@ fn price(pe: &PeConfig, step: ReplayStep) -> Priced {
     match step {
         ReplayStep::Compute { cycles, instrs } => {
             let (dt, e, e_j) = compute_energy(pe, cycles);
-            Priced::Compute {
-                cycles,
-                instrs,
+            Priced::Free {
+                kind: FreeKind::Compute,
                 dt,
                 e,
                 e_j,
+                instrs,
+                cycles,
             }
         }
         ReplayStep::HitRun { store, l1, l2 } => {
@@ -297,7 +304,18 @@ fn price(pe: &PeConfig, step: ReplayStep) -> Priced {
             let dt = pe.clock.cycles_to_time(pe.l1_hit_cycles) * l1
                 + pe.clock.cycles_to_time(pe.l2_hit_cycles) * l2;
             let (e, e_j) = stall_energy(pe, dt.as_ps());
-            Priced::HitRun { store, dt, e, e_j }
+            Priced::Free {
+                kind: if store {
+                    FreeKind::Store
+                } else {
+                    FreeKind::Load
+                },
+                dt,
+                e,
+                e_j,
+                instrs: 1,
+                cycles: 0,
+            }
         }
         ReplayStep::Mem { store, events } => Priced::Mem {
             store,
@@ -311,8 +329,57 @@ fn price(pe: &PeConfig, step: ReplayStep) -> Priced {
 struct Lane {
     /// The agent's step classes, priced (indexed by class id).
     classes: Vec<Priced>,
+    /// Free steps run per class since the cursor was opened or restored
+    /// (indexed by class id).
+    runs: Vec<u64>,
     /// Position in the agent's stored event words.
     stored: usize,
+    /// Absolute end of the agent's open IPC bucket in picoseconds; 0
+    /// while none is open.
+    ipc_end: u64,
+    /// Instructions sampled into the open bucket.
+    ipc_sum: u64,
+}
+
+impl Lane {
+    fn new(classes: Vec<Priced>) -> Self {
+        Lane {
+            runs: vec![0; classes.len()],
+            classes,
+            stored: 0,
+            ipc_end: 0,
+            ipc_sum: 0,
+        }
+    }
+
+    /// Samples `instrs` retired at `at` into the open IPC bucket, first
+    /// closing it into `series` once `at` has left it. Agent clocks never
+    /// go back, so one bucket per agent is ever open.
+    #[inline]
+    fn sample_ipc(&mut self, at: Picos, instrs: u64, start: Picos, series: &mut TimeSeries) {
+        if at.as_ps() >= self.ipc_end {
+            self.open_ipc(at, start, series);
+        }
+        self.ipc_sum += instrs;
+    }
+
+    /// Closes the open IPC bucket into `series` and opens the one that
+    /// holds `at`.
+    #[cold]
+    fn open_ipc(&mut self, at: Picos, start: Picos, series: &mut TimeSeries) {
+        self.add_open_ipc(series, start);
+        let width = series.bucket_width().as_ps();
+        self.ipc_end = start.as_ps() + ((at - start).as_ps() / width + 1) * width;
+        self.ipc_sum = 0;
+    }
+
+    /// Adds the open IPC bucket, if any, to `series`.
+    fn add_open_ipc(&self, series: &mut TimeSeries, start: Picos) {
+        if self.ipc_end != 0 {
+            let bucket = Picos::from_ps(self.ipc_end) - series.bucket_width() - start;
+            series.add(bucket, self.ipc_sum as f64);
+        }
+    }
 }
 
 /// Slots of a [`StallMemo`] (a power of two).
@@ -347,30 +414,30 @@ impl StallMemo {
     }
 }
 
-/// The non-parked agents of a replay sorted by `(time, index)` — exactly
-/// the order a full rescan with lowest-index tie-breaking would pick
-/// them in.
-fn ranked(times: &[Picos], parked: &[bool]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..times.len()).filter(|&i| !parked[i]).collect();
-    order.sort_by_key(|&i| (times[i], i));
+/// The non-parked agents' `(clock ps, index)` keys in ascending order —
+/// exactly the order a full rescan with lowest-index tie-breaking would
+/// pick them in.
+fn ranked(agents: &[SchedRun]) -> Vec<(u64, usize)> {
+    let mut order: Vec<(u64, usize)> = agents
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| !a.done)
+        .map(|(i, a)| (a.time.as_ps(), i))
+        .collect();
+    order.sort_unstable();
     order
 }
 
-/// Re-files the agent at the head of `order` after its slice: drops it
-/// once parked, otherwise moves it back to its `(time, index)` rank.
-fn refile_head(order: &mut Vec<usize>, times: &[Picos], parked: bool) {
-    let idx = order[0];
-    if parked {
-        order.remove(0);
-        return;
-    }
-    let key = (times[idx], idx);
+/// Re-files the agent at the head of `order` after its slice at its new
+/// clock `time`: moves its key back to its rank.
+fn refile_head(order: &mut [(u64, usize)], time: u64) {
+    let key = (time, order[0].1);
     let mut pos = 1;
-    while pos < order.len() && (times[order[pos]], order[pos]) < key {
+    while pos < order.len() && order[pos] < key {
         order[pos - 1] = order[pos];
         pos += 1;
     }
-    order[pos - 1] = idx;
+    order[pos - 1] = key;
 }
 
 /// A compute block's duration and energy, as charged and as sampled.
@@ -385,6 +452,22 @@ fn compute_energy(pe: &PeConfig, cycles: u64) -> (Picos, Joules, f64) {
 fn stall_energy(pe: &PeConfig, ps: u64) -> (Joules, f64) {
     let e = pe.p_stall * Picos::from_ps(ps);
     (e, e.as_j())
+}
+
+/// The largest instruction count a schedule may retire: every IPC sample
+/// is an integer, and f64 sums of integers are exact, whatever their
+/// order, up to 2^53.
+const MAX_EXACT_INSTRUCTIONS: u64 = 1 << 53;
+
+/// A cursor's per-agent and energy counters with the lanes' free-step
+/// tallies folded in: what a cursor that updated them on every step
+/// would hold.
+struct Counters {
+    agents: Vec<SchedRun>,
+    compute_e: Joules,
+    compute_n: u64,
+    stall_e: Joules,
+    stall_n: u64,
 }
 
 impl ScheduleCursor {
@@ -403,7 +486,67 @@ impl ScheduleCursor {
 
     /// Whether every agent has completed (the run can be finished).
     pub fn is_done(&self) -> bool {
-        self.parked.iter().all(|&p| p)
+        self.agents.iter().all(|a| a.done)
+    }
+
+    /// The counters with every lane's tallies folded in. Each tally
+    /// scales its class's values by an integer (`Picos * u64`,
+    /// `Joules::scaled`, `u64` products), so the fold is exact.
+    fn counters(&self) -> Counters {
+        let mut c = Counters {
+            agents: self.agents.clone(),
+            compute_e: self.compute_e,
+            compute_n: self.compute_n,
+            stall_e: self.stall_e,
+            stall_n: self.stall_n,
+        };
+        for (a, lane) in c.agents.iter_mut().zip(&self.lanes) {
+            for (&priced, &n) in lane.classes.iter().zip(&lane.runs) {
+                let Priced::Free {
+                    kind,
+                    dt,
+                    e,
+                    instrs,
+                    cycles,
+                    ..
+                } = priced
+                else {
+                    continue;
+                };
+                a.stats.instructions += instrs * n;
+                match kind {
+                    FreeKind::Compute => {
+                        a.stats.compute_cycles += cycles * n;
+                        a.stats.compute_time += dt * n;
+                        c.compute_e += e.scaled(n);
+                        c.compute_n += n;
+                    }
+                    FreeKind::Load | FreeKind::Store => {
+                        a.event += n as usize;
+                        a.stats.stall_time += dt * n;
+                        if kind == FreeKind::Store {
+                            a.stats.stores += n;
+                        } else {
+                            a.stats.loads += n;
+                        }
+                        c.stall_e += e.scaled(n);
+                        c.stall_n += n;
+                    }
+                }
+            }
+        }
+        c
+    }
+
+    /// The IPC series with every lane's open bucket added. Its samples
+    /// are integers summing to at most [`MAX_EXACT_INSTRUCTIONS`], so
+    /// each bucket holds the exact total whatever order they land in.
+    fn closed_ipc_series(&self) -> TimeSeries {
+        let mut series = self.ipc_series.clone();
+        for lane in &self.lanes {
+            lane.add_open_ipc(&mut series, self.start);
+        }
+        series
     }
 
     /// Checks a restored cursor against the schedule it resumes over and
@@ -428,8 +571,8 @@ impl ScheduleCursor {
                 "cursor and schedule disagree on the agent count",
             ));
         }
-        for (i, ((a, lane), sa)) in self
-            .agents
+        let counted = self.counters().agents;
+        for (i, ((a, lane), sa)) in counted
             .iter()
             .zip(&mut self.lanes)
             .zip(&sched.agents)
@@ -454,8 +597,7 @@ impl ScheduleCursor {
             let (mut event, mut stored) = (0, 0);
             for step in 0..a.step {
                 match lane.classes[sa.class_id(step)] {
-                    Priced::Compute { .. } => {}
-                    Priced::HitRun { .. } => event += 1,
+                    Priced::Free { kind, .. } => event += usize::from(kind != FreeKind::Compute),
                     Priced::Mem { events, .. } => {
                         event += events;
                         stored += events;
@@ -485,70 +627,137 @@ const CURSOR_VERSION: u32 = 1;
 
 impl sim_core::Snapshot for ScheduleCursor {
     fn snapshot(&self) -> StateImage {
-        use util::json::ToJson;
-        let data = util::json::Json::Obj(vec![
+        use util::json::{Json, ToJson};
+        let c = self.counters();
+        let data = Json::Obj(vec![
             ("start".to_string(), self.start.to_json()),
-            ("agents".to_string(), self.agents.to_json()),
-            ("times".to_string(), self.times.to_json()),
-            ("parked".to_string(), self.parked.to_json()),
+            ("agents".to_string(), c.agents.to_json()),
+            (
+                "times".to_string(),
+                Json::Arr(self.agents.iter().map(|a| a.time.to_json()).collect()),
+            ),
+            (
+                "parked".to_string(),
+                Json::Arr(self.agents.iter().map(|a| a.done.to_json()).collect()),
+            ),
             ("wq".to_string(), self.wq.to_json()),
             ("psc".to_string(), self.psc.to_json()),
-            ("ipc_series".to_string(), self.ipc_series.to_json()),
+            ("ipc_series".to_string(), self.closed_ipc_series().to_json()),
             ("power_series".to_string(), self.power_series.to_json()),
             ("bytes_from".to_string(), self.bytes_from.to_json()),
             ("bytes_to".to_string(), self.bytes_to.to_json()),
             ("mem_requests".to_string(), self.mem_requests.to_json()),
-            ("compute_e".to_string(), self.compute_e.to_json()),
-            ("compute_n".to_string(), self.compute_n.to_json()),
-            ("stall_e".to_string(), self.stall_e.to_json()),
-            ("stall_n".to_string(), self.stall_n.to_json()),
+            ("compute_e".to_string(), c.compute_e.to_json()),
+            ("compute_n".to_string(), c.compute_n.to_json()),
+            ("stall_e".to_string(), c.stall_e.to_json()),
+            ("stall_n".to_string(), c.stall_n.to_json()),
             ("stream_fp".to_string(), self.stream_fp.value().to_json()),
         ]);
         StateImage::new(CURSOR_KIND, CURSOR_VERSION, data)
     }
 
+    /// Restores an image taken by [`Snapshot::snapshot`] on a cursor
+    /// opened over the same schedule and configuration: the image's
+    /// tallies are already folded into its counters, so every lane
+    /// starts with none and with no open IPC bucket.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::ShapeMismatch`] naming the field when the image
+    /// has another agent count, write-queue depth, PE count or series
+    /// bucket width than this cursor, when `times` or `parked` disagree
+    /// with the agents, or when an agent's clock lies before `start`.
+    ///
+    /// [`Snapshot::snapshot`]: sim_core::Snapshot::snapshot
     fn restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
         let data = image.expect(CURSOR_KIND, CURSOR_VERSION)?;
         let m = |e| SnapshotError::malformed(CURSOR_KIND, e);
+        let shape = |detail: String| Err(SnapshotError::shape(CURSOR_KIND, detail));
         let mut f = util::json::Fields::new(data);
+        let start: Picos = f.get("start").map_err(m)?;
         let agents: Vec<SchedRun> = f.get("agents").map_err(m)?;
-        if agents.len() != self.agents.len() {
-            return Err(SnapshotError::shape(
-                CURSOR_KIND,
-                "image was recorded under a different schedule (agent count differs)",
-            ));
-        }
+        let times: Vec<Picos> = f.get("times").map_err(m)?;
+        let parked: Vec<bool> = f.get("parked").map_err(m)?;
         let wq: Vec<Picos> = f.get("wq").map_err(m)?;
-        if wq.len() != self.wq.len() {
-            return Err(SnapshotError::shape(
-                CURSOR_KIND,
-                "image was recorded under a different MCU write-queue depth",
-            ));
-        }
-        self.start = f.get("start").map_err(m)?;
-        self.agents = agents;
-        self.times = f.get("times").map_err(m)?;
-        self.parked = f.get("parked").map_err(m)?;
-        self.wq = wq;
-        self.psc = f.get("psc").map_err(m)?;
-        self.ipc_series = f.get("ipc_series").map_err(m)?;
-        self.power_series = f.get("power_series").map_err(m)?;
-        self.bytes_from = f.get("bytes_from").map_err(m)?;
-        self.bytes_to = f.get("bytes_to").map_err(m)?;
-        self.mem_requests = f.get("mem_requests").map_err(m)?;
-        self.compute_e = f.get("compute_e").map_err(m)?;
-        self.compute_n = f.get("compute_n").map_err(m)?;
-        self.stall_e = f.get("stall_e").map_err(m)?;
-        self.stall_n = f.get("stall_n").map_err(m)?;
-        self.stream_fp = Fnv64::resume(f.get("stream_fp").map_err(m)?);
+        let psc: PowerSleepController = f.get("psc").map_err(m)?;
+        let ipc_series: TimeSeries = f.get("ipc_series").map_err(m)?;
+        let power_series: TimeSeries = f.get("power_series").map_err(m)?;
+        let bytes_from = f.get("bytes_from").map_err(m)?;
+        let bytes_to = f.get("bytes_to").map_err(m)?;
+        let mem_requests = f.get("mem_requests").map_err(m)?;
+        let compute_e = f.get("compute_e").map_err(m)?;
+        let compute_n = f.get("compute_n").map_err(m)?;
+        let stall_e = f.get("stall_e").map_err(m)?;
+        let stall_n = f.get("stall_n").map_err(m)?;
+        let stream_fp = Fnv64::resume(f.get("stream_fp").map_err(m)?);
         f.finish().map_err(m)?;
-        if self.times.len() != self.agents.len() || self.parked.len() != self.agents.len() {
-            return Err(SnapshotError::shape(
-                CURSOR_KIND,
-                "agent clock and parked lists disagree with the agent count",
+        if agents.len() != self.agents.len() {
+            return shape(
+                "image was recorded under a different schedule (agent count differs)".into(),
+            );
+        }
+        if wq.len() != self.wq.len() {
+            return shape("image was recorded under a different MCU write-queue depth".into());
+        }
+        if times.len() != agents.len() || parked.len() != agents.len() {
+            return shape("agent clock and parked lists disagree with the agent count".into());
+        }
+        if psc.pes() != self.psc.pes() {
+            return shape(format!(
+                "`psc` lists {} PEs but the accelerator has {}",
+                psc.pes(),
+                self.psc.pes()
             ));
         }
-        self.order = ranked(&self.times, &self.parked);
+        let width = self.ipc_series.bucket_width();
+        for (name, series) in [("ipc_series", &ipc_series), ("power_series", &power_series)] {
+            if series.bucket_width() != width {
+                return shape(format!(
+                    "`{name}.bucket_width` is {} ps but the cursor samples every {} ps",
+                    series.bucket_width().as_ps(),
+                    width.as_ps()
+                ));
+            }
+        }
+        for (i, a) in agents.iter().enumerate() {
+            if a.time < start {
+                return shape(format!(
+                    "agent {i}: `time` {} ps lies before `start` {} ps",
+                    a.time.as_ps(),
+                    start.as_ps()
+                ));
+            }
+            if times[i] != a.time {
+                return shape(format!(
+                    "`times[{i}]` is {} ps but agent {i}'s `time` is {} ps",
+                    times[i].as_ps(),
+                    a.time.as_ps()
+                ));
+            }
+            if parked[i] != a.done {
+                return shape(format!("`parked[{i}]` disagrees with agent {i}'s `done`"));
+            }
+        }
+        self.order = ranked(&agents);
+        self.start = start;
+        self.agents = agents;
+        self.wq = wq;
+        self.psc = psc;
+        self.ipc_series = ipc_series;
+        self.power_series = power_series;
+        self.bytes_from = bytes_from;
+        self.bytes_to = bytes_to;
+        self.mem_requests = mem_requests;
+        self.compute_e = compute_e;
+        self.compute_n = compute_n;
+        self.stall_e = stall_e;
+        self.stall_n = stall_n;
+        self.stream_fp = stream_fp;
+        for lane in &mut self.lanes {
+            lane.runs.fill(0);
+            lane.ipc_end = 0;
+            lane.ipc_sum = 0;
+        }
         self.bound = false;
         self.buf.clear();
         Ok(())
@@ -626,7 +835,9 @@ impl Accelerator {
     ///
     /// Panics under the same conditions as
     /// [`Accelerator::run_schedule_at`] (empty schedule, too many
-    /// agents, mismatched cache geometry).
+    /// agents, mismatched cache geometry), and if the schedule retires
+    /// more than 2^53 instructions, past which its IPC samples no
+    /// longer sum exactly in f64.
     pub fn schedule_cursor(
         &self,
         start: Picos,
@@ -644,6 +855,15 @@ impl Accelerator {
         assert!(
             sched.l1 == cfg.l1 && sched.l2 == cfg.l2,
             "schedule built under a different cache geometry"
+        );
+        // Every IPC bucket's total is at most the schedule's.
+        let instructions = sched
+            .agents
+            .iter()
+            .try_fold(0u64, |n, a| n.checked_add(a.instructions));
+        assert!(
+            instructions.is_some_and(|n| n <= MAX_EXACT_INSTRUCTIONS),
+            "schedule retires more than 2^53 instructions"
         );
         let mut psc = PowerSleepController::new(cfg.psc, cfg.pes);
         // Runs typically span a few hundred sample buckets; reserving up
@@ -673,25 +893,22 @@ impl Accelerator {
             })
             .collect();
 
-        let times: Vec<Picos> = agents.iter().map(|a| a.time).collect();
-        let parked = vec![false; agents.len()];
-        let order = ranked(&times, &parked);
+        let order = ranked(&agents);
         // Each distinct step is priced once here, not on every step.
         let lanes = sched
             .agents
             .iter()
-            .map(|sa| Lane {
-                classes: (0..sa.class_count())
-                    .map(|c| price(&cfg.pe, sa.class(c)))
-                    .collect(),
-                stored: 0,
+            .map(|sa| {
+                Lane::new(
+                    (0..sa.class_count())
+                        .map(|c| price(&cfg.pe, sa.class(c)))
+                        .collect(),
+                )
             })
             .collect();
         ScheduleCursor {
             start,
             agents,
-            times,
-            parked,
             // The MCU write queue, as a bare slot array for `run_stream`.
             wq: vec![Picos::ZERO; cfg.mcu_write_queue.max(1)],
             psc,
@@ -730,6 +947,12 @@ impl Accelerator {
     /// either way. Returns `false` once every agent is parked (nothing
     /// left to run).
     ///
+    /// A request-free step advances its agent's clock, adds its power
+    /// sample and bumps two integer accumulators: its class's tally and
+    /// the agent's open IPC bucket. Only the power samples are f64 sums
+    /// whose bits depend on the order they are added in, so only they
+    /// are added one by one, in merge order.
+    ///
     /// Call boundaries are the only legal snapshot points: between two
     /// calls the cursor holds no borrowed or half-applied state, and
     /// the call's `pe.mem_op` samples are already in the probe.
@@ -761,15 +984,15 @@ impl Accelerator {
         let probed = self.probe.is_enabled();
 
         let more = loop {
-            let Some(&idx) = cur.order.first() else {
+            let Some(&(_, idx)) = cur.order.first() else {
                 break false;
             };
             // The agent keeps the floor while `(time, idx)` sorts before
-            // the runner-up's `(time, index)`: strictly earlier, or tied
-            // with the lower index — one picosecond past the runner-up's
-            // clock in that case.
+            // the runner-up's key: strictly earlier, or tied with the
+            // lower index — one picosecond past the runner-up's clock in
+            // that case.
             let limit = match cur.order.get(1) {
-                Some(&j) => cur.times[j].as_ps() + u64::from(idx < j),
+                Some(&(time, j)) => time + u64::from(idx < j),
                 None => u64::MAX,
             };
             let sa = &sched.agents[idx];
@@ -832,39 +1055,33 @@ impl Accelerator {
                     cur.psc.sleep(a.time, idx + 1);
                     break;
                 }
-                let mem_op = match lane.classes[sa.class_id(a.step)] {
-                    Priced::Compute {
-                        cycles,
-                        instrs,
+                let class = sa.class_id(a.step);
+                match lane.classes[class] {
+                    Priced::Free {
+                        kind,
                         dt,
-                        e,
                         e_j,
+                        instrs,
+                        ..
                     } => {
-                        cur.compute_e += e;
-                        cur.compute_n += 1;
-                        cur.power_series.add(a.time - start, e_j);
-                        cur.ipc_series.add(a.time + dt - start, instrs as f64);
-                        self.probe.span(
-                            Track::new("pe", idx as u32 + 1),
-                            "compute",
-                            a.time,
-                            a.time + dt,
-                        );
-                        a.stats.instructions += instrs;
-                        a.stats.compute_cycles += cycles;
-                        a.stats.compute_time += dt;
-                        a.time += dt;
-                        None
-                    }
-                    Priced::HitRun { store, dt, e, e_j } => {
-                        // Fast path: most memory ops are a single hit
-                        // run — pure cache service time, no backend
-                        // traffic, no batch to assemble, priced with its
-                        // class. Its event word is counted, not stored.
+                        // Most steps: a compute block, or an op served
+                        // by one hit run — no backend traffic, no batch
+                        // to assemble, priced with its class. Its event
+                        // word, if any, is counted, not stored.
                         let t0 = a.time;
-                        a.event += 1;
                         a.time += dt;
-                        Some((store, t0, e, e_j))
+                        cur.power_series.add(t0 - start, e_j);
+                        if probed {
+                            let track = Track::new("pe", idx as u32 + 1);
+                            if kind == FreeKind::Compute {
+                                self.probe.span(track, "compute", t0, a.time);
+                            } else if !dt.is_zero() {
+                                self.probe.span(track, "mem", t0, a.time);
+                                cur.mem_op.record_ps(dt.as_ps());
+                            }
+                        }
+                        lane.runs[class] += 1;
+                        lane.sample_ipc(a.time, instrs, start, &mut cur.ipc_series);
                     }
                     Priced::Mem { store, events } => {
                         let t0 = a.time;
@@ -918,29 +1135,24 @@ impl Accelerator {
                             cur.stream_fp.mix_u64(a.time.as_ps());
                         }
                         a.time += pending;
-                        let (e, e_j) = cur.memo_stall.get((a.time - t0).as_ps(), &cfg.pe);
-                        Some((store, t0, e, e_j))
-                    }
-                };
-                if let Some((store, t0, e, e_j)) = mem_op {
-                    let dt = a.time - t0;
-                    cur.stall_e += e;
-                    cur.stall_n += 1;
-                    cur.power_series.add(t0 - start, e_j);
-                    cur.ipc_series.add(a.time - start, 1.0);
-                    if !dt.is_zero() {
-                        self.probe
-                            .span(Track::new("pe", idx as u32 + 1), "mem", t0, a.time);
-                        if probed {
+                        let dt = a.time - t0;
+                        let (e, e_j) = cur.memo_stall.get(dt.as_ps(), &cfg.pe);
+                        cur.stall_e += e;
+                        cur.stall_n += 1;
+                        cur.power_series.add(t0 - start, e_j);
+                        if probed && !dt.is_zero() {
+                            self.probe
+                                .span(Track::new("pe", idx as u32 + 1), "mem", t0, a.time);
                             cur.mem_op.record_ps(dt.as_ps());
                         }
-                    }
-                    a.stats.instructions += 1;
-                    a.stats.stall_time += dt;
-                    if store {
-                        a.stats.stores += 1;
-                    } else {
-                        a.stats.loads += 1;
+                        lane.sample_ipc(a.time, 1, start, &mut cur.ipc_series);
+                        a.stats.instructions += 1;
+                        a.stats.stall_time += dt;
+                        if store {
+                            a.stats.stores += 1;
+                        } else {
+                            a.stats.loads += 1;
+                        }
                     }
                 }
                 a.step += 1;
@@ -948,10 +1160,11 @@ impl Accelerator {
                     break;
                 }
             }
-            let done = a.done;
-            cur.times[idx] = a.time;
-            cur.parked[idx] = done;
-            refile_head(&mut cur.order, &cur.times, done);
+            if a.done {
+                cur.order.remove(0);
+            } else {
+                refile_head(&mut cur.order, a.time.as_ps());
+            }
             if cur.mem_requests != issued_before {
                 break true;
             }
@@ -972,17 +1185,14 @@ impl Accelerator {
     pub fn finish_schedule(&self, cur: &ScheduleCursor, sched: &MemSchedule) -> ExecReport {
         assert!(cur.is_done(), "cursor still has runnable agents");
         let cfg = &self.config;
+        let counters = cur.counters();
         let mut energy = EnergyBook::new();
-        energy.charge_many("pe.compute", cur.compute_e, cur.compute_n);
-        energy.charge_many("pe.stall", cur.stall_e, cur.stall_n);
-        let total_time = cur
-            .agents
-            .iter()
-            .map(|a| a.time)
-            .fold(Picos::ZERO, Picos::max)
-            - cur.start;
+        energy.charge_many("pe.compute", counters.compute_e, counters.compute_n);
+        energy.charge_many("pe.stall", counters.stall_e, counters.stall_n);
+        let agents = &counters.agents;
+        let total_time = agents.iter().map(|a| a.time).fold(Picos::ZERO, Picos::max) - cur.start;
         energy.charge("pe.server", cfg.pe.p_stall * total_time);
-        let parked = (cfg.pes - 1 - cur.agents.len()) as u64;
+        let parked = (cfg.pes - 1 - agents.len()) as u64;
         energy.charge("pe.sleep", (cfg.pe.p_sleep * total_time).scaled(parked));
 
         let mut l1 = CacheLevelStats::default();
@@ -998,13 +1208,13 @@ impl Accelerator {
 
         ExecReport {
             total_time,
-            instructions: cur.agents.iter().map(|a| a.stats.instructions).sum(),
-            compute_time: cur.agents.iter().map(|a| a.stats.compute_time).sum(),
-            stall_time: cur.agents.iter().map(|a| a.stats.stall_time).sum(),
-            pe_stats: cur.agents.iter().map(|a| a.stats).collect(),
+            instructions: agents.iter().map(|a| a.stats.instructions).sum(),
+            compute_time: agents.iter().map(|a| a.stats.compute_time).sum(),
+            stall_time: agents.iter().map(|a| a.stats.stall_time).sum(),
+            pe_stats: agents.iter().map(|a| a.stats).collect(),
             l1,
             l2,
-            ipc_series: cur.ipc_series.clone(),
+            ipc_series: cur.closed_ipc_series(),
             power_series: cur.power_series.clone(),
             energy,
             bytes_from_mem: cur.bytes_from,
@@ -1734,50 +1944,62 @@ mod sched_replay_tests {
         assert_eq!(got.histogram("pe.mem_op"), Some(want));
     }
 
-    /// Snapshots cursor + backend mid-run, rebuilds both fresh, restores
-    /// the images and resumes: the report, the backend energy and the
-    /// stream fingerprint must all match the straight run exactly.
+    /// Images cursor + backend at every `k`-th call boundary of a run,
+    /// then, for each pair, rebuilds both fresh, restores the images and
+    /// resumes: the report, the backend energy and the stream
+    /// fingerprint must all match the straight run exactly. Some of
+    /// those boundaries must have free-step tallies and an open IPC
+    /// bucket for the image to fold.
     fn assert_resume_is_byte_identical(accel: &Accelerator, traces: &[Trace]) {
         use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
         use sim_core::Snapshot;
         let sched = MemSchedule::build(traces, accel.config().l1, accel.config().l2);
+        let fresh = || PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
 
         // Straight run (counting its request-issuing slices).
-        let mut pram_a = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+        let mut pram_a = fresh();
         let mut cur_a = accel.schedule_cursor(Picos::ZERO, &sched, &mut pram_a);
-        let mut slices = 0u64;
+        let mut slices = 0usize;
         while accel.advance_slice(&mut cur_a, &sched, &mut pram_a) {
             slices += 1;
         }
         let straight = accel.finish_schedule(&cur_a, &sched);
         assert!(slices >= 2, "need a mid-run boundary, got {slices} slices");
 
-        // Interrupted run: stop halfway, snapshot, drop.
-        let mut pram_b = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+        // The same run, imaged at every k-th boundary.
+        let k = slices.div_ceil(8);
+        let mut pram_b = fresh();
         let mut cur = accel.schedule_cursor(Picos::ZERO, &sched, &mut pram_b);
-        for _ in 0..slices / 2 {
+        let (mut images, mut folding) = (Vec::new(), 0);
+        for slice in 1..=slices {
             assert!(accel.advance_slice(&mut cur, &sched, &mut pram_b));
+            if slice % k == 0 {
+                let open = |l: &Lane| l.ipc_end != 0 && l.runs.iter().any(|&n| n > 0);
+                folding += usize::from(cur.lanes.iter().any(open));
+                images.push((cur.stream_fingerprint(), cur.snapshot(), pram_b.snapshot()));
+            }
         }
-        let fp_mid = cur.stream_fingerprint();
-        let cur_img = cur.snapshot();
-        let backend_img = pram_b.snapshot();
-        drop(cur);
-        drop(pram_b);
-
-        // Fresh state, restore, resume to completion.
-        let mut pram_c = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
-        let mut cur2 = accel.schedule_cursor(Picos::ZERO, &sched, &mut pram_c);
-        pram_c.restore(&backend_img).expect("backend restore");
-        cur2.restore(&cur_img).expect("cursor restore");
-        assert_eq!(cur2.stream_fingerprint(), fp_mid);
-        while accel.advance_slice(&mut cur2, &sched, &mut pram_c) {}
-        let resumed = accel.finish_schedule(&cur2, &sched);
-
-        assert_eq!(report_json(&straight), report_json(&resumed));
-        assert_eq!(
-            pram_a.energy().to_json().render(false),
-            pram_c.energy().to_json().render(false)
+        assert!(
+            folding > 0,
+            "no imaged boundary had a tally and an open bucket"
         );
+
+        // Fresh state, restore, resume to completion, from each image.
+        for (fp, cur_img, backend_img) in &images {
+            let mut pram_c = fresh();
+            let mut cur2 = accel.schedule_cursor(Picos::ZERO, &sched, &mut pram_c);
+            pram_c.restore(backend_img).expect("backend restore");
+            cur2.restore(cur_img).expect("cursor restore");
+            assert_eq!(cur2.stream_fingerprint(), *fp);
+            while accel.advance_slice(&mut cur2, &sched, &mut pram_c) {}
+            let resumed = accel.finish_schedule(&cur2, &sched);
+
+            assert_eq!(report_json(&straight), report_json(&resumed));
+            assert_eq!(
+                pram_a.energy().to_json().render(false),
+                pram_c.energy().to_json().render(false)
+            );
+        }
     }
 
     /// Replays `traces` against the walker on the fixed backend and on
@@ -1807,6 +2029,100 @@ mod sched_replay_tests {
     fn cursor_snapshot_resume_is_byte_identical() {
         let accel = Accelerator::new(AccelConfig::default());
         assert_resume_is_byte_identical(&accel, &stress_traces(2));
+        // Many boundaries, most inside an agent's open IPC bucket.
+        let fine = Accelerator::new(AccelConfig {
+            sample_bucket: Picos::from_ns(700),
+            ..AccelConfig::default()
+        });
+        assert_resume_is_byte_identical(&fine, &missing_traces());
+    }
+
+    /// Four agents that miss often: loads stride through 1 MiB and
+    /// stores through 512 KiB, so most slices issue requests.
+    fn missing_traces() -> Vec<Trace> {
+        (0..4u64)
+            .map(|a| {
+                let mut t = Trace::new();
+                let base = a << 24;
+                for i in 0..400u64 {
+                    t.load(base + (i * 328 + a * 64) % (1 << 20), 8);
+                    t.compute(InstrBlock::mac(3 + a, 2));
+                    if i % 5 == a {
+                        t.store(base + (i * 776) % (1 << 19), 100);
+                    }
+                }
+                t
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cursor_images_at_every_call_boundary_are_pinned() {
+        // Each image folds the lanes' free-step tallies and open IPC
+        // buckets into the counters and series a per-step update would
+        // hold. Every call boundary of four runs (two bucket widths, so
+        // buckets close both rarely and every few steps) is hashed,
+        // with each final report; the digest was taken on the engine
+        // that updated every counter and series on every step.
+        use sim_core::Snapshot;
+        let mut fp = Fnv64::new();
+        let (mut images, mut folding) = (0u64, 0u64);
+        for (bucket, traces) in [
+            (Picos::from_us(20), stress_traces(4)),
+            (Picos::from_ns(700), stress_traces(4)),
+            (Picos::from_us(20), missing_traces()),
+            (Picos::from_ns(700), missing_traces()),
+        ] {
+            let accel = Accelerator::new(AccelConfig {
+                sample_bucket: bucket,
+                ..AccelConfig::default()
+            });
+            let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
+            let mut cur = accel.schedule_cursor(Picos::from_us(7), &sched, &mut FixedMem);
+            let mut image = |cur: &ScheduleCursor| {
+                fp.mix_bytes(cur.snapshot().to_json().render(false).as_bytes());
+                images += 1;
+                let open = |l: &Lane| l.ipc_end != 0 && l.runs.iter().any(|&n| n > 0);
+                folding += u64::from(cur.lanes.iter().any(open));
+            };
+            image(&cur);
+            while accel.advance_slice(&mut cur, &sched, &mut FixedMem) {
+                image(&cur);
+            }
+            image(&cur);
+            fp.mix_bytes(report_json(&accel.finish_schedule(&cur, &sched)).as_bytes());
+        }
+        assert!(folding > images / 2, "{folding} of {images} images fold");
+        assert_eq!((images, fp.value()), (3602, 0x111d_4289_a278_d95b));
+    }
+
+    #[test]
+    fn ipc_series_stays_exact_up_to_2_pow_53_instructions() {
+        // Two blocks of 2^52 instructions land in separate buckets as
+        // exact integers; one instruction more is refused when the
+        // cursor opens, since f64 sums of integers past 2^53 round.
+        let accel = Accelerator::new(AccelConfig::default());
+        let traces = |extra: u64| {
+            let mut t = Trace::new();
+            t.compute(InstrBlock::alu(1 << 52));
+            t.compute(InstrBlock::alu((1 << 52) + extra));
+            vec![t]
+        };
+        let exact = traces(0);
+        let sched = MemSchedule::build(&exact, accel.config().l1, accel.config().l2);
+        assert_eq!(sched.instructions(), MAX_EXACT_INSTRUCTIONS);
+        let replay = accel.run_schedule_at(Picos::ZERO, &sched, &mut FixedMem);
+        let direct = walker::run_at(&accel, Picos::ZERO, &exact, &mut FixedMem);
+        assert_eq!(report_json(&direct), report_json(&replay));
+        assert_eq!(replay.ipc_series.total(), MAX_EXACT_INSTRUCTIONS as f64);
+
+        let sched = MemSchedule::build(&traces(1), accel.config().l1, accel.config().l2);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            accel.schedule_cursor(Picos::ZERO, &sched, &mut FixedMem);
+        }))
+        .expect_err("the cursor refuses the schedule");
+        let msg = refused.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("more than 2^53 instructions"), "{msg}");
     }
 
     #[test]
@@ -1948,5 +2264,79 @@ mod sched_replay_tests {
         let mut fresh = accel.schedule_cursor(Picos::ZERO, &sched, &mut FixedMem);
         fresh.restore(&image).unwrap();
         fresh.bind(&sched).expect("an unforged image binds");
+    }
+
+    #[test]
+    fn restore_refuses_images_of_another_shape() {
+        // A cursor image that decodes but could not come from this
+        // accelerator, or disagrees with itself, gets a typed error
+        // naming the field instead of a panic or a silently wrong run.
+        use sim_core::Snapshot;
+        use util::json::Json;
+        let accel = Accelerator::new(AccelConfig::default());
+        let traces = stress_traces(2);
+        let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
+        let mut cur = accel.schedule_cursor(Picos::from_us(7), &sched, &mut FixedMem);
+        for _ in 0..4 {
+            assert!(accel.advance_slice(&mut cur, &sched, &mut FixedMem));
+        }
+        let image = cur.snapshot();
+        // The image with the value at `path` (object keys and array
+        // indices) replaced by `f` of it.
+        let forge = |path: &[&str], f: &dyn Fn(&Json) -> Json| {
+            let mut img = image.clone();
+            let mut v = &mut img.data;
+            for key in path {
+                v = match v {
+                    Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                    Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                    _ => unreachable!("{key} indexes a scalar"),
+                };
+            }
+            *v = f(v);
+            img
+        };
+        let zero = |_: &Json| 0u64.to_json();
+        for (img, needle) in [
+            (
+                forge(&["psc", "states"], &|v| {
+                    Json::Arr(v.as_arr().unwrap()[..2].to_vec())
+                }),
+                "`psc` lists 2 PEs",
+            ),
+            (
+                forge(&["ipc_series", "bucket_width"], &zero),
+                "bucket_width must be non-zero",
+            ),
+            (
+                forge(&["power_series", "bucket_width"], &zero),
+                "bucket_width must be non-zero",
+            ),
+            (
+                forge(&["power_series", "bucket_width"], &|_| 1u64.to_json()),
+                "`power_series.bucket_width` is 1 ps",
+            ),
+            (
+                forge(&["agents", "0", "time"], &zero),
+                "agent 0: `time` 0 ps",
+            ),
+            (forge(&["times", "0"], &zero), "`times[0]` is 0 ps"),
+            (
+                forge(&["start"], &|_| 1_000_000_000_000_000u64.to_json()),
+                "lies before `start`",
+            ),
+            (
+                forge(&["parked", "1"], &|v| (!v.as_bool().unwrap()).to_json()),
+                "`parked[1]`",
+            ),
+        ] {
+            let mut fresh = accel.schedule_cursor(Picos::from_us(7), &sched, &mut FixedMem);
+            let err = fresh
+                .restore(&img)
+                .expect_err("the cursor refuses the image");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        }
+        let mut fresh = accel.schedule_cursor(Picos::from_us(7), &sched, &mut FixedMem);
+        fresh.restore(&image).expect("an unforged image restores");
     }
 }

@@ -79,6 +79,11 @@ impl PowerSleepController {
         self.states[i]
     }
 
+    /// Number of PEs the controller tracks.
+    pub(crate) fn pes(&self) -> usize {
+        self.states.len()
+    }
+
     /// Total transitions performed.
     pub fn transitions(&self) -> u64 {
         self.transitions

@@ -31,7 +31,34 @@ pub struct TimeSeries {
     data: Vec<(u64, f64)>,
 }
 
-util::json_struct!(TimeSeries { bucket_width, data });
+impl util::json::ToJson for TimeSeries {
+    fn to_json(&self) -> util::json::Json {
+        util::json::Json::Obj(vec![
+            ("bucket_width".to_string(), self.bucket_width.to_json()),
+            ("data".to_string(), self.data.to_json()),
+        ])
+    }
+}
+
+/// Decodes what [`TimeSeries::new`] and [`TimeSeries::add`] can build: a
+/// non-zero bucket width and buckets in ascending order.
+impl util::json::FromJson for TimeSeries {
+    fn from_json(v: &util::json::Json) -> Result<Self, util::json::JsonError> {
+        use util::json::JsonError;
+        let ctx = |e: JsonError| e.context("TimeSeries");
+        let mut f = util::json::Fields::new(v);
+        let bucket_width: Picos = f.get("bucket_width").map_err(ctx)?;
+        let data: Vec<(u64, f64)> = f.get("data").map_err(ctx)?;
+        f.finish().map_err(ctx)?;
+        if bucket_width.is_zero() {
+            return Err(ctx(JsonError::new("bucket_width must be non-zero")));
+        }
+        if data.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(ctx(JsonError::new("data buckets must ascend")));
+        }
+        Ok(TimeSeries { bucket_width, data })
+    }
+}
 
 impl TimeSeries {
     /// Creates a series with the given bucket width.
@@ -64,6 +91,7 @@ impl TimeSeries {
     }
 
     /// Accumulates `value` into the bucket containing instant `at`.
+    #[inline]
     pub fn add(&mut self, at: Picos, value: f64) {
         // Producers overwhelmingly append in near time order (the
         // execution engine always advances the earliest agent) and land
@@ -237,5 +265,33 @@ mod tests {
     #[should_panic(expected = "bucket width must be non-zero")]
     fn zero_bucket_width_rejected() {
         let _ = TimeSeries::new(Picos::ZERO);
+    }
+
+    #[test]
+    fn decoding_refuses_what_new_and_add_cannot_build() {
+        use util::json::{FromJson, ToJson};
+        let mut ts = TimeSeries::new(Picos::from_ns(10));
+        ts.add(Picos::from_ns(5), 1.0);
+        ts.add(Picos::from_ns(25), 2.0);
+        let text = ts.to_json().render(false);
+        assert_eq!(TimeSeries::from_json_str(&text), Ok(ts));
+        for (forged, needle) in [
+            (
+                text.replace("\"bucket_width\":10000", "\"bucket_width\":0"),
+                "bucket_width must be non-zero",
+            ),
+            (
+                text.replace("[0,1.0],[2,2.0]", "[2,2.0],[0,1.0]"),
+                "data buckets must ascend",
+            ),
+            (
+                text.replace("[0,1.0],[2,2.0]", "[2,1.0],[2,2.0]"),
+                "data buckets must ascend",
+            ),
+        ] {
+            assert_ne!(forged, text);
+            let err = TimeSeries::from_json_str(&forged).expect_err("refused");
+            assert!(err.to_string().contains(needle), "{forged}: {err}");
+        }
     }
 }

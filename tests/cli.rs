@@ -6,8 +6,12 @@ use dramless::paper::{CLAIMS_BEGIN, CLAIMS_END};
 use dramless::{replay, FleetSpec, ReplayError, SuiteResult, SystemId, SystemKind, SystemParams};
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use util::fingerprint::fnv1a;
 use util::json::{FromJson, Json, ToJson};
 use workloads::{Kernel, Scale, Workload};
+
+/// The committed byte goldens: `name digest` rows (see the file).
+const GOLDENS: &str = include_str!("../crates/dramless/goldens.txt");
 
 /// The selection every happy path runs: one small, fast cell.
 const TINY: [&str; 4] = ["--scale", "0.1", "--agents", "2"];
@@ -95,36 +99,72 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
     };
     pairs.push(("stray_key".into(), Json::Null));
     dir.write("stray-key.json", &stray.to_json_string());
-    // A recording whose checkpoint-1 cursor image decodes but holds a
-    // position agent 0's schedule cannot reach: a `step` past its end,
-    // or an `event` index its steps do not give.
+    // A recording whose checkpoint-1 cursor image decodes but could not
+    // come from its run: agent 0 at a `step` past its schedule or at an
+    // `event` index its steps do not give, a PSC listing 2 PEs, a series
+    // bucket width of 0, or clocks that disagree with each other.
     let w = Workload::of(Kernel::Trisolv, Scale(0.25));
     let rec = replay::record_run(&systems, &[w], &SystemParams::default(), 64).unwrap();
     let ckpt = &rec.cells[0].checkpoints[1];
     assert_eq!(ckpt.exec.kind, "accel/schedule-cursor");
     let window = format!("{}..{}", ckpt.requests, ckpt.requests + 36);
-    let step = ckpt
-        .exec
-        .data
+    let image = &ckpt.exec.data;
+    let step = image
         .get("agents")
         .and_then(|a| a.as_arr()?[0].get("step")?.as_u64());
-    for (file, field, value) in [
-        ("forged-step.json", "step", step.unwrap() + 1_000_000),
-        ("forged-event.json", "event", 1_000_000_000),
-    ] {
+    let states = image
+        .get("psc")
+        .and_then(|p| p.get("states")?.as_arr())
+        .expect("cursor images carry the PSC's states");
+    assert!(states.len() > 2);
+    // Writes `file`: the recording with the value at `path` (object
+    // keys, array indices) of checkpoint 1's cursor image set to `value`.
+    let forge = |file: &str, path: &[&str], value: Json| {
         let mut forged = rec.clone();
-        let Json::Obj(pairs) = &mut forged.cells[0].checkpoints[1].exec.data else {
-            panic!("cursor images are objects")
-        };
-        let Some((_, Json::Arr(agents))) = pairs.iter_mut().find(|(k, _)| k == "agents") else {
-            panic!("cursor images list their agents")
-        };
-        let Json::Obj(agent) = &mut agents[0] else {
-            panic!("agent entries are objects")
-        };
-        agent.iter_mut().find(|(k, _)| k == field).unwrap().1 = value.to_json();
+        let mut v = &mut forged.cells[0].checkpoints[1].exec.data;
+        for key in path {
+            v = match v {
+                Json::Obj(pairs) => {
+                    let pair = pairs.iter_mut().find(|(k, _)| k == key);
+                    &mut pair.expect("the image has the key").1
+                }
+                Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                _ => panic!("{key} indexes a scalar"),
+            };
+        }
+        *v = value;
         dir.write(file, &forged.to_json_string());
+    };
+    let agent0 = |field| ["agents", "0", field];
+    forge(
+        "forged-step.json",
+        &agent0("step"),
+        (step.unwrap() + 1_000_000).to_json(),
+    );
+    forge(
+        "forged-event.json",
+        &agent0("event"),
+        1_000_000_000u64.to_json(),
+    );
+    forge(
+        "forged-psc.json",
+        &["psc", "states"],
+        Json::Arr(states[..2].to_vec()),
+    );
+    for series in ["ipc_series", "power_series"] {
+        forge(
+            &format!("forged-{series}.json"),
+            &[series, "bucket_width"],
+            0u64.to_json(),
+        );
     }
+    forge("forged-time.json", &agent0("time"), 0u64.to_json());
+    forge("forged-times.json", &["times", "0"], 0u64.to_json());
+    forge(
+        "forged-start.json",
+        &["start"],
+        1_000_000_000_000_000u64.to_json(),
+    );
     // The committed inputs CI runs, each with one key misspelled.
     let plan = include_str!("../examples/chaos-plan.json");
     let tlc = include_str!("../examples/tlc-p2p.json");
@@ -179,6 +219,40 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
         (
             &["replay", "forged-event.json", "--window", window.as_str()],
             "agent 0: `event`",
+        ),
+        (
+            &["replay", "forged-psc.json", "--window", window.as_str()],
+            "`psc` lists 2 PEs",
+        ),
+        (
+            &[
+                "replay",
+                "forged-ipc_series.json",
+                "--window",
+                window.as_str(),
+            ],
+            "ipc_series: TimeSeries: bucket_width must be non-zero",
+        ),
+        (
+            &[
+                "replay",
+                "forged-power_series.json",
+                "--window",
+                window.as_str(),
+            ],
+            "power_series: TimeSeries: bucket_width must be non-zero",
+        ),
+        (
+            &["replay", "forged-time.json", "--window", window.as_str()],
+            "agent 0: `time` 0 ps lies before `start`",
+        ),
+        (
+            &["replay", "forged-times.json", "--window", window.as_str()],
+            "`times[0]` is 0 ps",
+        ),
+        (
+            &["replay", "forged-start.json", "--window", window.as_str()],
+            "lies before `start` 1000000000000000 ps",
         ),
         (&["record", "--json", "out.json"], ""),
         (&["--checkpoint-every", "5"], ""),
@@ -274,15 +348,46 @@ fn reproduce_writes_every_figure_and_the_experiments_claims_table() {
     let dir = Dir::new("reproduce");
     dir.ok(&["reproduce", "--out", "repro"]);
     let mut figures = 0;
+    let mut written = Vec::new();
     for entry in std::fs::read_dir(dir.0.join("repro")).unwrap() {
         let path = entry.unwrap().path();
+        let bytes = std::fs::read(&path).unwrap();
         if path.extension().is_some_and(|e| e == "json") {
-            let text = std::fs::read_to_string(&path).unwrap();
+            let text = String::from_utf8(bytes.clone()).unwrap();
             Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
             figures += 1;
         }
+        let name = path.file_name().unwrap().to_str().unwrap();
+        written.push((format!("reproduce/{name}"), fnv1a(&bytes)));
     }
     assert_eq!(figures, 15, "one file per figure and table");
+    // Every file's digest must be the manifest's, and every manifest
+    // row must be written: list each row that moved, not the first.
+    let pinned: Vec<(&str, u64)> = GOLDENS
+        .lines()
+        .filter(|l| l.starts_with("reproduce/"))
+        .map(|l| {
+            let (name, hex) = l.split_once(' ').expect("rows are `name digest`");
+            (name, u64::from_str_radix(hex, 16).expect("digests are hex"))
+        })
+        .collect();
+    let mut moved: Vec<String> = written
+        .iter()
+        .filter(|(name, got)| !pinned.contains(&(name.as_str(), *got)))
+        .map(|(name, got)| format!("{name} {got:016x}"))
+        .collect();
+    moved.extend(
+        pinned
+            .iter()
+            .filter(|(name, _)| !written.iter().any(|(w, _)| w == name))
+            .map(|(name, _)| format!("{name} (not written)")),
+    );
+    moved.sort();
+    assert!(
+        moved.is_empty(),
+        "reproduce output differs from crates/dramless/goldens.txt; moved rows:\n{}",
+        moved.join("\n")
+    );
     let experiments = include_str!("../EXPERIMENTS.md");
     let (_, rest) = experiments
         .split_once(CLAIMS_BEGIN)
