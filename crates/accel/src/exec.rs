@@ -459,6 +459,13 @@ fn stall_energy(pe: &PeConfig, ps: u64) -> (Joules, f64) {
 /// order, up to 2^53.
 const MAX_EXACT_INSTRUCTIONS: u64 = 1 << 53;
 
+/// The latest clock a restored cursor may hold in `start`, an agent's
+/// `time` or a write-queue slot: 2^62 ps, about 53 simulated days. Runs
+/// start near zero and last seconds, so a later clock is a forged image,
+/// and refusing it leaves the replay's `Picos` adds (step durations,
+/// backend completions) 3 × 2^62 ps of headroom before they wrap.
+const MAX_RESTORED_CLOCK: Picos = Picos::from_ps(1 << 62);
+
 /// A cursor's per-agent and energy counters with the lanes' free-step
 /// tallies folded in: what a cursor that updated them on every step
 /// would hold.
@@ -666,7 +673,9 @@ impl sim_core::Snapshot for ScheduleCursor {
     /// [`SnapshotError::ShapeMismatch`] naming the field when the image
     /// has another agent count, write-queue depth, PE count or series
     /// bucket width than this cursor, when `times` or `parked` disagree
-    /// with the agents, or when an agent's clock lies before `start`.
+    /// with the agents, when an agent's clock lies before `start`, or
+    /// when `start`, an agent's `time` or a `wq` slot lies past the
+    /// 2^62 ps clock ceiling (`MAX_RESTORED_CLOCK`).
     ///
     /// [`Snapshot::snapshot`]: sim_core::Snapshot::snapshot
     fn restore(&mut self, image: &StateImage) -> Result<(), SnapshotError> {
@@ -719,7 +728,27 @@ impl sim_core::Snapshot for ScheduleCursor {
                 ));
             }
         }
+        let past = |field: String, t: Picos| {
+            shape(format!(
+                "{field} {} ps lies past the {} ps clock ceiling",
+                t.as_ps(),
+                MAX_RESTORED_CLOCK.as_ps()
+            ))
+        };
+        if start > MAX_RESTORED_CLOCK {
+            return past("`start`".into(), start);
+        }
+        if let Some((j, &t)) = wq
+            .iter()
+            .enumerate()
+            .find(|&(_, &t)| t > MAX_RESTORED_CLOCK)
+        {
+            return past(format!("`wq[{j}]`"), t);
+        }
         for (i, a) in agents.iter().enumerate() {
+            if a.time > MAX_RESTORED_CLOCK {
+                return past(format!("agent {i}: `time`"), a.time);
+            }
             if a.time < start {
                 return shape(format!(
                     "agent {i}: `time` {} ps lies before `start` {} ps",
@@ -2297,6 +2326,7 @@ mod sched_replay_tests {
             img
         };
         let zero = |_: &Json| 0u64.to_json();
+        let near_max = |_: &Json| (u64::MAX - 1000).to_json();
         for (img, needle) in [
             (
                 forge(&["psc", "states"], &|v| {
@@ -2328,6 +2358,18 @@ mod sched_replay_tests {
             (
                 forge(&["parked", "1"], &|v| (!v.as_bool().unwrap()).to_json()),
                 "`parked[1]`",
+            ),
+            (
+                forge(&["start"], &near_max),
+                "`start` 18446744073709550615 ps",
+            ),
+            (
+                forge(&["agents", "1", "time"], &near_max),
+                "agent 1: `time` 18446744073709550615 ps lies past",
+            ),
+            (
+                forge(&["wq", "0"], &near_max),
+                "`wq[0]` 18446744073709550615 ps",
             ),
         ] {
             let mut fresh = accel.schedule_cursor(Picos::from_us(7), &sched, &mut FixedMem);

@@ -16,7 +16,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use accel::cache::CacheConfig;
 use accel::sched::MemSchedule;
-use util::telemetry::MetricSet;
 
 use crate::suite::{BuiltWorkload, Workload};
 
@@ -24,7 +23,7 @@ use crate::suite::{BuiltWorkload, Workload};
 // any per-cell `MetricSet`: which caller populates a slot depends on
 // thread scheduling, so folding them into cell reports would break the
 // 1-thread-vs-N-thread byte-identity the sweep guarantees. They are
-// global telemetry, snapshotted via [`stats`] / [`collect_metrics`].
+// global telemetry, snapshotted via [`stats`].
 static WORKLOAD_HITS: AtomicU64 = AtomicU64::new(0);
 static WORKLOAD_MISSES: AtomicU64 = AtomicU64::new(0);
 static SCHEDULE_HITS: AtomicU64 = AtomicU64::new(0);
@@ -54,16 +53,6 @@ pub fn stats() -> CacheStats {
         schedule_hits: SCHEDULE_HITS.load(Ordering::Relaxed),
         schedule_misses: SCHEDULE_MISSES.load(Ordering::Relaxed),
     }
-}
-
-/// Contributes the memoization counters to a process-level metric set
-/// under the `cache.` prefix.
-pub fn collect_metrics(out: &mut MetricSet) {
-    let s = stats();
-    out.add("cache.workload_hits", s.workload_hits);
-    out.add("cache.workload_misses", s.workload_misses);
-    out.add("cache.schedule_hits", s.schedule_hits);
-    out.add("cache.schedule_misses", s.schedule_misses);
 }
 
 /// Everything that determines a build's output. `Scale` only influences
@@ -210,10 +199,16 @@ mod tests {
 
     #[test]
     fn cached_builds_are_shared() {
+        // No other test builds this key, so the first call builds it.
         let w = Workload::of(Kernel::Trisolv, Scale(0.1));
+        let before = stats();
         let a = w.build_cached(3);
         let b = w.build_cached(3);
+        let after = stats();
         assert!(Arc::ptr_eq(&a, &b), "same key must share one build");
+        // The counters are process-wide: other tests may add to them.
+        assert!(after.workload_misses > before.workload_misses);
+        assert!(after.workload_hits > before.workload_hits);
         // A different agent count is a different build.
         let c = w.build_cached(4);
         assert!(!Arc::ptr_eq(&a, &c));
@@ -231,12 +226,17 @@ mod tests {
 
     #[test]
     fn cached_schedules_are_shared_and_exact() {
+        // No other test builds this key, so the first call builds it.
         let w = Workload::of(Kernel::Trisolv, Scale(0.1));
         let l1 = CacheConfig::l1();
         let l2 = CacheConfig::l2();
+        let before = stats();
         let a = w.schedule_cached(2, l1, l2);
         let b = w.schedule_cached(2, l1, l2);
+        let after = stats();
         assert!(Arc::ptr_eq(&a, &b), "same key must share one schedule");
+        assert!(after.schedule_misses > before.schedule_misses);
+        assert!(after.schedule_hits > before.schedule_hits);
         let built = w.build_cached(2);
         assert_eq!(*a, MemSchedule::build(&built.traces, l1, l2));
         // Different geometry is a different schedule.

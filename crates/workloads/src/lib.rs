@@ -17,7 +17,7 @@
 //!
 //! Kernel sizes are scaled down from the paper's ≥10×-Polybench volumes
 //! so a full 10-config × 15-workload sweep runs in seconds; the
-//! `DRAMLESS_SCALE`-aware [`suite::Scale`] type controls this.
+//! [`suite::Scale`] multiplier controls this.
 
 pub mod cache;
 pub mod kernels;

@@ -7,8 +7,8 @@
 //! regenerates Table III and the Fig. 13 write-ratio circles.
 //!
 //! Sizes are scaled down from the paper's ≥10×-Polybench datasets so a
-//! full sweep runs in seconds; set the `DRAMLESS_SCALE` environment
-//! variable (e.g. `2.0`) to enlarge every kernel proportionally.
+//! full sweep runs in seconds; a [`Scale`] above 1 (e.g. `Scale(2.0)`,
+//! or `dramless-sim --scale 2`) enlarges every kernel proportionally.
 
 use crate::kernels::{linalg, medley, solvers, stencils, KernelRun};
 use crate::recorder::{NullRecorder, TraceRecorder};
@@ -163,18 +163,6 @@ impl Scale {
     /// A reduced scale for unit/integration tests.
     pub fn small() -> Self {
         Scale(0.4)
-    }
-
-    /// Reads `DRAMLESS_SCALE` from the environment. An unset,
-    /// unparsable or [`validate`](Scale::validate)-failing value gives
-    /// 1.0.
-    pub fn from_env() -> Self {
-        std::env::var("DRAMLESS_SCALE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .map(Scale)
-            .filter(|s| s.validate().is_ok())
-            .unwrap_or_else(Scale::paper)
     }
 
     /// Checks that every kernel builds at this scale: the factor is
@@ -482,12 +470,5 @@ mod tests {
         assert!(Workload { n: MAX_N, ..w }.validate().is_ok());
         assert!(Workload { n: MAX_N + 1, ..w }.validate().is_err());
         assert!(Workload { n: 3, ..w }.validate().is_err());
-    }
-
-    #[test]
-    fn scale_from_env_parses() {
-        // Not set in the test environment: default.
-        let s = Scale::from_env();
-        assert!(s.0 > 0.0);
     }
 }

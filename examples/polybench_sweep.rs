@@ -4,16 +4,17 @@
 //!
 //! ```sh
 //! cargo run --release --example polybench_sweep
-//! DRAMLESS_SCALE=1.5 cargo run --release --example polybench_sweep
 //! ```
+//!
+//! For another problem size, `dramless-sim --system all --kernel all
+//! --scale 1.5` runs the same grid.
 
 use dramless::sweep::sweep;
 use dramless::{SystemKind, SystemParams};
 use workloads::{Scale, Workload};
 
 fn main() {
-    let scale = Scale::from_env();
-    let suite = Workload::suite(scale);
+    let suite = Workload::suite(Scale::paper());
     let params = SystemParams::default();
 
     println!(

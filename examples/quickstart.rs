@@ -10,7 +10,7 @@ use workloads::{Kernel, Scale, Workload};
 
 fn main() {
     // A read-intensive Polybench kernel at the default evaluation scale.
-    let workload = Workload::of(Kernel::Gemver, Scale::from_env());
+    let workload = Workload::of(Kernel::Gemver, Scale::paper());
     let params = SystemParams::default();
 
     println!("kernel: {} (n = {})", workload.kernel, workload.n);

@@ -3,11 +3,15 @@
 //! path runs on a tiny cell.
 
 use dramless::paper::{CLAIMS_BEGIN, CLAIMS_END};
-use dramless::{replay, FleetSpec, ReplayError, SuiteResult, SystemId, SystemKind, SystemParams};
+use dramless::{
+    replay, simulate_spec_traced, FleetSpec, ReplayError, SuiteResult, SystemId, SystemKind,
+    SystemParams,
+};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use util::fingerprint::fnv1a;
 use util::json::{FromJson, Json, ToJson};
+use util::telemetry::chrome_trace;
 use workloads::{Kernel, Scale, Workload};
 
 /// The committed byte goldens: `name digest` rows (see the file).
@@ -58,6 +62,21 @@ impl Drop for Dir {
     }
 }
 
+/// The value at `path` (object keys, array indices) inside `v`.
+fn at<'j>(mut v: &'j mut Json, path: &[&str]) -> &'j mut Json {
+    for key in path {
+        v = match v {
+            Json::Obj(pairs) => {
+                let pair = pairs.iter_mut().find(|(k, _)| k == key);
+                &mut pair.expect("the image has the key").1
+            }
+            Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+            _ => panic!("{key} indexes a scalar"),
+        };
+    }
+    v
+}
+
 #[test]
 fn malformed_command_lines_exit_1_with_an_error_line() {
     let dir = Dir::new("malformed");
@@ -102,7 +121,8 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
     // A recording whose checkpoint-1 cursor image decodes but could not
     // come from its run: agent 0 at a `step` past its schedule or at an
     // `event` index its steps do not give, a PSC listing 2 PEs, a series
-    // bucket width of 0, or clocks that disagree with each other.
+    // bucket width of 0, clocks that disagree with each other, or clocks
+    // so near 2^64 that the replay's next add would wrap.
     let w = Workload::of(Kernel::Trisolv, Scale(0.25));
     let rec = replay::record_run(&systems, &[w], &SystemParams::default(), 64).unwrap();
     let ckpt = &rec.cells[0].checkpoints[1];
@@ -117,54 +137,62 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
         .and_then(|p| p.get("states")?.as_arr())
         .expect("cursor images carry the PSC's states");
     assert!(states.len() > 2);
-    // Writes `file`: the recording with the value at `path` (object
-    // keys, array indices) of checkpoint 1's cursor image set to `value`.
-    let forge = |file: &str, path: &[&str], value: Json| {
+    // Writes `file`: the recording with checkpoint 1's cursor image
+    // changed by `edit`.
+    let forge = |file: &str, edit: &dyn Fn(&mut Json)| {
         let mut forged = rec.clone();
-        let mut v = &mut forged.cells[0].checkpoints[1].exec.data;
-        for key in path {
-            v = match v {
-                Json::Obj(pairs) => {
-                    let pair = pairs.iter_mut().find(|(k, _)| k == key);
-                    &mut pair.expect("the image has the key").1
-                }
-                Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
-                _ => panic!("{key} indexes a scalar"),
-            };
-        }
-        *v = value;
+        edit(&mut forged.cells[0].checkpoints[1].exec.data);
         dir.write(file, &forged.to_json_string());
     };
     let agent0 = |field| ["agents", "0", field];
-    forge(
-        "forged-step.json",
-        &agent0("step"),
-        (step.unwrap() + 1_000_000).to_json(),
-    );
-    forge(
-        "forged-event.json",
-        &agent0("event"),
-        1_000_000_000u64.to_json(),
-    );
-    forge(
-        "forged-psc.json",
-        &["psc", "states"],
-        Json::Arr(states[..2].to_vec()),
-    );
+    forge("forged-step.json", &|c| {
+        *at(c, &agent0("step")) = (step.unwrap() + 1_000_000).to_json()
+    });
+    forge("forged-event.json", &|c| {
+        *at(c, &agent0("event")) = 1_000_000_000u64.to_json()
+    });
+    forge("forged-psc.json", &|c| {
+        *at(c, &["psc", "states"]) = Json::Arr(states[..2].to_vec())
+    });
     for series in ["ipc_series", "power_series"] {
-        forge(
-            &format!("forged-{series}.json"),
-            &[series, "bucket_width"],
-            0u64.to_json(),
-        );
+        forge(&format!("forged-{series}.json"), &|c| {
+            *at(c, &[series, "bucket_width"]) = 0u64.to_json()
+        });
     }
-    forge("forged-time.json", &agent0("time"), 0u64.to_json());
-    forge("forged-times.json", &["times", "0"], 0u64.to_json());
-    forge(
-        "forged-start.json",
-        &["start"],
-        1_000_000_000_000_000u64.to_json(),
-    );
+    forge("forged-time.json", &|c| {
+        *at(c, &agent0("time")) = 0u64.to_json()
+    });
+    forge("forged-times.json", &|c| {
+        *at(c, &["times", "0"]) = 0u64.to_json()
+    });
+    forge("forged-start.json", &|c| {
+        *at(c, &["start"]) = 1_000_000_000_000_000u64.to_json()
+    });
+    let count = |key| {
+        image
+            .get(key)
+            .and_then(Json::as_arr)
+            .map_or(0, <[Json]>::len)
+    };
+    // 2^64 − `below`.
+    let late = |below: u64| (u64::MAX - below + 1).to_json();
+    let late_clocks = |c: &mut Json| {
+        for i in 0..count("agents") {
+            let i = i.to_string();
+            *at(c, &["agents", &i, "time"]) = late(1000);
+            *at(c, &["times", &i]) = late(1000);
+        }
+    };
+    forge("forged-late-clocks.json", &late_clocks);
+    forge("forged-late-wq.json", &|c| {
+        for i in 0..count("wq") {
+            *at(c, &["wq", &i.to_string()]) = late(1000);
+        }
+    });
+    forge("forged-late-start.json", &|c| {
+        late_clocks(c);
+        *at(c, &["start"]) = late(1010);
+    });
     // The committed inputs CI runs, each with one key misspelled.
     let plan = include_str!("../examples/chaos-plan.json");
     let tlc = include_str!("../examples/tlc-p2p.json");
@@ -254,6 +282,28 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
             &["replay", "forged-start.json", "--window", window.as_str()],
             "lies before `start` 1000000000000000 ps",
         ),
+        (
+            &[
+                "replay",
+                "forged-late-clocks.json",
+                "--window",
+                window.as_str(),
+            ],
+            "agent 0: `time` 18446744073709550616 ps lies past",
+        ),
+        (
+            &["replay", "forged-late-wq.json", "--window", window.as_str()],
+            "`wq[0]` 18446744073709550616 ps lies past",
+        ),
+        (
+            &[
+                "replay",
+                "forged-late-start.json",
+                "--window",
+                window.as_str(),
+            ],
+            "`start` 18446744073709550606 ps lies past",
+        ),
         (&["record", "--json", "out.json"], ""),
         (&["--checkpoint-every", "5"], ""),
         (&["replay"], ""),
@@ -311,6 +361,30 @@ fn run_json_parses_back_as_a_suite_result() {
     dir.ok(&[&TINY[..], &["--json", "suite.json"]].concat());
     let suite = SuiteResult::from_json_str(&dir.read("suite.json")).unwrap();
     assert_eq!(suite.outcomes.len(), 1);
+}
+
+#[test]
+fn trace_out_writes_the_cells_chrome_trace() {
+    // `tests/telemetry.rs` checks the trace's shape on this preset; the
+    // CLI must write that trace as is.
+    let dir = Dir::new("trace");
+    dir.ok(&[
+        "--system",
+        "dram-less",
+        "--kernel",
+        "gemver",
+        "--scale",
+        "0.25",
+        "--trace-out",
+        "trace.json",
+    ]);
+    let params = SystemParams::default();
+    let built = Workload::of(Kernel::Gemver, Scale(0.25)).build(params.agents);
+    let (_, events) = simulate_spec_traced(&SystemKind::DramLess.spec(), &built, &params).unwrap();
+    assert_eq!(
+        dir.read("trace.json"),
+        chrome_trace(&events).to_json_pretty()
+    );
 }
 
 #[test]

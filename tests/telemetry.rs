@@ -49,70 +49,73 @@ fn get<'j>(fields: &'j [(String, Json)], key: &str) -> Option<&'j Json> {
 fn traced_run_emits_a_well_formed_chrome_trace() {
     let w = Workload::of(Kernel::Gemver, Scale(0.25));
     let built = w.build(params().agents);
-    let (out, events) = simulate_spec_traced(&palp_style(), &built, &params()).unwrap();
-    assert!(!events.is_empty(), "traced run recorded no events");
-    assert!(!out.metrics.is_empty(), "traced run recorded no metrics");
+    for spec in [palp_style(), SystemKind::DramLess.spec()] {
+        let name = spec.display_name();
+        let (out, events) = simulate_spec_traced(&spec, &built, &params()).unwrap();
+        assert!(!events.is_empty(), "{name}: traced run recorded no events");
+        assert!(!out.metrics.is_empty(), "traced run recorded no metrics");
 
-    let trace = chrome_trace(&events);
-    let Json::Arr(items) = &trace else {
-        panic!("chrome trace must be a JSON array of event records");
-    };
-    let mut last_ts = f64::NEG_INFINITY;
-    let mut lanes: Vec<String> = Vec::new();
-    let mut spans = 0u64;
-    let mut instants = 0u64;
-    for item in items {
-        let Json::Obj(fields) = item else {
-            panic!("every trace record is an object");
+        let trace = chrome_trace(&events);
+        let Json::Arr(items) = &trace else {
+            panic!("chrome trace must be a JSON array of event records");
         };
-        let Some(Json::Str(ph)) = get(fields, "ph") else {
-            panic!("every record carries a ph");
-        };
-        assert!(get(fields, "pid").is_some(), "record lacks pid");
-        assert!(get(fields, "tid").is_some(), "record lacks tid");
-        match ph.as_str() {
-            "M" => {
-                if let Some(Json::Obj(args)) = get(fields, "args") {
-                    if let Some(Json::Str(n)) = get(args, "name") {
-                        lanes.push(n.clone());
+        let mut last_ts = f64::NEG_INFINITY;
+        let mut lanes: Vec<String> = Vec::new();
+        let mut spans = 0u64;
+        let mut instants = 0u64;
+        for item in items {
+            let Json::Obj(fields) = item else {
+                panic!("every trace record is an object");
+            };
+            let Some(Json::Str(ph)) = get(fields, "ph") else {
+                panic!("every record carries a ph");
+            };
+            assert!(get(fields, "pid").is_some(), "record lacks pid");
+            assert!(get(fields, "tid").is_some(), "record lacks tid");
+            match ph.as_str() {
+                "M" => {
+                    if let Some(Json::Obj(args)) = get(fields, "args") {
+                        if let Some(Json::Str(n)) = get(args, "name") {
+                            lanes.push(n.clone());
+                        }
                     }
                 }
-            }
-            "X" | "i" => {
-                let Some(Json::F64(ts)) = get(fields, "ts") else {
-                    panic!("event lacks a numeric ts");
-                };
-                assert!(
-                    *ts >= last_ts,
-                    "timestamps must be nondecreasing: {ts} after {last_ts}"
-                );
-                assert!(*ts >= 0.0);
-                last_ts = *ts;
-                if ph == "X" {
-                    let Some(Json::F64(dur)) = get(fields, "dur") else {
-                        panic!("complete event lacks dur");
+                "X" | "i" => {
+                    let Some(Json::F64(ts)) = get(fields, "ts") else {
+                        panic!("event lacks a numeric ts");
                     };
-                    assert!(*dur > 0.0);
-                    spans += 1;
-                } else {
-                    instants += 1;
+                    assert!(
+                        *ts >= last_ts,
+                        "timestamps must be nondecreasing: {ts} after {last_ts}"
+                    );
+                    assert!(*ts >= 0.0);
+                    last_ts = *ts;
+                    if ph == "X" {
+                        let Some(Json::F64(dur)) = get(fields, "dur") else {
+                            panic!("complete event lacks dur");
+                        };
+                        assert!(*dur > 0.0);
+                        spans += 1;
+                    } else {
+                        instants += 1;
+                    }
                 }
+                other => panic!("unexpected event phase {other:?}"),
             }
-            other => panic!("unexpected event phase {other:?}"),
         }
+        assert!(spans > 0, "{name}: no complete events in the trace");
+        assert!(instants > 0, "{name}: no instants (RAB/RDB hits)");
+        // One named lane per component instance: PRAM partitions, RDBs
+        // and PEs each get their own thread track.
+        for prefix in ["partition/", "rdb/", "pe/"] {
+            assert!(
+                lanes.iter().any(|n| n.starts_with(prefix)),
+                "{name}: no {prefix} lane among {lanes:?}"
+            );
+        }
+        // Several PEs ran, each on its own lane.
+        assert!(lanes.iter().filter(|n| n.starts_with("pe/")).count() >= 2);
     }
-    assert!(spans > 0, "no complete events in the trace");
-    assert!(instants > 0, "no instants (RAB/RDB hits) in the trace");
-    // One named lane per component instance: PRAM partitions, RDBs and
-    // PEs each get their own thread track.
-    for prefix in ["partition/", "rdb/", "pe/"] {
-        assert!(
-            lanes.iter().any(|n| n.starts_with(prefix)),
-            "no {prefix} lane among {lanes:?}"
-        );
-    }
-    // Several PEs ran, each on its own lane.
-    assert!(lanes.iter().filter(|n| n.starts_with("pe/")).count() >= 2);
 }
 
 #[test]
