@@ -12,6 +12,8 @@ use util::fingerprint::fnv1a;
 use util::json::{FromJson, ToJson};
 use workloads::{Kernel, Scale, Workload};
 
+mod goldens;
+
 fn params() -> SystemParams {
     SystemParams::default()
 }
@@ -243,35 +245,23 @@ fn fault_free_presets_serialize_without_fault_keys() {
 #[test]
 fn accurate_tier_reports_match_pre_refactor_goldens() {
     // Byte-identity pin for the hot-path refactors (packed trace
-    // storage, batched scheduler, controller fast path): these digests
-    // were captured from the pre-refactor tree on the same cell. Any
+    // storage, batched scheduler, controller fast path): these digests,
+    // the manifest's `spec_equivalence/*` rows, were captured from the
+    // pre-refactor tree on the same cell. Any
     // drift in report bytes — timing, energy, series, ordering — fails
     // here before it can silently shift figure data. Re-record only for
     // a deliberate model change.
-    const GOLDEN: [(SystemKind, u64); 12] = [
-        (SystemKind::Hetero, 0xec3bb477bc89bc0c),
-        (SystemKind::Heterodirect, 0xd442957294037618),
-        (SystemKind::HeteroPram, 0x45117523fd012e19),
-        (SystemKind::HeterodirectPram, 0x18416fc6662749b8),
-        (SystemKind::NorIntf, 0xd99df1f3508ae021),
-        (SystemKind::IntegratedSlc, 0xf873b59bc7275c81),
-        (SystemKind::IntegratedMlc, 0x5c4f5ef55238c5ec),
-        (SystemKind::IntegratedTlc, 0xcccd87317dd618a1),
-        (SystemKind::PageBuffer, 0x834ef34ed6e24b9c),
-        (SystemKind::DramLessFirmware, 0x5ae45dc2b7cde42f),
-        (SystemKind::DramLess, 0x134d359b359a2f01),
-        (SystemKind::Ideal, 0x20981fcaa2867330),
-    ];
     let w = Workload::of(Kernel::Gemver, Scale(0.25));
     let built = w.build(params().agents);
-    for (kind, want) in GOLDEN {
-        let out = simulate_built(kind, &built, &params());
-        let got = fnv1a(out.to_json_pretty().as_bytes());
-        assert_eq!(
-            got, want,
-            "{kind}: accurate-tier report bytes drifted (got 0x{got:016x})"
-        );
-    }
+    let rows: Vec<(String, String)> = all_kinds()
+        .into_iter()
+        .map(|kind| {
+            let out = simulate_built(kind, &built, &params());
+            let got = fnv1a(out.to_json_pretty().as_bytes());
+            (format!("spec_equivalence/{kind:?}"), goldens::hex(got))
+        })
+        .collect();
+    goldens::check("spec_equivalence/", &rows);
 }
 
 #[test]

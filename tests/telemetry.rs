@@ -15,6 +15,8 @@ use util::pool::Pool;
 use util::telemetry::chrome_trace;
 use workloads::{Kernel, Scale, Workload};
 
+mod goldens;
+
 /// A staged-PRAM point Table I never built (PALP-style): PRAM behind
 /// P2P DMA with an Interleaving scheduler. It exercises partitions,
 /// RDBs, PEs, the DRAM page cache, the staging path *and* the PRAM
@@ -296,9 +298,9 @@ fn attributed_faulted_grid_matches_its_golden_report() {
     // tail-forensics kernels, faults armed and attribution on, swept on
     // one thread. The report carries each cell's metrics (trace
     // counters and `pe.mem_op` included) and attribution block; the
-    // digest was taken before trace calls were counted instead of
-    // stored, so any drift in how probes reach the report fails here.
-    const GOLDEN: u64 = 0xaaf9_e0da_1d52_b72b;
+    // digest (the manifest's `telemetry/*` row) was taken before trace
+    // calls were counted instead of stored, so any drift in how probes
+    // reach the report fails here.
     let kernels = [
         Kernel::Gemver,
         Kernel::Trisolv,
@@ -343,8 +345,11 @@ fn attributed_faulted_grid_matches_its_golden_report() {
         "the ring must overflow somewhere, or the drop count goes unpinned"
     );
     let got = util::fingerprint::fnv1a(suite.to_json().as_bytes());
-    assert_eq!(
-        got, GOLDEN,
-        "attributed grid report drifted (got 0x{got:016x})"
+    goldens::check(
+        "telemetry/",
+        &[(
+            "telemetry/attributed-faulted-grid".to_string(),
+            goldens::hex(got),
+        )],
     );
 }
