@@ -17,8 +17,6 @@ pub enum PeState {
     Active,
 }
 
-util::json_enum!(PeState { Sleep, Active });
-
 /// Transition timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PscParams {
@@ -47,14 +45,6 @@ pub struct PowerSleepController {
     transitions: u64,
 }
 
-util::json_struct!(PowerSleepController {
-    params,
-    states,
-    transitions
-});
-
-sim_core::snapshot_via_json!(PowerSleepController, "accel/psc", 1);
-
 impl PowerSleepController {
     /// Creates a PSC for `pes` elements, all asleep.
     ///
@@ -77,11 +67,6 @@ impl PowerSleepController {
     /// Panics if `i` is out of range.
     pub fn state(&self, i: usize) -> PeState {
         self.states[i]
-    }
-
-    /// Number of PEs the controller tracks.
-    pub(crate) fn pes(&self) -> usize {
-        self.states.len()
     }
 
     /// Total transitions performed.

@@ -65,10 +65,7 @@ pub enum ReplayStep {
         events: u64,
     },
     /// A memory op served by a single run of cache hits, decoded from
-    /// the step word itself. The schedule stores no event word for it,
-    /// but a replay cursor's event index counts one, so the index is the
-    /// same whichever ops store their words and cursor images keep one
-    /// layout.
+    /// the step word itself. The schedule stores no event word for it.
     HitRun {
         /// Whether the op is a store (loads otherwise).
         store: bool,
@@ -750,13 +747,16 @@ mod tests {
 
     #[test]
     fn single_hit_run_ops_carry_the_run_in_the_step_word() {
-        use sim_core::Snapshot;
         let mut t = Trace::new();
         t.load(0, 8); // L1 + L2 miss: a fill
         t.store(8, 8); // same L1 line: one L1 hit
         t.load(0, 200); // four L1 lines in the filled L2 line: 1 + 3 hits
         t.load(0, 400); // seven L1 lines: hits, a fill at 256, hits
-        let s = MemSchedule::build(&[t], CacheConfig::l1(), CacheConfig::l2());
+        let s = MemSchedule::build(
+            std::slice::from_ref(&t),
+            CacheConfig::l1(),
+            CacheConfig::l2(),
+        );
         let a = &s.agents[0];
         assert!(matches!(a.step(0), ReplayStep::Mem { store: false, .. }));
         assert_eq!(
@@ -784,18 +784,12 @@ mod tests {
         ));
         // Only the two request-issuing ops store event words.
         assert_eq!(a.flush_start(), 1 + 3);
-        // A replay cursor's event index advances by one over each hit
-        // run all the same, so it reads 1 + 1 + 1 + 3 at the end.
+        // A replay reads only the two ops' stored words, so it issues
+        // the walker's request stream exactly.
         let accel = Accelerator::new(AccelConfig::default());
         let mut mem = CountingMem::new();
-        let mut cur = accel.schedule_cursor(Picos::ZERO, &s, &mut mem);
-        while accel.advance_slice(&mut cur, &s, &mut mem) {}
-        let image = cur.snapshot();
-        let event = image
-            .data
-            .get("agents")
-            .and_then(|agents| agents.as_arr()?.first()?.get("event")?.as_u64());
-        assert_eq!(event, Some(6));
+        accel.run_schedule_at(Picos::ZERO, &s, &mut mem);
+        assert_eq!(mem.ops, walker_ops(&t));
     }
 
     #[test]

@@ -200,13 +200,16 @@ SUBCOMMANDS:
   record          run the selected cells deterministically, emitting a
                   recording: per-cell run fingerprints (schedule
                   content-address, chained request-stream digest, report
-                  hash) plus state checkpoints every --checkpoint-every
-                  backend requests (default 50000); writes --out
+                  hash), the tape of every backend request's completion
+                  time, and backend checkpoints every --checkpoint-every
+                  requests (default 50000); writes --out
                   [default: run.json]
-  replay          re-execute a recording and fail loudly on any
-                  fingerprint divergence; with --window <a>..<b>, restore
-                  the nearest checkpoint at or before request <a> of cell
-                  --cell [default: 0] and re-execute just [a, b)
+  replay          re-execute a recording and fail loudly on the first
+                  completion or fingerprint that differs; with --window
+                  <a>..<b>, run cell --cell [default: 0] on its tape to
+                  the nearest checkpoint at or before request <a>,
+                  restore the backend's image there and re-execute just
+                  [a, b) against it
   reproduce       run the paper's evaluation once and write one JSON file
                   per figure and table, plus claims.md (the claims table),
                   to --out [default: repro]; exits 1 if a claim misses its
@@ -353,9 +356,7 @@ fn grid(args: &Args) -> CliResult<(Systems, Vec<Workload>, SystemParams)> {
         agents: args.parsed("--agents")?.unwrap_or(defaults.agents),
         ..defaults
     };
-    if !(1..=7).contains(&params.agents) {
-        return Err("--agents must be in 1..=7 (8 PEs, one serves)".into());
-    }
+    params.validate()?;
     let scale = Scale(args.parsed("--scale")?.unwrap_or(Scale::paper().0));
     scale.validate()?;
     let kernels = match args.get("--kernel") {

@@ -1,6 +1,7 @@
 //! System configurations (Table I).
 
 use crate::spec::SpecError;
+use sim_core::time::Picos;
 use std::fmt;
 
 /// The evaluated accelerated-system designs.
@@ -219,6 +220,11 @@ impl util::json::FromJson for SystemId {
     }
 }
 
+/// The most agent PEs a kernel can run on: the paper's platform has 8
+/// PEs, and one is the server. Every input that names an agent count
+/// (system parameters, a recording's, a fleet's) is held to it.
+pub const MAX_AGENTS: usize = 7;
+
 /// Tunable parameters shared by every configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemParams {
@@ -274,14 +280,17 @@ impl SystemParams {
     ///
     /// Returns [`SpecError`] describing the first offending knob.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.agents == 0 {
-            return Err(SpecError::new("params.agents must be >= 1"));
+        if !(1..=MAX_AGENTS).contains(&self.agents) {
+            return Err(SpecError::new(format!(
+                "params.agents must be in 1..={MAX_AGENTS} (8 PEs, one serves), got {}",
+                self.agents
+            )));
         }
-        // The bucket width is kept in picoseconds.
-        let max_bucket_us = u64::MAX / 1_000_000;
+        // The bucket width is a clock in picoseconds.
+        let max_bucket_us = Picos::CEILING.as_ps() / 1_000_000;
         if !(1..=max_bucket_us).contains(&self.sample_bucket_us) {
             return Err(SpecError::new(format!(
-                "params.sample_bucket_us must be in 1..={max_bucket_us}, got {}",
+                "params.sample_bucket_us must be in 1..={max_bucket_us} (2^62 ps), got {}",
                 self.sample_bucket_us
             )));
         }
@@ -336,6 +345,30 @@ mod tests {
     fn labels_are_figure_labels() {
         assert_eq!(SystemKind::HeteroPram.label(), "Hetero-PRAM");
         assert_eq!(SystemKind::DramLessFirmware.label(), "DRAM-less (firmware)");
+    }
+
+    #[test]
+    fn params_hold_agents_and_the_bucket_width_to_their_bounds() {
+        let with = |agents, sample_bucket_us| SystemParams {
+            agents,
+            sample_bucket_us,
+            ..SystemParams::default()
+        };
+        let max_bucket_us = Picos::CEILING.as_ps() / 1_000_000;
+        assert!(with(MAX_AGENTS, max_bucket_us).validate().is_ok());
+        for (bad, knob) in [
+            (with(0, 20), "params.agents"),
+            (with(MAX_AGENTS + 1, 20), "params.agents"),
+            (with(1_000_000_000_000, 20), "params.agents"),
+            (with(MAX_AGENTS, 0), "params.sample_bucket_us"),
+            (
+                with(MAX_AGENTS, max_bucket_us + 1),
+                "params.sample_bucket_us",
+            ),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(err.message().contains(knob), "{knob}: {err}");
+        }
     }
 
     #[test]

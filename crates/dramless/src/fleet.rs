@@ -41,7 +41,7 @@ use util::telemetry::{
 use workloads::{Kernel, Scale, Workload};
 
 use crate::analytic::ExecModel;
-use crate::config::SystemParams;
+use crate::config::{SystemParams, MAX_AGENTS};
 use crate::spec::{Medium, SpecError, SystemSpec};
 use crate::traffic::{ArrivalGen, ArrivalProcess, ClassMix, QosClass, TenantModel, NUM_CLASSES};
 use accel::exec::AccelConfig;
@@ -255,8 +255,11 @@ impl FleetSpec {
                 self.accelerators, self.slots_per_accel
             )));
         }
-        if self.agents == 0 {
-            return Err(SpecError::fleet("agents must be >= 1"));
+        if !(1..=MAX_AGENTS).contains(&self.agents) {
+            return Err(SpecError::fleet(format!(
+                "agents must be in 1..={MAX_AGENTS} (8 PEs, one serves), got {}",
+                self.agents
+            )));
         }
         Scale(self.scale)
             .validate()
@@ -294,15 +297,18 @@ impl FleetSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] when `duration_ms` overflows a `u64` of
-    /// picoseconds (about 213 days).
+    /// Returns [`SpecError`] when `duration_ms` puts the horizon past
+    /// the [`Picos::CEILING`] every clock is held to (about 53 days).
     fn horizon_ps(&self) -> Result<u64, SpecError> {
-        self.duration_ms.checked_mul(1_000_000_000).ok_or_else(|| {
-            SpecError::fleet(format!(
-                "duration_ms {} overflows the picosecond clock",
-                self.duration_ms
-            ))
-        })
+        self.duration_ms
+            .checked_mul(1_000_000_000)
+            .filter(|&ps| ps <= Picos::CEILING.as_ps())
+            .ok_or_else(|| {
+                SpecError::fleet(format!(
+                    "duration_ms {} puts the horizon past the 2^62 ps clock ceiling",
+                    self.duration_ms
+                ))
+            })
     }
 
     /// Bytes written per accelerator between erase-blocking windows; 0

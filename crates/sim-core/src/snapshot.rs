@@ -1,14 +1,13 @@
 //! Snapshotable simulation state: the [`Snapshot`] contract.
 //!
-//! Every stateful layer of the simulator — PRAM modules, the
-//! controller, FTLs, page caches, the host staging stack, the execution
-//! engine's cursor — implements [`Snapshot`]: it can serialize its
-//! *complete* mutable state into a versioned, JSON-serializable
-//! [`StateImage`] and later restore from one, such that a restored
-//! instance continues byte-identically to the original. This is the
-//! substrate of deterministic record/replay (checkpoint every N
-//! requests, re-execute a window, compare fingerprints) and the
-//! prerequisite for sharding one huge run across processes.
+//! Every stateful layer behind a memory backend — PRAM modules, the
+//! controller, FTLs, page caches, the host staging stack — implements
+//! [`Snapshot`]: it can serialize its *complete* mutable state into a
+//! versioned, JSON-serializable [`StateImage`] and later restore from
+//! one, such that a restored instance continues byte-identically to the
+//! original. Record/replay checkpoints the backend this way every N
+//! requests; the execution engine's side of a run needs no image,
+//! because the recording keeps every completion the backend returned.
 //!
 //! Contract:
 //!

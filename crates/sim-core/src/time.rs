@@ -9,6 +9,7 @@
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
+use util::json::{FromJson, Json, JsonError, ToJson};
 
 /// A span of (or point in) simulated time, in picoseconds.
 ///
@@ -31,13 +32,38 @@ use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Picos(pub u64);
 
-util::json_newtype!(Picos);
+impl ToJson for Picos {
+    fn to_json(&self) -> Json {
+        self.0.to_json()
+    }
+}
+
+/// Every clock a spec, a state image or a recording carries decodes
+/// here, so [`Picos::CEILING`] bounds them all.
+impl FromJson for Picos {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let ps = u64::from_json(v).map_err(|e| e.context("Picos"))?;
+        if ps > Picos::CEILING.0 {
+            return Err(JsonError::new(format!(
+                "Picos: {ps} ps lies past the 2^62 ps clock ceiling"
+            )));
+        }
+        Ok(Picos(ps))
+    }
+}
 
 impl Picos {
     /// The zero instant / empty duration.
     pub const ZERO: Picos = Picos(0);
     /// The maximum representable instant. Used as "never".
     pub const MAX: Picos = Picos(u64::MAX);
+    /// The latest clock any input may carry: 2^62 ps, about 53 simulated
+    /// days. Runs start near zero and last seconds, so a later clock in
+    /// a spec, a state image or a recording is forged or corrupt, and
+    /// refusing it on decode leaves a run's `Picos` adds (step
+    /// durations, backend completions) 3 × 2^62 ps of headroom before
+    /// they wrap.
+    pub const CEILING: Picos = Picos(1 << 62);
 
     /// Creates a span from a whole number of picoseconds.
     #[inline]
@@ -353,6 +379,18 @@ mod tests {
         assert_eq!(Picos::from_ms(1), Picos::from_us(1_000));
         assert_eq!(Picos::from_ns_f64(2.5), Picos::from_ps(2_500));
         assert_eq!(Picos::from_us_f64(0.75), Picos::from_ns(750));
+    }
+
+    #[test]
+    fn decoding_refuses_clocks_past_the_ceiling() {
+        let ceiling = Picos::CEILING.as_ps();
+        let back = Picos::from_json(&Picos::CEILING.to_json()).unwrap();
+        assert_eq!(back, Picos::CEILING);
+        for ps in [ceiling + 1, u64::MAX - 999] {
+            let err = Picos::from_json(&ps.to_json()).unwrap_err();
+            assert!(err.to_string().contains("2^62 ps clock ceiling"), "{err}");
+        }
+        assert!(Picos::from_json(&Json::I64(-5)).is_err());
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl Fnv64 {
         Fnv64 { h: OFFSET }
     }
 
-    /// Resumes accumulation from a previously captured [`Fnv64::value`]
-    /// — how the replay layer chains a fingerprint across checkpoints.
-    pub fn resume(value: u64) -> Self {
-        Fnv64 { h: value }
-    }
-
     /// Folds one 64-bit lane: `h = (h ^ v) * PRIME`.
     ///
     /// One multiply per 8 bytes — the fast-path granularity used for
@@ -108,17 +102,6 @@ mod tests {
         let mut bytes = Fnv64::new();
         bytes.mix_bytes(b"abcdefgh");
         assert_ne!(lanes.value(), bytes.value());
-    }
-
-    #[test]
-    fn resume_continues_the_chain() {
-        let mut whole = Fnv64::new();
-        whole.mix_bytes(b"hello world");
-        let mut head = Fnv64::new();
-        head.mix_bytes(b"hello ");
-        let mut tail = Fnv64::resume(head.value());
-        tail.mix_bytes(b"world");
-        assert_eq!(whole.value(), tail.value());
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Deterministic record/replay: checkpoint a run, resume it mid-cell.
+//! Deterministic record/replay: tape a run, resume it mid-cell.
 //!
 //! Records a faulted DRAM-less cell with a tight checkpoint cadence,
-//! then (1) replays a window `[A..B)` of the backend-request stream
-//! from the nearest checkpoint, (2) resumes mid-cell and runs to
-//! completion — proving the resumed run lands on the exact report
-//! bytes of the straight run — and (3) shows that a tampered
-//! checkpoint is rejected loudly instead of replaying to a silently
-//! different answer.
+//! then (1) replays a window `[A..B)` of the backend-request stream:
+//! the tape of recorded completions carries the accelerator to the
+//! nearest checkpoint, whose backend image takes over from there,
+//! (2) resumes mid-cell and runs to completion — proving the resumed
+//! run lands on the exact report bytes of the straight run — and
+//! (3) shows that a tampered checkpoint is rejected loudly instead of
+//! replaying to a silently different answer.
 //!
 //! The same flows are available from the CLI:
 //! `dramless-sim record --out run.json` /
@@ -25,10 +26,10 @@ fn main() {
     let mut spec = SystemKind::DramLess.spec();
     spec.faults = Some(FaultPlan::seeded(7));
 
-    // Record: run the cell once, emitting a checkpoint (cursor +
-    // backend state images) every 40 backend requests and a
-    // fingerprint over the schedule, the request stream and the
-    // final report.
+    // Record: run the cell once, taping every backend request's
+    // completion, imaging the backend every 40 requests, and
+    // fingerprinting the schedule, the request stream and the final
+    // report.
     let rec = replay::record_cell(
         SystemId::Preset(SystemKind::DramLess),
         &spec,
@@ -39,9 +40,10 @@ fn main() {
     .expect("record");
     let fp = rec.fingerprint;
     println!(
-        "recorded {}: {} requests, {} checkpoints",
+        "recorded {}: {} requests, {} completions on the tape, {} checkpoints",
         rec.outcome.kernel.label(),
         fp.requests,
+        rec.tape.len(),
         rec.checkpoints.len()
     );
     println!(
@@ -52,9 +54,10 @@ fn main() {
         println!("  faults: {}", d.to_json_string());
     }
 
-    // Window replay: restore the nearest checkpoint at or before the
-    // window start and re-execute through the end, re-verifying every
-    // recorded checkpoint crossed on the way.
+    // Window replay: run the tape up to the nearest checkpoint at or
+    // before the window start, restore its backend image and re-execute
+    // through the end, checking every completion against the tape and
+    // every recorded checkpoint crossed on the way.
     let mid = rec.checkpoints[rec.checkpoints.len() / 2].requests;
     let rep = replay::replay_window(&rec, &params, mid..(mid + 60)).expect("window replay");
     println!(
