@@ -9,7 +9,7 @@
 //!
 //! **Record** plays each `(system, workload)` cell through the normal
 //! phase runner, but drives the execution phase through the
-//! [`accel::exec::ScheduleCursor`] slice loop directly, against the
+//! [`accel::exec::ScheduleCursor`] call loop directly, against the
 //! real backend wrapped in an [`accel::exec::Tape`]:
 //!
 //! * the tape writes each request's completion down, as an offset from
@@ -17,8 +17,9 @@
 //! * a chained FNV-1a **stream fingerprint** commits to every backend
 //!   request (address, kind) and the completion clock of every batch;
 //! * every ~`checkpoint_every` requests it captures a [`Checkpoint`]:
-//!   the composed backend's [`StateImage`], tagged with the request
-//!   count and the stream digest at that boundary.
+//!   the composed backend's [`StateImage`] after the first request
+//!   batch at or past the target, tagged with the request count and the
+//!   stream digest at that boundary.
 //!
 //! The cell's [`RunFingerprint`] additionally commits to the schedule
 //! content-address (the same [`workloads::cache::traces_fingerprint`]
@@ -99,8 +100,8 @@ util::json_struct!(RunFingerprint {
     report
 });
 
-/// One restore point: the composed backend's image at an
-/// arbitration-slice boundary.
+/// One restore point: the composed backend's image at a call boundary
+/// of the replay, right after one request batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Backend requests issued when the image was taken.
@@ -408,7 +409,7 @@ pub struct WindowReport {
     pub cell: String,
     /// Request count of the checkpoint the replay resumed from.
     pub resumed_at: u64,
-    /// Request count the replay stopped at (slice-granular, so it can
+    /// Request count the replay stopped at (batch-granular, so it can
     /// overshoot the window end).
     pub replayed_to: u64,
     /// Recorded checkpoints past the resume point that the window
@@ -627,7 +628,7 @@ fn missed(cell: &str, field: String, recorded: u64, landed: u64) -> ReplayError 
 }
 
 /// Crosses every recorded checkpoint from `next` on that lies at or
-/// before the cursor's request count. Slice boundaries are
+/// before the cursor's request count. Call boundaries are
 /// deterministic, so the replay must land on exactly each recorded
 /// count, with exactly its digest, and never pass the run's count.
 fn cross(
@@ -1057,10 +1058,10 @@ mod tests {
                 "{needle}: {err}"
             );
         }
-        // A count between two slice boundaries: the replay steps past
-        // it, and the error names both counts. A checkpoint taken past
-        // its cadence target sits right after a slice that issued
-        // several requests, so its count less one is no boundary.
+        // A count inside one request batch: the replay steps past it,
+        // and the error names both counts. A checkpoint taken past its
+        // cadence target sits right after a batch of several requests,
+        // so its count less one is no boundary.
         let (spec, w, _) = small();
         let every = 7;
         let rec = record_cell(
@@ -1074,7 +1075,7 @@ mod tests {
         let counts: Vec<u64> = rec.checkpoints.iter().map(|c| c.requests).collect();
         let i = (1..counts.len())
             .find(|&i| counts[i] > counts[i - 1] + every)
-            .expect("some slice issues several requests");
+            .expect("some batch holds several requests");
         let mut bad = rec.clone();
         bad.checkpoints[i].requests -= 1;
         match verify_cell(&bad, &params) {

@@ -71,8 +71,9 @@ impl TimeSeries {
     }
 
     /// Like [`TimeSeries::new`] with room for `capacity` non-empty
-    /// buckets up front — hot producers (the execution engine's IPC and
-    /// power curves) use this to avoid growth reallocations mid-run.
+    /// buckets up front — the execution engine, which sums its IPC and
+    /// power buckets as integers, sizes its series exactly this way
+    /// when it converts them.
     ///
     /// # Panics
     ///
@@ -93,12 +94,13 @@ impl TimeSeries {
     /// Accumulates `value` into the bucket containing instant `at`.
     #[inline]
     pub fn add(&mut self, at: Picos, value: f64) {
-        // Producers overwhelmingly append in near time order (the
-        // execution engine always advances the earliest agent) and land
+        // Producers overwhelmingly append in near time order and land
         // in the tail bucket, or in the one before it when interleaved
-        // agents straddle a bucket boundary. Test those two buckets'
-        // time ranges first — it avoids the 64-bit division on the hot
-        // path (the engine calls this twice per executed op).
+        // samples straddle a bucket boundary. Test those two buckets'
+        // time ranges first — it avoids the 64-bit division. The
+        // execution engine no longer adds per step: it sums each
+        // bucket as an integer and adds it here once, in bucket order.
+        // The analytic tier still adds f64 samples one by one.
         let ps = at.as_ps();
         let width = self.bucket_width.as_ps();
         let n = self.data.len();

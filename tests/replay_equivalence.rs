@@ -209,6 +209,61 @@ fn window_replay_reproduces_recorded_fingerprints_and_rejects_tampering() {
 }
 
 #[test]
+fn checkpoints_land_on_the_first_request_batch_past_each_target() {
+    // At cadence 1 the recorder images the backend at every call
+    // boundary, one per request batch. At cadence 64 each checkpoint
+    // must sit on the first of those boundaries at or past its target.
+    let p = params();
+    let w = small();
+    let id = SystemId::Preset(SystemKind::DramLess);
+    let spec = SystemKind::DramLess.spec();
+    let every_boundary = replay::record_cell(id.clone(), &spec, &w, &p, 1).unwrap();
+    let boundaries: Vec<u64> = every_boundary
+        .checkpoints
+        .iter()
+        .map(|c| c.requests)
+        .collect();
+    let rec = replay::record_cell(id, &spec, &w, &p, 64).unwrap();
+    let counts: Vec<u64> = rec.checkpoints.iter().map(|c| c.requests).collect();
+    assert_eq!(counts[0], 0);
+    assert!(
+        counts.len() >= 3,
+        "want mid-run checkpoints, got {counts:?}"
+    );
+    for pair in counts.windows(2) {
+        let first = boundaries.iter().find(|&&b| b >= pair[0] + 64);
+        assert_eq!(Some(&pair[1]), first, "{counts:?}");
+    }
+    let last = counts[counts.len() - 1];
+    assert!(
+        boundaries.iter().all(|&b| b < last + 64),
+        "a boundary past the last target went unimaged: {counts:?}"
+    );
+
+    // Thinning the list keeps every count a boundary, so the recording
+    // still verifies and resumes from each checkpoint left. Recordings
+    // whose checkpoints sit on fewer boundaries replay the same way.
+    let mut thinned = rec.clone();
+    thinned.checkpoints = rec
+        .checkpoints
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 2 == 0)
+        .map(|(_, c)| c.clone())
+        .collect();
+    assert!(thinned.checkpoints.len() >= 2);
+    let rep = replay::verify_cell(&thinned, &p).unwrap();
+    assert!(rep.completed);
+    assert_eq!(rep.verified_checkpoints, thinned.checkpoints.len() - 1);
+    for c in &thinned.checkpoints {
+        let rep = replay::replay_window(&thinned, &p, c.requests..u64::MAX)
+            .unwrap_or_else(|e| panic!("resume at {}: {e}", c.requests));
+        assert_eq!(rep.resumed_at, c.requests);
+        assert!(rep.completed, "resume at {} did not complete", c.requests);
+    }
+}
+
+#[test]
 fn recordings_round_trip_through_json_files() {
     let rec = replay::record_run(
         &[(
@@ -362,8 +417,8 @@ fn checkpoints_land_on_the_golden_request_counts_and_images() {
         let row =
             |field: &str, value: String| (format!("replay_equivalence/{kind:?}/{field}"), value);
         if kind == SystemKind::DramLess {
-            // The list itself, as it was before request-free arbitration
-            // slices were fused into request-issuing ones.
+            // The list itself: the first request batch at or past each
+            // 64-request target.
             rows.extend(got.iter().map(|&(requests, stream)| {
                 row(&format!("stream@{requests}"), goldens::hex(stream))
             }));
