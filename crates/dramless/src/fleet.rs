@@ -905,6 +905,12 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
         if horizon_ps > 0 && at.as_ps() > horizon_ps {
             break;
         }
+        if at > Picos::CEILING {
+            return Err(SpecError::fleet(format!(
+                "the arrival clock passes the 2^62 ps ceiling at request {seq}; \
+                 raise the arrival rate"
+            )));
+        }
         let req = model.request(seq, at);
         seq += 1;
         let now = at.as_ps();
@@ -1103,6 +1109,48 @@ mod tests {
         // Attribution carries tenant tags on fleet runs.
         assert!(report.attr.top.iter().all(|t| t.tenant.is_some()));
         assert!(report.attr.top.iter().all(|t| t.source == "fleet.request"));
+    }
+
+    #[test]
+    fn an_arrival_clock_past_the_ceiling_is_a_typed_error() {
+        // The first inter-arrival time of a 1e-300/s process is far past
+        // 2^62 ps: the clock saturates instead of wrapping, and the run
+        // refuses the arrival, naming the clock. A rate of 1/s stays
+        // under the ceiling and serves.
+        for process in [
+            ArrivalProcess::Poisson { rate_per_s: 1e-300 },
+            ArrivalProcess::Bursty {
+                base_per_s: 1e-300,
+                burst_per_s: 1e-300,
+                mean_burst_ms: 1.0,
+                mean_calm_ms: 1e300,
+            },
+            ArrivalProcess::Diurnal {
+                mean_per_s: 1e-300,
+                swing: 0.5,
+                period_ms: 1.0,
+            },
+        ] {
+            let spec = FleetSpec {
+                arrivals: process,
+                requests: 10,
+                ..tiny_spec()
+            };
+            let err = run_fleet(&spec)
+                .expect_err("arrivals past 2^62 ps")
+                .to_string();
+            assert!(
+                err.starts_with("invalid fleet spec: the arrival clock passes the 2^62 ps ceiling"),
+                "{}: {err}",
+                process.label()
+            );
+        }
+        let slow = FleetSpec {
+            arrivals: ArrivalProcess::Poisson { rate_per_s: 1.0 },
+            requests: 10,
+            ..tiny_spec()
+        };
+        assert_eq!(run_fleet(&slow).expect("serves").offered, 10);
     }
 
     #[test]

@@ -273,7 +273,10 @@ fn step_ps(dt_s: f64) -> u64 {
 ///
 /// The sequence is a pure function of `(process, seed)`: two generators
 /// built alike produce identical timestamps forever. Timestamps are
-/// strictly increasing (every step is at least 1 ps).
+/// strictly increasing (every step is at least 1 ps) up to
+/// [`Picos::CEILING`]. Past it the clock saturates at `u64::MAX` ps
+/// instead of wrapping, and [`crate::fleet::run_fleet_on`] refuses the
+/// arrival.
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
     process: ArrivalProcess,
@@ -315,7 +318,9 @@ impl ArrivalGen {
     pub fn next_arrival(&mut self) -> Picos {
         match self.process {
             ArrivalProcess::Poisson { rate_per_s } => {
-                self.now_ps += step_ps(self.rng.exp_f64(rate_per_s));
+                self.now_ps = self
+                    .now_ps
+                    .saturating_add(step_ps(self.rng.exp_f64(rate_per_s)));
             }
             ArrivalProcess::Bursty {
                 base_per_s,
@@ -328,8 +333,8 @@ impl ArrivalGen {
                 } else {
                     base_per_s
                 };
-                let candidate = self.now_ps + step_ps(self.rng.exp_f64(rate));
-                if candidate <= self.episode_until_ps {
+                let candidate = self.now_ps.saturating_add(step_ps(self.rng.exp_f64(rate)));
+                if candidate <= self.episode_until_ps || candidate > Picos::CEILING.as_ps() {
                     self.now_ps = candidate;
                     break;
                 }
@@ -344,7 +349,9 @@ impl ArrivalGen {
                 } else {
                     mean_calm_ms
                 };
-                self.episode_until_ps = self.now_ps + step_ps(self.rng.exp_f64(1_000.0 / mean_ms));
+                self.episode_until_ps = self
+                    .now_ps
+                    .saturating_add(step_ps(self.rng.exp_f64(1_000.0 / mean_ms)));
             },
             ArrivalProcess::Diurnal {
                 mean_per_s,
@@ -356,7 +363,10 @@ impl ArrivalGen {
                 // rate function; proposals only move time forward.
                 let peak = mean_per_s * (1.0 + swing);
                 loop {
-                    self.now_ps += step_ps(self.rng.exp_f64(peak));
+                    self.now_ps = self.now_ps.saturating_add(step_ps(self.rng.exp_f64(peak)));
+                    if self.now_ps > Picos::CEILING.as_ps() {
+                        break;
+                    }
                     let t_ms = self.now_ps as f64 / 1e9;
                     let phase = std::f64::consts::TAU * (t_ms / period_ms);
                     let rate = mean_per_s * (1.0 + swing * phase.sin());
