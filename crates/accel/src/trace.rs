@@ -174,7 +174,25 @@ pub struct Trace {
     last_addr: u64,
     /// Encoder prediction state: previous access length.
     last_len: u32,
+    /// [`Trace::fingerprint`], once asked for. The schedule cache and
+    /// the record/replay layer ask for every trace of every cell, and a
+    /// trace changes only through [`Trace::compute`], [`Trace::load`]
+    /// and [`Trace::store`], which clear it.
+    fingerprint: FingerprintMemo,
 }
+
+/// A memoized content fingerprint. Equality ignores it: two traces of
+/// the same ops are equal whether or not either was fingerprinted.
+#[derive(Debug, Clone, Default)]
+struct FingerprintMemo(std::sync::OnceLock<u64>);
+
+impl PartialEq for FingerprintMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for FingerprintMemo {}
 
 // Serialized as `{ "ops": [...] }` — the exact layout the old
 // `Vec<TraceOp>` representation had, so trace JSON is unchanged.
@@ -221,8 +239,16 @@ impl Trace {
     /// The packed encoding is a pure function of the op sequence, so two
     /// traces fingerprint equal iff they decode to the same ops (modulo
     /// a 2^-64 collision). Used as a content-addressed cache key for
-    /// derived artifacts such as `MemSchedule`.
+    /// derived artifacts such as `MemSchedule`. Computed once per
+    /// content: later calls return the memo until the trace changes.
     pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .0
+            .get_or_init(|| self.content_fingerprint())
+    }
+
+    fn content_fingerprint(&self) -> u64 {
         let mut fp = util::fingerprint::Fnv64::new();
         // FNV-1a over 64-bit lanes: fingerprinting runs per schedule
         // lookup, and a byte-at-a-time walk of a multi-megabyte stream
@@ -278,6 +304,7 @@ impl Trace {
     }
 
     fn push_mem(&mut self, store: bool, addr: u64, len: u32) {
+        self.fingerprint.0.take();
         self.flush_tail();
         let delta = zigzag(addr.wrapping_sub(self.last_addr) as i64);
         if len == self.last_len {
@@ -300,6 +327,7 @@ impl Trace {
         if block.total() == 0 {
             return;
         }
+        self.fingerprint.0.take();
         match self.tail.as_mut() {
             Some(last) => last.merge(block),
             None => self.tail = Some(block),
@@ -461,6 +489,43 @@ impl FromIterator<TraceOp> for Trace {
 mod tests {
     use super::*;
     use util::json::{FromJson, ToJson};
+
+    #[test]
+    fn memoized_fingerprint_follows_every_change() {
+        // The memo is the content fingerprint: after each of `compute`,
+        // `load` and `store` it matches a fresh trace of the same ops,
+        // whether the memo was filled before the change or not, and a
+        // clone carries a memo that is still its own content's.
+        let mut t = Trace::new();
+        let mut ops = Vec::new();
+        let fresh = |ops: &[TraceOp]| ops.iter().copied().collect::<Trace>().content_fingerprint();
+        for (i, op) in [
+            TraceOp::Compute(InstrBlock::alu(4)),
+            TraceOp::Load { addr: 64, len: 8 },
+            TraceOp::Compute(InstrBlock::alu(2)),
+            TraceOp::Compute(InstrBlock::mac(1, 1)),
+            TraceOp::Store { addr: 32, len: 8 },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            if i % 2 == 0 {
+                t.fingerprint();
+            }
+            match op {
+                TraceOp::Compute(b) => t.compute(b),
+                TraceOp::Load { addr, len } => t.load(addr, len),
+                TraceOp::Store { addr, len } => t.store(addr, len),
+            }
+            ops.push(op);
+            assert_eq!(t.fingerprint(), fresh(&ops), "after op {i}");
+            let mut c = t.clone();
+            assert_eq!(c, t);
+            c.load(0, 4);
+            assert_ne!(c.fingerprint(), t.fingerprint());
+            assert_eq!(t.fingerprint(), fresh(&ops));
+        }
+    }
 
     #[test]
     fn instr_block_cycles_parallel_issue() {

@@ -131,6 +131,7 @@ impl AddressMap {
         assert!(len > 0, "zero-length request");
         FragIter {
             map: *self,
+            target: self.decompose(addr),
             cur: addr,
             end: addr + len as u64,
         }
@@ -150,9 +151,17 @@ impl AddressMap {
 
 /// Iterator over the word-aligned fragments of one request (see
 /// [`AddressMap::frags`]).
+///
+/// Only the first fragment is decomposed. Each later one lands where
+/// [`AddressMap::decompose`] would put the next word, so the iterator
+/// steps there: the next module of the stripe, past the last module
+/// the same stripe on the next channel, and past the last channel the
+/// next word of every module.
 #[derive(Debug, Clone)]
 pub struct FragIter {
     map: AddressMap,
+    /// Where the fragment at `cur` lands.
+    target: Target,
     cur: u64,
     end: u64,
 }
@@ -160,18 +169,31 @@ pub struct FragIter {
 impl Iterator for FragIter {
     type Item = Fragment;
 
+    #[inline]
     fn next(&mut self) -> Option<Fragment> {
         if self.cur >= self.end {
             return None;
         }
-        let word_end = (self.map.word_index(self.cur) + 1) * self.map.word_bytes;
+        let wb = self.map.word_bytes;
+        let word_end = self.cur - pow2::rem(self.cur, wb) + wb;
         let frag_end = word_end.min(self.end);
         let frag = Fragment {
-            target: self.map.decompose(self.cur),
+            target: self.target,
             global_addr: self.cur,
             len: (frag_end - self.cur) as u32,
         };
         self.cur = frag_end;
+        let t = &mut self.target;
+        t.module_addr -= pow2::rem(t.module_addr, wb);
+        t.module += 1;
+        if t.module == self.map.modules_per_channel {
+            t.module = 0;
+            t.channel += 1;
+            if t.channel == self.map.channels {
+                t.channel = 0;
+                t.module_addr += wb;
+            }
+        }
         Some(frag)
     }
 }
@@ -254,6 +276,30 @@ mod tests {
     fn total_capacity() {
         let m = AddressMap::paper();
         assert_eq!(m.total_capacity(1 << 30), 32u64 << 30);
+    }
+
+    #[test]
+    fn stepped_fragments_land_where_decompose_puts_them() {
+        // The iterator decomposes only a request's first word and steps
+        // the rest; every fragment must still land exactly where
+        // `decompose` puts its address, on the paper layout and on
+        // layouts whose counts are not powers of two.
+        util::for_each_case!(64, |rng| {
+            let map = AddressMap {
+                channels: rng.range_usize(1, 3),
+                modules_per_channel: rng.range_usize(1, 17),
+                word_bytes: 32,
+            };
+            let addr = rng.range_u64(0, 1 << 24);
+            let len = rng.range_u64(1, 8192) as u32;
+            let mut cur = addr;
+            for f in map.frags(addr, len) {
+                assert_eq!(f.global_addr, cur);
+                assert_eq!(f.target, map.decompose(cur), "{map:?} at {cur}");
+                cur += f.len as u64;
+            }
+            assert_eq!(cur, addr + len as u64);
+        });
     }
 
     #[test]

@@ -18,16 +18,16 @@
 //!   partition idle windows, making the following overwrite SET-only
 //!   (10 µs instead of 18 µs).
 
-use crate::addr::{AddressMap, Fragment};
+use crate::addr::{AddressMap, Fragment, Target};
 use crate::cmdgen::plan_read;
 use crate::phy::PhyParams;
 use crate::resilience::{EccModel, EccOutcome, RetireMap, RetryPolicy};
 use crate::sched::SchedulerKind;
 use crate::wear::StartGap;
 use pram::cell::WORD_BYTES;
-use pram::overlay::regs;
+use pram::geometry::{PramGeometry, RowId};
 use pram::timing::{BurstLen, PramTiming};
-use pram::PramChannel;
+use pram::{PhaseTiming, PramChannel};
 use sim_core::energy::{EnergyAccount, EnergyBook, Joules};
 use sim_core::fault::{domain, FaultCounters, FaultPlan};
 use sim_core::mem::{Access, MemoryBackend};
@@ -253,7 +253,16 @@ impl PramController {
     }
 
     /// Builds the subsystem: channels, modules, PHY state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address map's word is not the device's 32 B row
+    /// word: a fragment must map onto exactly one row.
     pub fn new(cfg: SubsystemConfig) -> Self {
+        assert_eq!(
+            cfg.map.word_bytes, WORD_BYTES as u64,
+            "the address map's word must be the {WORD_BYTES} B row word"
+        );
         let mut channels: Vec<PramChannel> = (0..cfg.map.channels)
             .map(|c| {
                 PramChannel::new(
@@ -373,19 +382,26 @@ impl PramController {
     /// Applies the start-gap remap to a (retirement-resolved) module byte
     /// address and, on writes, advances the gap (performing the
     /// relocation copy).
-    fn wear_remap(&mut self, at: Picos, frag: &Fragment, module_addr: u64, is_write: bool) -> u64 {
+    fn wear_remap(
+        &mut self,
+        at: Picos,
+        ch: usize,
+        md: usize,
+        module_addr: u64,
+        is_write: bool,
+    ) -> u64 {
         let Some(wear) = self.wear.as_mut() else {
             return module_addr;
         };
         let wb = self.cfg.map.word_bytes;
-        let sg = &mut wear[frag.target.channel][frag.target.module];
+        let sg = &mut wear[ch][md];
         let word = module_addr / wb;
         let offset = module_addr % wb;
         let mapped = sg.map(word) * wb + offset;
         if is_write {
             if let Some(mv) = sg.on_write() {
                 // The gap move copies one physical line.
-                let module = self.channels[frag.target.channel].module_mut(frag.target.module);
+                let module = self.channels[ch].module_mut(md);
                 let from = module.geometry().decode(mv.from * wb).0;
                 let to = module.geometry().decode(mv.to * wb).0;
                 module.relocate(at, from, to);
@@ -435,24 +451,106 @@ impl PramController {
     /// [`MemoryBackend::write`] uses a non-zero filler pattern).
     pub fn write_bytes(&mut self, at: Picos, addr: u64, data: &[u8]) -> Access {
         assert!(!data.is_empty(), "empty write");
+        self.write_pass(at, addr, data.len() as u32, Some(data))
+    }
+
+    /// Functional read returning the stored bytes.
+    pub fn read_bytes(&mut self, at: Picos, addr: u64, len: u32) -> (Access, Vec<u8>) {
+        let mut out = Vec::with_capacity(len as usize);
+        let a = self.read_pass(at, addr, len, Some(&mut out));
+        (a, out)
+    }
+
+    /// Resolves what every word of a request issued at `at` over
+    /// `[addr, addr + len)` shares, and checks once that the request
+    /// stays inside the modules: module addresses grow with the global
+    /// address, so its last byte lands highest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero or the request runs past the modules.
+    fn pass(&self, at: Picos, addr: u64, len: u32) -> Pass {
+        assert!(len > 0, "zero-length request");
+        let geometry = *self.channels[0].module(0).geometry();
+        let last = self.cfg.map.decompose(addr + (len as u64 - 1));
+        geometry.decode(last.module_addr);
+        let timing = &self.cfg.timing;
+        Pass {
+            at,
+            interleaves: self.cfg.scheduler.interleaves(),
+            selective: self.cfg.scheduler.selective_erase(),
+            faulted: self.faults.is_some(),
+            remaps: self.faults.is_some() || self.wear.is_some(),
+            traced: self.probe.is_enabled(),
+            sync: self.cfg.phy.sync_latency,
+            tck: timing.tck(),
+            treset: timing.t_reset_extra + timing.twra,
+            geometry,
+        }
+    }
+
+    /// One read request: every word fragment through the three-phase
+    /// protocol, in one pass. With `out: Some(buf)` the bytes are
+    /// appended to `buf` (functional read); with `None` only timing
+    /// advances, through the identical device walk.
+    fn read_pass(
+        &mut self,
+        at: Picos,
+        addr: u64,
+        len: u32,
+        mut out: Option<&mut Vec<u8>>,
+    ) -> Access {
+        let p = self.pass(at, addr, len);
         let attr_on = self.probe.attr_on();
-        let map = self.cfg.map;
+        let mut start = Picos::MAX;
+        let mut end = Picos::ZERO;
+        let mut worst: Option<AttrSpan> = None;
+        for frag in self.cfg.map.frags(addr, len) {
+            let a = if attr_on {
+                let mut span = AttrSpan::new(at);
+                let a = self.read_word(&p, &frag, out.as_deref_mut(), Some(&mut span));
+                if a.end > end || worst.is_none() {
+                    worst = Some(span);
+                }
+                a
+            } else {
+                self.read_word(&p, &frag, out.as_deref_mut(), None)
+            };
+            start = start.min(a.start);
+            end = end.max(a.end);
+        }
+        self.stats.reads += 1;
+        self.stats.read_latency_sum += end.saturating_sub(at);
+        self.probe.latency("pram.read", end.saturating_sub(at));
+        if let Some(span) = &worst {
+            self.probe.attr_record("pram.read", span);
+        }
+        Access { start, end }
+    }
+
+    /// One write request: every word fragment through the overlay-window
+    /// sequence, in one pass. `data` carries the bytes of a functional
+    /// write; `None` programs the timing-only filler.
+    fn write_pass(&mut self, at: Picos, addr: u64, len: u32, data: Option<&[u8]>) -> Access {
+        let p = self.pass(at, addr, len);
+        let attr_on = self.probe.attr_on();
         let mut start = Picos::MAX;
         let mut end = Picos::ZERO;
         let mut worst: Option<AttrSpan> = None;
         let mut off = 0usize;
-        for frag in map.frags(addr, data.len() as u32) {
-            let chunk = &data[off..off + frag.len as usize];
-            let mut span = if attr_on {
-                Some(AttrSpan::new(at))
+        for frag in self.cfg.map.frags(addr, len) {
+            let chunk = data.map(|d| &d[off..off + frag.len as usize]);
+            let a = if attr_on {
+                let mut span = AttrSpan::new(at);
+                let a = self.write_word(&p, &frag, chunk, Some(&mut span));
+                if a.end > end || worst.is_none() {
+                    worst = Some(span);
+                }
+                a
             } else {
-                None
+                self.write_word(&p, &frag, chunk, None)
             };
-            let a = self.write_frag(at, &frag, Some(chunk), span.as_mut());
             start = start.min(a.start);
-            if a.end > end || worst.is_none() {
-                worst = span;
-            }
             end = end.max(a.end);
             off += frag.len as usize;
         }
@@ -465,92 +563,69 @@ impl PramController {
         Access { start, end }
     }
 
-    /// Functional read returning the stored bytes.
-    pub fn read_bytes(&mut self, at: Picos, addr: u64, len: u32) -> (Access, Vec<u8>) {
-        let attr_on = self.probe.attr_on();
-        let map = self.cfg.map;
-        let mut out = Vec::with_capacity(len as usize);
-        let mut start = Picos::MAX;
-        let mut end = Picos::ZERO;
-        let mut worst: Option<AttrSpan> = None;
-        for frag in map.frags(addr, len) {
-            let mut span = if attr_on {
-                Some(AttrSpan::new(at))
-            } else {
-                None
-            };
-            let a = self.read_frag(at, &frag, Some(&mut out), span.as_mut());
-            start = start.min(a.start);
-            if a.end > end || worst.is_none() {
-                worst = span;
-            }
-            end = end.max(a.end);
+    /// When a word bound for channel `ch` may issue: at once under an
+    /// interleaving scheduler, else once the channel's previous word is
+    /// done — an overlap the scheduler left on the table.
+    #[inline]
+    fn issue_at(&mut self, p: &Pass, ch: usize) -> Picos {
+        if p.interleaves {
+            return p.at;
         }
-        self.stats.reads += 1;
-        self.stats.read_latency_sum += end.saturating_sub(at);
-        self.probe.latency("pram.read", end.saturating_sub(at));
-        if let Some(span) = &worst {
-            self.probe.attr_record("pram.read", span);
+        let serial = self.channel_serial[ch];
+        if serial > p.at {
+            self.stats.overlap_losses += 1;
         }
-        (Access { start, end }, out)
+        p.at.max(serial)
     }
 
-    /// One word-fragment read through the three-phase protocol.
-    ///
-    /// With `out: Some(buf)` the fragment's bytes are appended to `buf`
-    /// (functional read); with `None` only timing advances — the device
-    /// still runs the identical burst (same RNG preamble draw, stats and
-    /// energy), it just skips materializing the data copy.
-    fn read_frag(
+    /// The physical slot (module word) serving `module_addr` and its
+    /// row: retirement first, then start-gap leveling, which advances
+    /// (and may move a line) on writes. Without either, the slot is the
+    /// logical line.
+    #[inline]
+    fn locate(
         &mut self,
+        p: &Pass,
         at: Picos,
+        ch: usize,
+        md: usize,
+        module_addr: u64,
+        is_write: bool,
+    ) -> (u64, RowId) {
+        let mapped = if p.remaps {
+            let resolved = self.retire_resolve(ch, md, module_addr);
+            self.wear_remap(at, ch, md, resolved, is_write)
+        } else {
+            module_addr
+        };
+        let slot = pow2::div(mapped, WORD_BYTES as u64);
+        (slot, p.geometry.row_of_word(slot))
+    }
+
+    /// One word of a read pass through the three-phase protocol.
+    #[inline]
+    fn read_word(
+        &mut self,
+        p: &Pass,
         frag: &Fragment,
         out: Option<&mut Vec<u8>>,
         mut attr: Option<&mut AttrSpan>,
     ) -> Access {
-        let interleaves = self.cfg.scheduler.interleaves();
-        let ch_idx = frag.target.channel;
-        if !interleaves && self.channel_serial[ch_idx] > at {
-            // The word is ready to issue but the channel services one
-            // access at a time — an overlap the scheduler left on the
-            // table.
-            self.stats.overlap_losses += 1;
-        }
-        let earliest = if interleaves {
-            at
-        } else {
-            at.max(self.channel_serial[ch_idx])
-        };
+        let Target {
+            channel: ch_idx,
+            module: md,
+            module_addr,
+        } = frag.target;
+        let earliest = self.issue_at(p, ch_idx);
         adv(&mut attr, Cause::QueueWait, earliest);
-        let md = frag.target.module;
-        let rdb_track = self.rdb_track(ch_idx, md);
-        let sync = self.cfg.phy.sync_latency;
-        let tck = self.cfg.timing.tck();
-        let wb = self.cfg.map.word_bytes;
-        let line = pow2::div(frag.target.module_addr, wb);
-        let resolved = self.retire_resolve(ch_idx, md, frag.target.module_addr);
-        let mapped_addr = self.wear_remap(earliest, frag, resolved, false);
-        let phys_slot = pow2::div(mapped_addr, wb);
-        let lower_bits;
-        let row;
-        {
-            let ch = &mut self.channels[ch_idx];
-            let (module, _, _) = ch.module_and_buses(frag.target.module);
-            lower_bits = module.geometry().lower_row_bits;
-            let (r, _off) = module.geometry().decode(mapped_addr);
-            row = r;
-        }
-
-        let plan = {
-            let module = self.channels[ch_idx].module(frag.target.module);
-            plan_read(module.buffers(), row, lower_bits, interleaves)
-        };
+        let line = pow2::div(module_addr, WORD_BYTES as u64);
+        let (phys_slot, row) = self.locate(p, earliest, ch_idx, md, module_addr, false);
+        let lower_bits = p.geometry.lower_row_bits;
+        let (module, _cmd_bus, dq_bus) = self.channels[ch_idx].module_and_buses(md);
+        let plan = plan_read(module.buffers(), row, lower_bits, p.interleaves);
         let ba = plan.ba();
-        let mut t = earliest + sync;
+        let mut t = earliest + p.sync;
         adv(&mut attr, Cause::ArrayAccess, t);
-
-        let ch = &mut self.channels[ch_idx];
-        let (module, _cmd_bus, dq_bus) = ch.module_and_buses(frag.target.module);
 
         // Command issue costs one interface clock per 20-bit packet; the
         // command bus runs well under 20% utilized even on streams, so it
@@ -558,25 +633,33 @@ impl PramController {
         let part_track = Track::new("partition", row.partition.0 as u32);
         if plan.skips_pre_active() {
             self.stats.pre_active_skips += 1;
-            self.probe.instant(part_track, "rab_hit", t);
+            if p.traced {
+                self.probe.instant(part_track, "rab_hit", t);
+            }
         } else {
-            let pre = module.pre_active(t + tck, ba, row.upper(lower_bits));
-            adv(&mut attr, Cause::ArrayAccess, t + tck);
+            let pre = module.pre_active(t + p.tck, ba, row.upper(lower_bits));
+            adv(&mut attr, Cause::ArrayAccess, t + p.tck);
             adv(&mut attr, Cause::PartitionConflict, pre.start);
             adv(&mut attr, Cause::ArrayAccess, pre.end);
-            self.probe
-                .span(part_track, "pre_active", pre.start, pre.end);
+            if p.traced {
+                self.probe
+                    .span(part_track, "pre_active", pre.start, pre.end);
+            }
             t = pre.end;
         }
         if plan.skips_activate() {
             self.stats.activate_skips += 1;
-            self.probe.instant(part_track, "rdb_hit", t);
+            if p.traced {
+                self.probe.instant(part_track, "rdb_hit", t);
+            }
         } else {
-            let act = module.activate(t + tck, ba, row.lower(lower_bits));
-            adv(&mut attr, Cause::ArrayAccess, t + tck);
+            let act = module.activate(t + p.tck, ba, row.lower(lower_bits));
+            adv(&mut attr, Cause::ArrayAccess, t + p.tck);
             adv(&mut attr, Cause::PartitionConflict, act.start);
             adv(&mut attr, Cause::ArrayAccess, act.end);
-            self.probe.span(part_track, "activate", act.start, act.end);
+            if p.traced {
+                self.probe.span(part_track, "activate", act.start, act.end);
+            }
             t = act.end;
         }
 
@@ -584,178 +667,66 @@ impl PramController {
         // (RL + tDQSCK) hides behind the previous burst.
         let col_off = (frag.global_addr % WORD_BYTES as u64) as u32;
         let bl = BurstLen::covering(col_off + frag.len);
-        let bus_free = dq_bus.probe(Picos::ZERO);
-        if interleaves && bus_free > earliest {
+        let bus_free = dq_bus.free_at();
+        if p.interleaves && bus_free > earliest {
             // This word's address phases (tRCD work) ran while an
             // earlier burst still held the channel's DQ bus — the
             // overlap the multi-resource scheduler exists to create.
             self.stats.overlap_wins += 1;
         }
-        let (rt, word) = if out.is_some() {
-            let (rt, word) = module.read_burst(t + tck, bus_free, ba, 0, bl);
-            (rt, Some(word))
-        } else {
-            (module.read_burst_timed(t + tck, bus_free, ba, 0, bl), None)
-        };
+        let rt = module.read_burst_timed(t + p.tck, bus_free, ba, 0, bl);
         let tburst = self.cfg.timing.tburst(bl);
         dq_bus.reserve(rt.end - tburst, tburst);
-        // Full RAB+RDB hit ⇒ the pre-burst window is buffer read-out, not
-        // an array sense; otherwise the sense amps are doing the work.
-        let sense = if plan.skips_pre_active() && plan.skips_activate() {
-            Cause::BufferHit
-        } else {
-            Cause::ArrayAccess
-        };
-        adv(&mut attr, Cause::ArrayAccess, t + tck);
-        adv(&mut attr, Cause::BurstWait, rt.start);
-        adv(&mut attr, sense, rt.end - tburst);
-        adv(&mut attr, Cause::DataBurst, rt.end);
-        self.probe.span_args(
-            rdb_track,
-            "read",
-            rt.start,
-            rt.end,
-            &[("bytes", frag.len as u64)],
-        );
-
-        // Fault injection + resilience: ECC classification, bounded
-        // retry-with-backoff, retirement of lines over their error
-        // budget. Faults only cost time — the returned word is never
-        // corrupted (correctable flips are fixed in place, uncorrectable
-        // reads re-sense until the data lands).
-        let mut data_ready = rt.end;
-        if let Some(fs) = self.faults.as_mut() {
-            let st = fs.lines[ch_idx][md].entry(line).or_default();
-            st.reads += 1;
-            let read_idx = st.reads;
-            let rsw = st.reads_since_write;
-            st.reads_since_write += 1;
-
-            let pf = &fs.plan.pram;
-            let seed = fs.plan.seed;
-            let ecc = fs.ecc;
-            let retry = fs.retry;
-            let budget = fs.plan.resilience.line_error_budget;
-            let pmul = pf.partition_multiplier(row.partition.0 as usize);
-            let p_drift = (pf.drift_rate * pmul).min(1.0);
-            let ramp = if pf.disturb_window == 0 {
-                1.0
-            } else {
-                rsw.min(pf.disturb_window) as f64 / pf.disturb_window as f64
-            };
-            let p_disturb = (pf.read_disturb_rate * pmul * ramp).min(1.0);
-            let p_rdb = pf.rdb_corruption_rate.min(1.0);
-            let stuck = pf.stuck_at_threshold > 0
-                && fs.slot_writes[ch_idx][md]
-                    .get(&phys_slot)
-                    .copied()
-                    .unwrap_or(0)
-                    >= pf.stuck_at_threshold;
-            let (chn, mdn) = (ch_idx as u64, md as u64);
-            let draw_flips = |attempt: u64| -> u32 {
-                let mut flips = 0u32;
-                if p_drift > 0.0 {
-                    for trial in 0..u64::from(ecc.strength) + 2 {
-                        let labels = [domain::DRIFT, chn, mdn, line, read_idx, attempt, trial];
-                        if stream_unit(seed, &labels) < p_drift {
-                            flips += 1;
-                        }
-                    }
-                }
-                let labels = [domain::DISTURB, chn, mdn, line, read_idx, attempt];
-                if p_disturb > 0.0 && stream_unit(seed, &labels) < p_disturb {
-                    flips += 1;
-                }
-                flips
-            };
-            let rdb_corrupt = |attempt: u64| -> bool {
-                let labels = [domain::RDB, chn, mdn, line, read_idx, attempt];
-                p_rdb > 0.0 && stream_unit(seed, &labels) < p_rdb
-            };
-
-            let flips = draw_flips(0);
-            let corrupt = rdb_corrupt(0);
-            fs.counters.injected += u64::from(flips) + u64::from(corrupt) + u64::from(stuck);
-            let failed =
-                stuck || corrupt || matches!(ecc.classify(flips), EccOutcome::Uncorrectable(_));
-            if !failed {
-                if let EccOutcome::Corrected(_) = ecc.classify(flips) {
-                    fs.counters.ecc_corrected += 1;
-                }
-            } else {
-                fs.counters.ecc_uncorrectable += 1;
-                let service = rt.end - rt.start;
-                let mut recovered = false;
-                for attempt in 0..retry.max_retries {
-                    fs.counters.retries += 1;
-                    data_ready = data_ready + retry.backoff_for(attempt) + service;
-                    self.ctrl_energy.charge(E_CTRL_OP);
-                    if stuck {
-                        continue; // a worn-out line fails every re-sense
-                    }
-                    let a = u64::from(attempt) + 1;
-                    let corrupt2 = rdb_corrupt(a);
-                    let flips2 = draw_flips(a);
-                    fs.counters.injected += u64::from(flips2) + u64::from(corrupt2);
-                    if corrupt2 || matches!(ecc.classify(flips2), EccOutcome::Uncorrectable(_)) {
-                        fs.counters.ecc_uncorrectable += 1;
-                        continue;
-                    }
-                    if let EccOutcome::Corrected(_) = ecc.classify(flips2) {
-                        fs.counters.ecc_corrected += 1;
-                    }
-                    recovered = true;
-                    break;
-                }
-                if !recovered {
-                    // The line burned its retry budget: charge its error
-                    // budget and retire it onto a spare once exceeded.
-                    let st = fs.lines[ch_idx][md].entry(line).or_default();
-                    st.errors += 1;
-                    if st.errors >= budget {
-                        st.errors = 0;
-                        if let Some(spare) = fs.retire[ch_idx][md].retire(line) {
-                            fs.counters.retired_lines += 1;
-                            let spare_slot = match self.wear.as_ref() {
-                                Some(w) => w[ch_idx][md].map(spare),
-                                None => spare,
-                            };
-                            let to = module.geometry().decode(spare_slot * wb).0;
-                            let rel = module.relocate(data_ready, row, to);
-                            data_ready = rel.end;
-                        }
-                    }
-                    // Deep recovery (a stronger sense pulse) still lands
-                    // the data: faults cost time, never bytes.
-                    data_ready += service;
-                }
-            }
+        if let Some(buf) = out {
+            // The RDB the burst read holds `row`, so the burst carried
+            // the row's stored word.
+            let word = module.peek(row);
+            let lo = col_off as usize;
+            buf.extend_from_slice(&word[lo..lo + frag.len as usize]);
         }
+        if attr.is_some() {
+            // Full RAB+RDB hit ⇒ the pre-burst window is buffer read-out,
+            // not an array sense; otherwise the sense amps do the work.
+            let sense = if plan.skips_pre_active() && plan.skips_activate() {
+                Cause::BufferHit
+            } else {
+                Cause::ArrayAccess
+            };
+            adv(&mut attr, Cause::ArrayAccess, t + p.tck);
+            adv(&mut attr, Cause::BurstWait, rt.start);
+            adv(&mut attr, sense, rt.end - tburst);
+            adv(&mut attr, Cause::DataBurst, rt.end);
+        }
+        if p.traced {
+            self.probe.span_args(
+                self.rdb_track(ch_idx, md),
+                "read",
+                rt.start,
+                rt.end,
+                &[("bytes", frag.len as u64)],
+            );
+        }
+
+        let data_ready = if p.faulted {
+            self.read_faults(ch_idx, md, line, phys_slot, row, rt)
+        } else {
+            rt.end
+        };
         if data_ready > rt.end {
-            let stall = data_ready - rt.end;
-            if let Some(fs) = self.faults.as_mut() {
-                fs.counters.retry_stall_ps += stall.as_ps();
-            }
             adv(&mut attr, Cause::RetryStall, data_ready);
         }
 
         self.stats.words_read += 1;
         self.ctrl_energy.charge(E_CTRL_OP);
-        if !interleaves {
+        if !p.interleaves {
             self.channel_serial[ch_idx] = data_ready;
         }
         // Touch tracking only feeds the selective-erase window search in
-        // `write_frag`; schedulers without the optimization skip the
+        // `write_word`; schedulers without the optimization skip the
         // per-op hash insert entirely (the map stays empty).
-        if self.cfg.scheduler.selective_erase() {
+        if p.selective {
             let wi = self.cfg.map.word_index(frag.global_addr);
             self.last_touch.insert(wi, data_ready);
-        }
-
-        if let Some(buf) = out {
-            let word = word.expect("functional read ran the data burst");
-            let lo = col_off as usize;
-            buf.extend_from_slice(&word[lo..lo + frag.len as usize]);
         }
         Access {
             start: earliest,
@@ -763,109 +734,187 @@ impl PramController {
         }
     }
 
-    /// One word-fragment write through the overlay-window sequence.
-    fn write_frag(
+    /// Fault injection + resilience for one word read whose burst ran
+    /// over `rt`: ECC classification, bounded retry-with-backoff,
+    /// retirement of lines over their error budget. Faults only cost
+    /// time — the returned word is never corrupted (correctable flips
+    /// are fixed in place, uncorrectable reads re-sense until the data
+    /// lands). Returns when the data is ready.
+    fn read_faults(
         &mut self,
+        ch_idx: usize,
+        md: usize,
+        line: u64,
+        phys_slot: u64,
+        row: RowId,
+        rt: PhaseTiming,
+    ) -> Picos {
+        let fs = self.faults.as_mut().expect("called with a fault plan");
+        let mut data_ready = rt.end;
+        let st = fs.lines[ch_idx][md].entry(line).or_default();
+        st.reads += 1;
+        let read_idx = st.reads;
+        let rsw = st.reads_since_write;
+        st.reads_since_write += 1;
+
+        let pf = &fs.plan.pram;
+        let seed = fs.plan.seed;
+        let ecc = fs.ecc;
+        let retry = fs.retry;
+        let budget = fs.plan.resilience.line_error_budget;
+        let pmul = pf.partition_multiplier(row.partition.0 as usize);
+        let p_drift = (pf.drift_rate * pmul).min(1.0);
+        let ramp = if pf.disturb_window == 0 {
+            1.0
+        } else {
+            rsw.min(pf.disturb_window) as f64 / pf.disturb_window as f64
+        };
+        let p_disturb = (pf.read_disturb_rate * pmul * ramp).min(1.0);
+        let p_rdb = pf.rdb_corruption_rate.min(1.0);
+        let stuck = pf.stuck_at_threshold > 0
+            && fs.slot_writes[ch_idx][md]
+                .get(&phys_slot)
+                .copied()
+                .unwrap_or(0)
+                >= pf.stuck_at_threshold;
+        let (chn, mdn) = (ch_idx as u64, md as u64);
+        let draw_flips = |attempt: u64| -> u32 {
+            let mut flips = 0u32;
+            if p_drift > 0.0 {
+                for trial in 0..u64::from(ecc.strength) + 2 {
+                    let labels = [domain::DRIFT, chn, mdn, line, read_idx, attempt, trial];
+                    if stream_unit(seed, &labels) < p_drift {
+                        flips += 1;
+                    }
+                }
+            }
+            let labels = [domain::DISTURB, chn, mdn, line, read_idx, attempt];
+            if p_disturb > 0.0 && stream_unit(seed, &labels) < p_disturb {
+                flips += 1;
+            }
+            flips
+        };
+        let rdb_corrupt = |attempt: u64| -> bool {
+            let labels = [domain::RDB, chn, mdn, line, read_idx, attempt];
+            p_rdb > 0.0 && stream_unit(seed, &labels) < p_rdb
+        };
+
+        let flips = draw_flips(0);
+        let corrupt = rdb_corrupt(0);
+        fs.counters.injected += u64::from(flips) + u64::from(corrupt) + u64::from(stuck);
+        let failed =
+            stuck || corrupt || matches!(ecc.classify(flips), EccOutcome::Uncorrectable(_));
+        if !failed {
+            if let EccOutcome::Corrected(_) = ecc.classify(flips) {
+                fs.counters.ecc_corrected += 1;
+            }
+        } else {
+            fs.counters.ecc_uncorrectable += 1;
+            let service = rt.end - rt.start;
+            let mut recovered = false;
+            for attempt in 0..retry.max_retries {
+                fs.counters.retries += 1;
+                data_ready = data_ready + retry.backoff_for(attempt) + service;
+                self.ctrl_energy.charge(E_CTRL_OP);
+                if stuck {
+                    continue; // a worn-out line fails every re-sense
+                }
+                let a = u64::from(attempt) + 1;
+                let corrupt2 = rdb_corrupt(a);
+                let flips2 = draw_flips(a);
+                fs.counters.injected += u64::from(flips2) + u64::from(corrupt2);
+                if corrupt2 || matches!(ecc.classify(flips2), EccOutcome::Uncorrectable(_)) {
+                    fs.counters.ecc_uncorrectable += 1;
+                    continue;
+                }
+                if let EccOutcome::Corrected(_) = ecc.classify(flips2) {
+                    fs.counters.ecc_corrected += 1;
+                }
+                recovered = true;
+                break;
+            }
+            if !recovered {
+                // The line burned its retry budget: charge its error
+                // budget and retire it onto a spare once exceeded.
+                let st = fs.lines[ch_idx][md].entry(line).or_default();
+                st.errors += 1;
+                if st.errors >= budget {
+                    st.errors = 0;
+                    if let Some(spare) = fs.retire[ch_idx][md].retire(line) {
+                        fs.counters.retired_lines += 1;
+                        data_ready = self.relocate_to_spare(ch_idx, md, spare, row, data_ready);
+                    }
+                }
+                // Deep recovery (a stronger sense pulse) still lands
+                // the data: faults cost time, never bytes.
+                data_ready += service;
+            }
+        }
+        if data_ready > rt.end {
+            let fs = self.faults.as_mut().expect("called with a fault plan");
+            fs.counters.retry_stall_ps += (data_ready - rt.end).as_ps();
+        }
+        data_ready
+    }
+
+    /// Copies `row` onto retired line `spare`'s physical slot, starting
+    /// at `at`; returns when the copy is done.
+    fn relocate_to_spare(
+        &mut self,
+        ch: usize,
+        md: usize,
+        spare: u64,
+        row: RowId,
         at: Picos,
+    ) -> Picos {
+        let spare_slot = match self.wear.as_ref() {
+            Some(w) => w[ch][md].map(spare),
+            None => spare,
+        };
+        let module = self.channels[ch].module_mut(md);
+        let to = module.geometry().decode(spare_slot * WORD_BYTES as u64).0;
+        module.relocate(at, row, to).end
+    }
+
+    /// One word of a write pass through the overlay-window sequence.
+    #[inline]
+    fn write_word(
+        &mut self,
+        p: &Pass,
         frag: &Fragment,
         data: Option<&[u8]>,
         mut attr: Option<&mut AttrSpan>,
     ) -> Access {
-        let ch_idx = frag.target.channel;
-        let md = frag.target.module;
-        let interleaves = self.cfg.scheduler.interleaves();
-        let selective = self.cfg.scheduler.selective_erase();
-        if !interleaves && self.channel_serial[ch_idx] > at {
-            self.stats.overlap_losses += 1;
-        }
-        let earliest = if interleaves {
-            at
-        } else {
-            at.max(self.channel_serial[ch_idx])
-        };
-        let rdb_track = self.rdb_track(ch_idx, md);
-        let sync = self.cfg.phy.sync_latency;
-        let tck = self.cfg.timing.tck();
-        let treset = self.cfg.timing.t_reset_extra + self.cfg.timing.twra;
-        let wi = self.cfg.map.word_index(frag.global_addr);
-
+        let Target {
+            channel: ch_idx,
+            module: md,
+            module_addr,
+        } = frag.target;
+        let earliest = self.issue_at(p, ch_idx);
         adv(&mut attr, Cause::QueueWait, earliest);
 
         // The module's single program buffer gates the next write.
         let pb_free = self.program_buffer_free[ch_idx][md];
-        let t0 = earliest.max(pb_free) + sync;
+        let t0 = earliest.max(pb_free) + p.sync;
         // Waiting on the previous cell program to release the buffer is
         // the PRAM write wall — the erase/program-blocked bucket.
         adv(&mut attr, Cause::EraseBlocked, earliest.max(pb_free));
         adv(&mut attr, Cause::ArrayAccess, t0);
 
-        let wb = self.cfg.map.word_bytes;
-        let line = pow2::div(frag.target.module_addr, wb);
-        let resolved = self.retire_resolve(ch_idx, md, frag.target.module_addr);
-        let mapped_addr = self.wear_remap(t0, frag, resolved, true);
-        let phys_slot = pow2::div(mapped_addr, wb);
-        let word_addr = mapped_addr & !(WORD_BYTES as u64 - 1);
-        let row = {
-            let module = self.channels[ch_idx].module(md);
-            module.geometry().decode(word_addr).0
-        };
-
-        // Selective erasing: if this word was announced as an overwrite
-        // target, holds stale data, and both the word and its partition
-        // had an idle window long enough for a background RESET, the
-        // pre-erase already happened — the coming program is SET-only.
-        if selective {
-            let module = self.channels[ch_idx].module(md);
-            let eligible = self.announced.contains(&wi) && !module.is_pristine(row);
-            if eligible {
-                let lane_free = module.partition_free_at(row.partition);
-                let touch = self.last_touch.get(&wi).copied().unwrap_or(Picos::ZERO);
-                let window_start = lane_free.max(touch);
-                if window_start + treset <= t0 {
-                    let module = self.channels[ch_idx].module_mut(md);
-                    let pe = module.pre_erase(window_start, row);
-                    debug_assert!(pe.end <= t0 + treset);
-                    self.stats.preerase_hits += 1;
-                    self.probe.span(
-                        Track::new("partition", row.partition.0 as u32),
-                        "pre_erase",
-                        pe.start,
-                        pe.end,
-                    );
-                } else {
-                    self.stats.preerase_misses += 1;
-                }
-            }
+        let line = pow2::div(module_addr, WORD_BYTES as u64);
+        let (phys_slot, row) = self.locate(p, t0, ch_idx, md, module_addr, true);
+        let wi = self.cfg.map.word_index(frag.global_addr);
+        if p.selective {
+            self.pre_erase(p, wi, ch_idx, md, row, t0);
         }
 
-        // §V-B register sequence: command code (0x80), row address (0x8B),
-        // burst size (0x93), program buffer (0x800), execute (0xC0).
-        let ch = &mut self.channels[ch_idx];
-        let (module, _cmd_bus, dq_bus) = ch.module_and_buses(md);
-
-        let mut t = t0;
-        let cmd = [0xE9u8];
-        let addr_bytes = word_addr.to_le_bytes();
-        let mp = [WORD_BYTES as u8];
-        let reg_writes: [(u64, &[u8]); 3] = [
-            (regs::COMMAND_CODE, &cmd),
-            (regs::DATA_ADDRESS, &addr_bytes),
-            (regs::MULTI_PURPOSE, &mp),
-        ];
-        for (offset, bytes) in reg_writes {
-            let issue = (t + tck).max(dq_bus.probe(Picos::ZERO));
-            let w = module.write_overlay(issue, offset, bytes);
-            adv(&mut attr, Cause::BurstWait, issue);
-            adv(&mut attr, Cause::DataBurst, w.end);
-            let bl = BurstLen::covering(bytes.len() as u32);
-            let tburst = self.cfg.timing.tburst(bl);
-            dq_bus.reserve(w.end - tburst, tburst);
-            t = w.end;
-        }
-
-        // Program-buffer fill: read-modify-write semantics for partial
-        // words (the device merges against current contents). A full
-        // word overwrites every byte, so it skips the read.
+        // §V-B register sequence — command code (0x80), row address
+        // (0x8B), burst size (0x93), program buffer (0x800), execute
+        // (0xC0) — as one module call. The program buffer takes the
+        // whole word: read-modify-write for a partial word (merging
+        // against current contents), while a full word overwrites every
+        // byte and skips the read.
+        let (module, _cmd_bus, dq_bus) = self.channels[ch_idx].module_and_buses(md);
         let mut word = if frag.len as usize == WORD_BYTES {
             [0; WORD_BYTES]
         } else {
@@ -885,102 +934,44 @@ impl PramController {
                 }
             }
         }
-        let issue = (t + tck).max(dq_bus.probe(Picos::ZERO));
-        let fill = module.write_overlay(issue, regs::PROGRAM_BUFFER, &word);
-        adv(&mut attr, Cause::BurstWait, issue);
-        adv(&mut attr, Cause::DataBurst, fill.end);
-        let tburst = self.cfg.timing.tburst(BurstLen::Bl16);
-        dq_bus.reserve(fill.end - tburst, tburst);
-        t = fill.end;
-
-        // Execute: one more command packet, then the array program runs in
-        // the background; the program buffer frees when it completes.
-        let exec_accepted = t + tck * 2;
-        adv(&mut attr, Cause::ArrayAccess, exec_accepted);
-        let prog = module.execute_program(exec_accepted);
-
-        // Fault injection: SET/RESET program failures and stuck-at wear.
-        // Writes are posted, so a failing program costs *background* time
-        // (the program buffer stays busy through the re-pulses), not
-        // requester latency — until buffer pressure surfaces it.
-        let mut prog_end = prog.end;
-        if let Some(fs) = self.faults.as_mut() {
-            let st = fs.lines[ch_idx][md].entry(line).or_default();
-            st.writes += 1;
-            st.reads_since_write = 0;
-            let write_idx = st.writes;
-            let slot_w = fs.slot_writes[ch_idx][md].entry(phys_slot).or_insert(0);
-            *slot_w += 1;
-            let threshold = fs.plan.pram.stuck_at_threshold;
-            let stuck = threshold > 0 && *slot_w >= threshold;
-            let p_fail = fs.plan.pram.program_failure_rate.min(1.0);
-            let seed = fs.plan.seed;
-            let retry = fs.retry;
-            let budget = fs.plan.resilience.line_error_budget;
-            let service = prog.end - prog.start;
-            let (chn, mdn) = (ch_idx as u64, md as u64);
-            let fails = |attempt: u64| -> bool {
-                if stuck {
-                    return true; // worn-out cells reject every pulse
-                }
-                let labels = [domain::PROGRAM, chn, mdn, line, write_idx, attempt];
-                p_fail > 0.0 && stream_unit(seed, &labels) < p_fail
-            };
-            if fails(0) {
-                fs.counters.injected += 1;
-                let mut recovered = false;
-                for attempt in 0..retry.max_retries {
-                    fs.counters.retries += 1;
-                    prog_end = prog_end + retry.backoff_for(attempt) + service;
-                    self.ctrl_energy.charge(E_CTRL_OP);
-                    if !fails(u64::from(attempt) + 1) {
-                        recovered = true;
-                        break;
-                    }
-                    fs.counters.injected += 1;
-                }
-                if !recovered {
-                    let st = fs.lines[ch_idx][md].entry(line).or_default();
-                    st.errors += 1;
-                    if st.errors >= budget {
-                        st.errors = 0;
-                        if let Some(spare) = fs.retire[ch_idx][md].retire(line) {
-                            fs.counters.retired_lines += 1;
-                            let spare_slot = match self.wear.as_ref() {
-                                Some(w) => w[ch_idx][md].map(spare),
-                                None => spare,
-                            };
-                            let to = module.geometry().decode(spare_slot * wb).0;
-                            // Copy the just-programmed line onto its
-                            // spare so later reads round-trip.
-                            let rel = module.relocate(prog_end, row, to);
-                            prog_end = rel.end;
-                        }
-                    }
-                    // The final margin-boosted pulse always lands.
-                    prog_end += service;
-                }
+        // Execute is one more command packet; the array program then runs
+        // in the background and the program buffer frees when it ends.
+        let posted = module.post_program(t0, dq_bus, row, &word);
+        let exec_accepted = posted.accepted;
+        if let Some(a) = attr {
+            for burst in posted.bursts {
+                a.advance(Cause::BurstWait, burst.start);
+                a.advance(Cause::DataBurst, burst.end);
             }
+            a.advance(Cause::ArrayAccess, exec_accepted);
         }
 
+        let prog_end = if p.faulted {
+            self.program_faults(ch_idx, md, line, phys_slot, row, posted.program)
+        } else {
+            posted.program.end
+        };
         self.program_buffer_free[ch_idx][md] = prog_end;
-        self.probe.span_args(
-            rdb_track,
-            "write",
-            t0,
-            exec_accepted,
-            &[("bytes", frag.len as u64)],
-        );
-        self.probe
-            .span(rdb_track, "program", exec_accepted, prog_end);
+        if p.traced {
+            let rdb_track = self.rdb_track(ch_idx, md);
+            self.probe.span_args(
+                rdb_track,
+                "write",
+                t0,
+                exec_accepted,
+                &[("bytes", frag.len as u64)],
+            );
+            self.probe
+                .span(rdb_track, "program", exec_accepted, prog_end);
+        }
 
         self.stats.words_written += 1;
         self.ctrl_energy.charge(E_CTRL_OP);
-        if !interleaves {
+        if !p.interleaves {
             self.channel_serial[ch_idx] = exec_accepted;
         }
-        // As in `read_frag`: touch tracking exists for selective erasing.
-        if selective {
+        // As in `read_word`: touch tracking exists for selective erasing.
+        if p.selective {
             self.last_touch.insert(wi, prog_end);
         }
 
@@ -990,6 +981,136 @@ impl PramController {
             end: exec_accepted,
         }
     }
+
+    /// Selective erasing: if global word `wi` was announced as an
+    /// overwrite target, holds stale data, and both the word and its
+    /// partition had an idle window long enough for a background RESET
+    /// before `t0`, the pre-erase already happened — the coming program
+    /// is SET-only.
+    fn pre_erase(&mut self, p: &Pass, wi: u64, ch: usize, md: usize, row: RowId, t0: Picos) {
+        let module = self.channels[ch].module(md);
+        if !self.announced.contains(&wi) || module.is_pristine(row) {
+            return;
+        }
+        let lane_free = module.partition_free_at(row.partition);
+        let touch = self.last_touch.get(&wi).copied().unwrap_or(Picos::ZERO);
+        let window_start = lane_free.max(touch);
+        if window_start + p.treset <= t0 {
+            let pe = self.channels[ch]
+                .module_mut(md)
+                .pre_erase(window_start, row);
+            debug_assert!(pe.end <= t0 + p.treset);
+            self.stats.preerase_hits += 1;
+            self.probe.span(
+                Track::new("partition", row.partition.0 as u32),
+                "pre_erase",
+                pe.start,
+                pe.end,
+            );
+        } else {
+            self.stats.preerase_misses += 1;
+        }
+    }
+
+    /// Fault injection for one word program: SET/RESET program failures
+    /// and stuck-at wear. Writes are posted, so a failing program costs
+    /// *background* time (the program buffer stays busy through the
+    /// re-pulses), not requester latency — until buffer pressure
+    /// surfaces it. Returns when the program buffer frees.
+    fn program_faults(
+        &mut self,
+        ch_idx: usize,
+        md: usize,
+        line: u64,
+        phys_slot: u64,
+        row: RowId,
+        prog: PhaseTiming,
+    ) -> Picos {
+        let fs = self.faults.as_mut().expect("called with a fault plan");
+        let mut prog_end = prog.end;
+        let st = fs.lines[ch_idx][md].entry(line).or_default();
+        st.writes += 1;
+        st.reads_since_write = 0;
+        let write_idx = st.writes;
+        let slot_w = fs.slot_writes[ch_idx][md].entry(phys_slot).or_insert(0);
+        *slot_w += 1;
+        let threshold = fs.plan.pram.stuck_at_threshold;
+        let stuck = threshold > 0 && *slot_w >= threshold;
+        let p_fail = fs.plan.pram.program_failure_rate.min(1.0);
+        let seed = fs.plan.seed;
+        let retry = fs.retry;
+        let budget = fs.plan.resilience.line_error_budget;
+        let service = prog.end - prog.start;
+        let (chn, mdn) = (ch_idx as u64, md as u64);
+        let fails = |attempt: u64| -> bool {
+            if stuck {
+                return true; // worn-out cells reject every pulse
+            }
+            let labels = [domain::PROGRAM, chn, mdn, line, write_idx, attempt];
+            p_fail > 0.0 && stream_unit(seed, &labels) < p_fail
+        };
+        if !fails(0) {
+            return prog_end;
+        }
+        fs.counters.injected += 1;
+        let mut recovered = false;
+        for attempt in 0..retry.max_retries {
+            fs.counters.retries += 1;
+            prog_end = prog_end + retry.backoff_for(attempt) + service;
+            self.ctrl_energy.charge(E_CTRL_OP);
+            if !fails(u64::from(attempt) + 1) {
+                recovered = true;
+                break;
+            }
+            fs.counters.injected += 1;
+        }
+        if !recovered {
+            let st = fs.lines[ch_idx][md].entry(line).or_default();
+            st.errors += 1;
+            if st.errors >= budget {
+                st.errors = 0;
+                if let Some(spare) = fs.retire[ch_idx][md].retire(line) {
+                    fs.counters.retired_lines += 1;
+                    // Copy the just-programmed line onto its spare so
+                    // later reads round-trip.
+                    prog_end = self.relocate_to_spare(ch_idx, md, spare, row, prog_end);
+                }
+            }
+            // The final margin-boosted pulse always lands.
+            prog_end += service;
+        }
+        prog_end
+    }
+}
+
+/// What every word of one request shares, resolved once per request:
+/// the scheduler's flags, the timing constants, which optional
+/// machinery is attached, and the module geometry. Restoring an image
+/// holds every module's timing and geometry to the configuration's, so
+/// one module's stand for all.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    /// When the request was issued.
+    at: Picos,
+    /// The scheduler overlaps words across partitions and row buffers.
+    interleaves: bool,
+    /// The scheduler pre-erases announced overwrite targets.
+    selective: bool,
+    /// A fault plan is attached.
+    faulted: bool,
+    /// A fault plan or wear leveling can move a line off its logical
+    /// slot.
+    remaps: bool,
+    /// A probe is attached, so trace spans are worth building.
+    traced: bool,
+    /// PHY clock-domain crossing.
+    sync: Picos,
+    /// One interface clock.
+    tck: Picos,
+    /// A background RESET plus write recovery.
+    treset: Picos,
+    /// Every module's geometry.
+    geometry: PramGeometry,
 }
 
 /// Image tag for [`PramController`] snapshots.
@@ -1033,25 +1154,126 @@ impl sim_core::Snapshot for PramController {
                 "image was recorded under a different subsystem configuration",
             ));
         }
-        let channels: Vec<PramChannel> = f.get("channels").map_err(m)?;
-        if channels.len() != self.channels.len() {
-            return Err(SnapshotError::shape(CTRL_KIND, "channel count differs"));
-        }
-        let announced = f.get("announced").map_err(m)?;
-        let last_touch = f.get("last_touch").map_err(m)?;
-        let faults: Option<FaultState> = f.get("faults").map_err(m)?;
-        self.channels = channels;
-        self.channel_serial = f.get("channel_serial").map_err(m)?;
-        self.program_buffer_free = f.get("program_buffer_free").map_err(m)?;
-        self.announced = announced;
-        self.last_touch = last_touch;
-        self.wear = f.get("wear").map_err(m)?;
-        self.faults = faults.map(Box::new);
-        self.stats = f.get("stats").map_err(m)?;
-        self.ctrl_energy = f.get("ctrl_energy").map_err(m)?;
+        let image = PramController {
+            cfg,
+            channels: f.get("channels").map_err(m)?,
+            channel_serial: f.get("channel_serial").map_err(m)?,
+            program_buffer_free: f.get("program_buffer_free").map_err(m)?,
+            announced: f.get("announced").map_err(m)?,
+            last_touch: f.get("last_touch").map_err(m)?,
+            wear: f.get("wear").map_err(m)?,
+            faults: f
+                .get::<Option<FaultState>>("faults")
+                .map_err(m)?
+                .map(Box::new),
+            stats: f.get("stats").map_err(m)?,
+            ctrl_energy: f.get("ctrl_energy").map_err(m)?,
+            // `probe` is a runtime attachment, deliberately left
+            // untouched.
+            probe: self.probe.clone(),
+        };
         f.finish().map_err(m)?;
-        // `probe` is a runtime attachment, deliberately left untouched.
+        self.check_shape(&image)
+            .map_err(|detail| SnapshotError::shape(CTRL_KIND, detail))?;
+        *self = image;
         Ok(())
+    }
+}
+
+impl PramController {
+    /// Checks a decoded image against this controller, which its
+    /// configuration built: as many channels and modules, every module
+    /// shaped as built ([`PramChannel::check_shape`]), and per-channel
+    /// and per-module state (`channel_serial`, `program_buffer_free`,
+    /// `wear`, the fault maps) of that shape. The request path reads its
+    /// per-request constants from the configuration and indexes this
+    /// state without checking, so a forged image must stop here.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that disagrees, from the controller down
+    /// (`channels[0].modules[3].program_windows ...`).
+    fn check_shape(&self, image: &PramController) -> Result<(), String> {
+        let (channels, modules) = (self.channels.len(), self.cfg.map.modules_per_channel);
+        if image.channels.len() != channels {
+            return Err(format!(
+                "channels holds {} channels, the configuration has {channels}",
+                image.channels.len()
+            ));
+        }
+        for (c, (ch, built)) in image.channels.iter().zip(&self.channels).enumerate() {
+            ch.check_shape(built)
+                .map_err(|e| format!("channels[{c}].{e}"))?;
+        }
+        if image.channel_serial.len() != channels {
+            return Err(format!(
+                "channel_serial holds {} clocks, the configuration has {channels} channels",
+                image.channel_serial.len()
+            ));
+        }
+        per_module(
+            "program_buffer_free",
+            &image.program_buffer_free,
+            channels,
+            modules,
+        )?;
+        let words = self.channels[0].module(0).geometry().module_bytes() / WORD_BYTES as u64;
+        match (&image.wear, self.cfg.wear_leveling) {
+            (None, None) => {}
+            (Some(wear), Some(interval)) => {
+                per_module("wear", wear, channels, modules)?;
+                for (c, ch) in wear.iter().enumerate() {
+                    for (md, sg) in ch.iter().enumerate() {
+                        sg.check(words - 1, interval)
+                            .map_err(|e| format!("wear[{c}][{md}].{e}"))?;
+                    }
+                }
+            }
+            (Some(_), None) => {
+                return Err("wear holds levelers, the configuration has no wear leveling".into())
+            }
+            (None, Some(_)) => return Err("wear is null, the configuration levels wear".into()),
+        }
+        if let Some(fs) = &image.faults {
+            per_module("faults.retire", &fs.retire, channels, modules)?;
+            per_module("faults.lines", &fs.lines, channels, modules)?;
+            per_module("faults.slot_writes", &fs.slot_writes, channels, modules)?;
+            let usable = if image.wear.is_some() {
+                words - 1
+            } else {
+                words
+            };
+            for (c, ch) in fs.retire.iter().enumerate() {
+                for (md, map) in ch.iter().enumerate() {
+                    map.check(usable)
+                        .map_err(|e| format!("faults.retire[{c}][{md}].{e}"))?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Checks that per-channel, per-module state `field` holds `channels`
+/// rows of `modules` entries each.
+fn per_module<T>(
+    field: &str,
+    rows: &[Vec<T>],
+    channels: usize,
+    modules: usize,
+) -> Result<(), String> {
+    if rows.len() != channels {
+        return Err(format!(
+            "{field} holds {} channels, the configuration has {channels}",
+            rows.len()
+        ));
+    }
+    match rows.iter().position(|row| row.len() != modules) {
+        Some(c) => Err(format!(
+            "{field}[{c}] holds {} modules, the configuration has {modules}",
+            rows[c].len()
+        )),
+        None => Ok(()),
     }
 }
 
@@ -1060,60 +1282,12 @@ impl MemoryBackend for PramController {
         // Timing-only: identical device walk to `read_bytes` (same burst,
         // RNG draws, stats and energy), minus the data materialization —
         // this is the accurate engine's hot path.
-        let attr_on = self.probe.attr_on();
-        let map = self.cfg.map;
-        let mut start = Picos::MAX;
-        let mut end = Picos::ZERO;
-        let mut worst: Option<AttrSpan> = None;
-        for frag in map.frags(addr, len) {
-            let mut span = if attr_on {
-                Some(AttrSpan::new(at))
-            } else {
-                None
-            };
-            let a = self.read_frag(at, &frag, None, span.as_mut());
-            start = start.min(a.start);
-            if a.end > end || worst.is_none() {
-                worst = span;
-            }
-            end = end.max(a.end);
-        }
-        self.stats.reads += 1;
-        self.stats.read_latency_sum += end.saturating_sub(at);
-        self.probe.latency("pram.read", end.saturating_sub(at));
-        if let Some(span) = &worst {
-            self.probe.attr_record("pram.read", span);
-        }
-        Access { start, end }
+        self.read_pass(at, addr, len, None)
     }
 
     fn write(&mut self, at: Picos, addr: u64, len: u32) -> Access {
         assert!(len > 0, "empty write");
-        let attr_on = self.probe.attr_on();
-        let map = self.cfg.map;
-        let mut start = Picos::MAX;
-        let mut end = Picos::ZERO;
-        let mut worst: Option<AttrSpan> = None;
-        for frag in map.frags(addr, len) {
-            let mut span = if attr_on {
-                Some(AttrSpan::new(at))
-            } else {
-                None
-            };
-            let a = self.write_frag(at, &frag, None, span.as_mut());
-            start = start.min(a.start);
-            if a.end > end || worst.is_none() {
-                worst = span;
-            }
-            end = end.max(a.end);
-        }
-        self.stats.writes += 1;
-        self.stats.write_latency_sum += end.saturating_sub(at);
-        self.probe.latency("pram.write", end.saturating_sub(at));
-        if let Some(span) = &worst {
-            self.probe.attr_record("pram.write", span);
-        }
-        Access { start, end }
+        self.write_pass(at, addr, len, None)
     }
 
     fn announce_overwrites(&mut self, _at: Picos, addrs: &[u64]) {
@@ -1203,6 +1377,11 @@ impl MemoryBackend for PramController {
         sim_core::Snapshot::restore(self, image)
     }
 }
+
+/// The per-fragment walk the one-pass request path replaced, kept as
+/// the equivalence tests' oracle.
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -142,6 +142,37 @@ impl RetireMap {
         }
     }
 
+    /// Checks a decoded map against the `lines` its module has, and
+    /// that every retired line and the next spare stay inside them, so
+    /// [`Self::resolve`] lands every line on a slot.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that disagrees.
+    pub fn check(&self, lines: u64) -> Result<(), String> {
+        if self.lines != lines {
+            return Err(format!("lines is {}, the module has {lines}", self.lines));
+        }
+        if self.next_spare >= lines {
+            return Err(format!(
+                "next_spare {} is past the last line",
+                self.next_spare
+            ));
+        }
+        if let Some((line, spare)) = self
+            .remap
+            .iter()
+            .map(|(&line, &spare)| (line, spare))
+            .filter(|&(line, spare)| line >= lines || spare >= lines)
+            .min()
+        {
+            return Err(format!(
+                "remap sends line {line} to {spare}, past the last line"
+            ));
+        }
+        Ok(())
+    }
+
     /// The line the controller should actually address for `line`.
     pub fn resolve(&self, line: u64) -> u64 {
         self.remap.get(&line).copied().unwrap_or(line)

@@ -79,6 +79,35 @@ impl StartGap {
         }
     }
 
+    /// Checks a decoded leveler against the `lines` and `interval` its
+    /// configuration builds it with, and that its gap and start lie
+    /// inside them, so [`Self::map`] lands every line on a slot.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that disagrees.
+    pub fn check(&self, lines: u64, interval: u64) -> Result<(), String> {
+        if self.lines != lines {
+            return Err(format!("lines is {}, the module has {lines}", self.lines));
+        }
+        if self.interval != interval {
+            return Err(format!(
+                "interval is {}, the configuration has {interval}",
+                self.interval
+            ));
+        }
+        if self.gap > self.lines {
+            return Err(format!(
+                "gap {} is past the spare slot {}",
+                self.gap, self.lines
+            ));
+        }
+        if self.start >= self.lines {
+            return Err(format!("start {} is past the last line", self.start));
+        }
+        Ok(())
+    }
+
     /// Number of logical lines.
     pub fn lines(&self) -> u64 {
         self.lines

@@ -183,12 +183,18 @@ impl RowBufferSet {
             .map(BufferId::from_index)
     }
 
-    /// Any buffer whose RDB holds `row`'s data. (activate skip test)
+    /// Any buffer whose RDB holds `row`'s data (the first one). (activate
+    /// skip test)
     pub fn find_rdb(&self, row: RowId) -> Option<BufferId> {
-        self.live()
-            .iter()
-            .position(|b| b.rdb == Some(row))
-            .map(BufferId::from_index)
+        // Every live buffer is compared, so the scan has no early exit
+        // to mispredict; the last assignment wins, hence the reverse.
+        let mut hit = None;
+        for (i, b) in self.live().iter().enumerate().rev() {
+            if b.rdb == Some(row) {
+                hit = Some(BufferId::ALL[i]);
+            }
+        }
+        hit
     }
 
     /// The row sensed into buffer `ba`'s RDB, if any.

@@ -101,6 +101,9 @@ type Group = [Option<Word>; GROUP_WORDS as usize];
 #[derive(Debug, Clone)]
 pub struct CellArray {
     geometry: PramGeometry,
+    /// `geometry.rows_per_partition()`, which every program and sense
+    /// checks its row against; derived, so images leave it out.
+    rows_per_partition: u32,
     /// Every word ever programmed, grouped by module word index
     /// (`array_row * partitions + partition`, the order
     /// [`PramGeometry::decode`] stripes words in). Probed on every
@@ -122,7 +125,10 @@ impl ToJson for CellArray {
         for (&key, group) in &self.groups {
             for (slot, word) in group.iter().enumerate() {
                 if let Some(word) = word {
-                    rows.push((self.row_at(key * GROUP_WORDS + slot as u64), *word));
+                    rows.push((
+                        self.geometry.row_of_word(key * GROUP_WORDS + slot as u64),
+                        *word,
+                    ));
                 }
             }
         }
@@ -143,7 +149,9 @@ impl FromJson for CellArray {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let ctx = |e: JsonError| e.context("CellArray");
         let mut f = Fields::new(v);
-        let mut cells = CellArray::new(f.get("geometry").map_err(ctx)?);
+        let geometry: PramGeometry = f.get("geometry").map_err(ctx)?;
+        geometry.check().map_err(|e| ctx(JsonError::new(e)))?;
+        let mut cells = CellArray::new(geometry);
         let rows: Vec<(RowId, Word)> = f.get("rows").map_err(ctx)?;
         for (row, word) in rows {
             if !cells.contains(row) {
@@ -168,6 +176,7 @@ impl CellArray {
     pub fn new(geometry: PramGeometry) -> Self {
         CellArray {
             geometry,
+            rows_per_partition: geometry.rows_per_partition(),
             groups: FxHashMap::default(),
             words: 0,
             programs: 0,
@@ -185,12 +194,6 @@ impl CellArray {
     /// Module word index of an in-geometry row.
     fn word_index(&self, row: RowId) -> u64 {
         row.array_row as u64 * self.geometry.partitions as u64 + row.partition.0 as u64
-    }
-
-    /// The row at module word index `word`.
-    fn row_at(&self, word: u64) -> RowId {
-        let parts = self.geometry.partitions as u64;
-        RowId::new(pow2::rem(word, parts) as u8, pow2::div(word, parts) as u32)
     }
 
     /// The stored word of an in-geometry row, if it was ever programmed.
@@ -328,8 +331,7 @@ impl CellArray {
 
     /// Whether `row` lies inside the geometry.
     pub(crate) fn contains(&self, row: RowId) -> bool {
-        row.partition.0 < self.geometry.partitions
-            && row.array_row < self.geometry.rows_per_partition()
+        row.partition.0 < self.geometry.partitions && row.array_row < self.rows_per_partition
     }
 }
 

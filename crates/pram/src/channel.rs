@@ -57,6 +57,33 @@ impl PramChannel {
         }
     }
 
+    /// Checks a decoded channel image against `built`, a channel its
+    /// configuration builds: the same timing, as many modules, and each
+    /// module shaped like its counterpart ([`PramModule::check_shape`]).
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that disagrees, from the channel down
+    /// (`modules[3].program_windows ...`).
+    pub fn check_shape(&self, built: &PramChannel) -> Result<(), String> {
+        if self.timing != built.timing {
+            return Err("timing differs from the configuration's".into());
+        }
+        if self.modules.len() != built.modules.len() {
+            return Err(format!(
+                "modules holds {} modules, the configuration has {}",
+                self.modules.len(),
+                built.modules.len()
+            ));
+        }
+        for (i, (module, built)) in self.modules.iter().zip(&built.modules).enumerate() {
+            module
+                .check_shape(built)
+                .map_err(|e| format!("modules[{i}].{e}"))?;
+        }
+        Ok(())
+    }
+
     /// Number of modules on the channel.
     pub fn module_count(&self) -> usize {
         self.modules.len()

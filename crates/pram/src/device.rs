@@ -15,11 +15,11 @@
 use crate::buffers::{BufferId, RowBufferSet};
 use crate::cell::{CellArray, ProgramKind, WORD_BYTES};
 use crate::geometry::{LowerRow, PartitionId, PramGeometry, RowId, UpperRow};
-use crate::overlay::{OverlayStatus, OverlayWindow, StagedProgram};
-use crate::timing::{BurstLen, PramTiming};
+use crate::overlay::{OverlayStatus, OverlayWindow};
+use crate::timing::{BurstLen, PramTiming, StrobeWindows};
 use sim_core::energy::{EnergyAccount, EnergyBook, Joules};
 use sim_core::time::Picos;
-use sim_core::timeline::TimelineBank;
+use sim_core::timeline::{Timeline, TimelineBank};
 use sim_core::SimRng;
 use util::json::{Fields, FromJson, Json, JsonError, ToJson};
 
@@ -96,6 +96,20 @@ impl PhaseTiming {
     pub fn duration(&self) -> Picos {
         self.end - self.start
     }
+}
+
+/// The timed phases of one posted word program
+/// ([`PramModule::post_program`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PostedProgram {
+    /// The sequence's four bursts in order, each from its issue to its
+    /// end: command code, row address, burst size, program-buffer fill.
+    pub bursts: [PhaseTiming; 4],
+    /// When the execute register is accepted: a posted write's
+    /// requester resumes here.
+    pub accepted: Picos,
+    /// The array program the execute started.
+    pub program: PhaseTiming,
 }
 
 /// Raw operation counters of one module.
@@ -199,6 +213,9 @@ pub struct PramModule {
     write_pausing: bool,
     /// Per-partition window of the most recent in-flight program.
     program_windows: Vec<Option<PhaseTiming>>,
+    /// `timing`'s strobe windows, prepared once for the draw every burst
+    /// makes. Derived from `timing`, so images leave it out.
+    strobes: StrobeWindows,
 }
 
 /// Serializes field by field as the derived layout did, with the RDBs
@@ -228,6 +245,8 @@ impl FromJson for PramModule {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let ctx = |e: JsonError| e.context("PramModule");
         let mut f = Fields::new(v);
+        let timing: PramTiming = f.get("timing").map_err(ctx)?;
+        let strobes = StrobeWindows::try_of(&timing).map_err(|e| ctx(JsonError::new(e)))?;
         let cells: CellArray = f.get("cells").map_err(ctx)?;
         let buffers: Json = f.get("buffers").map_err(ctx)?;
         let buffers = RowBufferSet::from_json_with(&buffers, |row| {
@@ -235,7 +254,7 @@ impl FromJson for PramModule {
         })
         .map_err(|e| ctx(e.context("buffers")))?;
         let module = PramModule {
-            timing: f.get("timing").map_err(ctx)?,
+            timing,
             geometry: f.get("geometry").map_err(ctx)?,
             cells,
             buffers,
@@ -247,6 +266,7 @@ impl FromJson for PramModule {
             program_done_at: f.get("program_done_at").map_err(ctx)?,
             write_pausing: f.get("write_pausing").map_err(ctx)?,
             program_windows: f.get("program_windows").map_err(ctx)?,
+            strobes,
         };
         f.finish().map_err(ctx)?;
         Ok(module)
@@ -276,7 +296,55 @@ impl PramModule {
             program_done_at: None,
             write_pausing: false,
             program_windows: vec![None; geometry.partitions as usize],
+            strobes: timing.strobes(),
         }
+    }
+
+    /// Checks a decoded module image against `built`, a module its
+    /// configuration builds: the same timing, geometry and write
+    /// pausing, a cell array of that geometry, one buffer pair per RDB
+    /// the timing has, and one occupancy lane and one program window per
+    /// partition. The request path indexes all of these without
+    /// checking, so a forged image must stop here.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that disagrees.
+    pub fn check_shape(&self, built: &PramModule) -> Result<(), String> {
+        if self.timing != built.timing {
+            return Err("timing differs from the configuration's".into());
+        }
+        if self.geometry != built.geometry {
+            self.geometry.check()?;
+            return Err("geometry differs from the configuration's".into());
+        }
+        if *self.cells.geometry() != self.geometry {
+            return Err("cells.geometry differs from the module's geometry".into());
+        }
+        if self.write_pausing != built.write_pausing {
+            return Err("write_pausing differs from the configuration's".into());
+        }
+        if self.buffers.len() != self.timing.rdb_count {
+            return Err(format!(
+                "buffers holds {} buffer pairs, the timing has {} RDBs",
+                self.buffers.len(),
+                self.timing.rdb_count
+            ));
+        }
+        let parts = self.geometry.partitions as usize;
+        if self.partitions.len() != parts {
+            return Err(format!(
+                "partitions.lanes holds {} lanes, the geometry has {parts} partitions",
+                self.partitions.len()
+            ));
+        }
+        if self.program_windows.len() != parts {
+            return Err(format!(
+                "program_windows holds {} windows, the geometry has {parts} partitions",
+                self.program_windows.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Enables or disables write pausing: with it on, an activate that
@@ -510,7 +578,7 @@ impl PramModule {
             hi <= WORD_BYTES,
             "burst overruns row word: col={col} {bl:?}"
         );
-        let preamble = self.timing.rl() + self.timing.sample_tdqsck(&mut self.rng);
+        let preamble = self.timing.rl() + self.strobes.tdqsck(&mut self.rng);
         let burst_start = (cmd_at + preamble).max(bus_free);
         let end = burst_start + self.timing.tburst(bl);
         self.stats.read_bursts += 1;
@@ -552,7 +620,7 @@ impl PramModule {
     pub fn write_overlay(&mut self, at: Picos, offset: u64, data: &[u8]) -> PhaseTiming {
         use crate::overlay::regs;
         let bl = BurstLen::covering(data.len() as u32);
-        let preamble = self.timing.wl() + self.timing.sample_tdqss(&mut self.rng);
+        let preamble = self.timing.wl() + self.strobes.tdqss(&mut self.rng);
         let end = at + preamble + self.timing.tburst(bl);
         self.stats.write_bursts += 1;
         self.energy
@@ -596,10 +664,6 @@ impl PramModule {
     /// overlay window.
     pub fn try_execute_program(&mut self, at: Picos) -> Result<PhaseTiming, ProtocolError> {
         let staged = self.overlay.execute().ok_or(ProtocolError::NothingStaged)?;
-        Ok(self.apply_program(at, staged))
-    }
-
-    fn apply_program(&mut self, at: Picos, staged: StagedProgram) -> PhaseTiming {
         let (row, offset) = self.geometry.decode(staged.target_addr);
         assert_eq!(offset, 0, "programs are word-aligned");
         // Read-modify-write semantics for partial bursts. A full-word
@@ -612,7 +676,63 @@ impl PramModule {
             word[..n].copy_from_slice(&staged.data[..n]);
             word
         };
-        let kind = self.cells.program(row, &word);
+        Ok(self.apply_program(at, row, &word))
+    }
+
+    /// Runs the whole §V-B sequence for one word in one call: the
+    /// command-code (0xE9), row-address and burst-size register writes
+    /// and the program-buffer fill, each issued one interface clock
+    /// after the previous burst ends and no earlier than the channel's
+    /// `dq_bus` frees, then the execute packet two clocks after the
+    /// fill, which programs `word` into `row`.
+    ///
+    /// Everything the register API does for that sequence
+    /// ([`Self::write_overlay`] four times, then
+    /// [`Self::execute_program`]) happens here in the same order: the
+    /// same four tDQSS draws, burst counts, bus energy and `dq_bus`
+    /// reservations, the same overlay registers left behind and the
+    /// same program. What it skips is encoding the registers to bytes,
+    /// parsing them back and decoding the row a second time.
+    pub fn post_program(
+        &mut self,
+        at: Picos,
+        dq_bus: &mut Timeline,
+        row: RowId,
+        word: &[u8; WORD_BYTES],
+    ) -> PostedProgram {
+        let tck = self.timing.tck();
+        let wl = self.timing.wl();
+        // The 1-, 8- and 1-byte registers each fit a BL4 burst; the fill
+        // is one BL16 word.
+        let reg = self.timing.tburst(BurstLen::Bl4);
+        let fill = self.timing.tburst(BurstLen::Bl16);
+        let mut bursts = [PhaseTiming::instant(at); 4];
+        let mut t = at;
+        for (burst, dur) in bursts.iter_mut().zip([reg, reg, reg, fill]) {
+            let issue = (t + tck).max(dq_bus.free_at());
+            let end = issue + (wl + self.strobes.tdqss(&mut self.rng)) + dur;
+            dq_bus.reserve(end - dur, dur);
+            *burst = PhaseTiming { start: issue, end };
+            t = end;
+        }
+        self.stats.write_bursts += 4;
+        self.energy.bus.charge_many(
+            energy::BURST_PER_BYTE.scaled(1 + 8 + 1 + WORD_BYTES as u64),
+            4,
+        );
+        self.overlay.post(self.geometry.encode(row));
+        let accepted = t + tck * 2;
+        PostedProgram {
+            bursts,
+            accepted,
+            program: self.apply_program(accepted, row, word),
+        }
+    }
+
+    /// Programs `word` into `row` at `at`: the array half of every
+    /// program, whichever way its sequence was staged.
+    fn apply_program(&mut self, at: Picos, row: RowId, word: &[u8; WORD_BYTES]) -> PhaseTiming {
+        let kind = self.cells.program(row, word);
         let (cell_time, e) = match kind {
             ProgramKind::SetOnly => {
                 self.stats.set_only_programs += 1;
@@ -759,6 +879,55 @@ mod tests {
         let t3 = m.write_overlay(t2.end, regs::MULTI_PURPOSE, &[32]);
         let t4 = m.write_overlay(t3.end, regs::PROGRAM_BUFFER, &word);
         m.execute_program(t4.end).end
+    }
+
+    #[test]
+    fn post_program_matches_the_register_sequence() {
+        // One call per word program must leave the module, its overlay
+        // registers and the dq bus exactly as the five register writes
+        // of §V-B do, on pristine words and on overwrites, whether the
+        // bus is idle or still busy with an earlier burst.
+        use crate::overlay::regs;
+        let mut by_regs = module();
+        let mut by_call = module();
+        let (mut bus_regs, mut bus_call) = (Timeline::new(), Timeline::new());
+        let g = *by_regs.geometry();
+        for i in 0..64u64 {
+            let row = g.row_of_word(i % 24);
+            let word = [(i as u8) ^ 0x5A; WORD_BYTES];
+            let at = Picos::from_ns(i * 37);
+            if i % 5 == 0 {
+                for bus in [&mut bus_regs, &mut bus_call] {
+                    bus.reserve(at, Picos::from_ns(90));
+                }
+            }
+            let tck = by_regs.timing().tck();
+            let mut t = at;
+            let mut bursts = Vec::new();
+            let addr = g.encode(row).to_le_bytes();
+            for (offset, bytes) in [
+                (regs::COMMAND_CODE, &[0xE9u8][..]),
+                (regs::DATA_ADDRESS, &addr),
+                (regs::MULTI_PURPOSE, &[WORD_BYTES as u8]),
+                (regs::PROGRAM_BUFFER, &word),
+            ] {
+                let issue = (t + tck).max(bus_regs.free_at());
+                let w = by_regs.write_overlay(issue, offset, bytes);
+                let dur = by_regs
+                    .timing()
+                    .tburst(BurstLen::covering(bytes.len() as u32));
+                bus_regs.reserve(w.end - dur, dur);
+                bursts.push(w);
+                t = w.end;
+            }
+            let program = by_regs.execute_program(t + tck * 2);
+            let posted = by_call.post_program(at, &mut bus_call, row, &word);
+            assert_eq!(posted.bursts.to_vec(), bursts, "word {i}");
+            assert_eq!(posted.accepted, t + tck * 2);
+            assert_eq!(posted.program, program);
+            assert_eq!(bus_call, bus_regs);
+            assert_eq!(by_call.to_json(), by_regs.to_json(), "word {i}");
+        }
     }
 
     #[test]

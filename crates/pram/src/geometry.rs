@@ -155,6 +155,42 @@ impl PramGeometry {
         }
     }
 
+    /// Checks that every count is non-zero, the lower row address fits
+    /// a row index, and the module's byte capacity fits a `u64` — what
+    /// the address math divides and shifts by. A decoded image's
+    /// geometry passes this before any of that math runs on it.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that breaks it.
+    pub fn check(&self) -> Result<(), String> {
+        for (field, v) in [
+            ("partitions", u64::from(self.partitions)),
+            ("tiles_per_partition", u64::from(self.tiles_per_partition)),
+            ("bitlines", u64::from(self.bitlines)),
+            ("wordlines", u64::from(self.wordlines)),
+            ("word_bytes", u64::from(self.word_bytes)),
+        ] {
+            if v == 0 {
+                return Err(format!("geometry.{field} is 0"));
+            }
+        }
+        if self.lower_row_bits >= 32 {
+            return Err(format!(
+                "geometry.lower_row_bits is {}, past a 32-bit row index",
+                self.lower_row_bits
+            ));
+        }
+        let bytes = u64::from(self.bitlines)
+            .checked_mul(u64::from(self.wordlines))
+            .and_then(|b| b.checked_mul(u64::from(self.tiles_per_partition)))
+            .and_then(|b| b.checked_mul(u64::from(self.partitions)));
+        if bytes.is_none() {
+            return Err("geometry: the module's capacity overflows 64 bits".into());
+        }
+        Ok(())
+    }
+
     /// Bits of storage in one tile.
     pub fn tile_bits(&self) -> u64 {
         self.bitlines as u64 * self.wordlines as u64
@@ -191,12 +227,18 @@ impl PramGeometry {
             "address {addr:#x} beyond module capacity {:#x}",
             self.module_bytes()
         );
-        let (wb, parts) = (self.word_bytes as u64, self.partitions as u64);
-        let word = pow2::div(addr, wb);
+        let wb = self.word_bytes as u64;
         let offset = pow2::rem(addr, wb) as u32;
-        let partition = pow2::rem(word, parts) as u8;
-        let array_row = pow2::div(word, parts) as u32;
-        (RowId::new(partition, array_row), offset)
+        (self.row_of_word(pow2::div(addr, wb)), offset)
+    }
+
+    /// The row holding module word `word` (word *i* lives in partition
+    /// `i % partitions`, array row `i / partitions`), unchecked: a
+    /// request loop checks its range once and then steps word by word.
+    #[inline]
+    pub fn row_of_word(&self, word: u64) -> RowId {
+        let parts = self.partitions as u64;
+        RowId::new(pow2::rem(word, parts) as u8, pow2::div(word, parts) as u32)
     }
 
     /// Inverse of [`decode`](Self::decode) for offset 0.

@@ -58,7 +58,7 @@ pub mod timing;
 
 pub use buffers::BufferId;
 pub use channel::PramChannel;
-pub use device::{PhaseTiming, PramModule, ProtocolError};
+pub use device::{PhaseTiming, PostedProgram, PramModule, ProtocolError};
 pub use geometry::{PartitionId, PramGeometry, RowId};
 pub use overlay::OverlayWindow;
-pub use timing::{BurstLen, PramTiming};
+pub use timing::{BurstLen, PramTiming, StrobeWindows};

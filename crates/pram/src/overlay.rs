@@ -235,6 +235,20 @@ impl OverlayWindow {
         self.buffer_valid_bytes = self.buffer_valid_bytes.max((offset + data.len()) as u32);
     }
 
+    /// The state a complete §V-B sequence for `target_addr` leaves once
+    /// its execute register is written: every staging register cleared
+    /// except the row address, and the status `Busy`. A caller that
+    /// times the sequence's bursts itself (the controller's posted word
+    /// program) lands here without encoding and re-parsing registers.
+    pub fn post(&mut self, target_addr: u64) {
+        self.command = None;
+        self.target_addr = target_addr;
+        self.burst_bytes = 0;
+        self.program_buffer = [0; WORD_BYTES];
+        self.buffer_valid_bytes = 0;
+        self.status = OverlayStatus::Busy;
+    }
+
     /// Writes the execute register: consumes the staged state.
     ///
     /// Returns `None` if no command code was staged (a real device would

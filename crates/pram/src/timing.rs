@@ -15,6 +15,7 @@
 
 use sim_core::time::{Freq, Picos};
 use sim_core::SimRng;
+use util::rng::UniformRange;
 
 /// LPDDR2-NVM burst length selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -217,6 +218,15 @@ impl PramTiming {
         Picos::from_ps(rng.range_u64(self.tdqss_min.as_ps(), self.tdqss_max.as_ps()))
     }
 
+    /// The strobe windows prepared for repeated draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window's minimum is past its maximum.
+    pub fn strobes(&self) -> StrobeWindows {
+        StrobeWindows::try_of(self).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Cell program time for an overwrite (RESET + SET).
     pub fn t_program_overwrite(&self) -> Picos {
         self.t_program_set + self.t_reset_extra
@@ -230,6 +240,46 @@ impl PramTiming {
     pub fn nominal_read(&self) -> Picos {
         let dqsck = (self.tdqsck_min + self.tdqsck_max) / 2;
         self.trp() + self.trcd + self.rl() + dqsck + self.tburst(BurstLen::Bl16)
+    }
+}
+
+/// The two strobe windows of a [`PramTiming`], prepared for the draw
+/// every read and write burst makes: each draw is the one
+/// [`PramTiming::sample_tdqsck`] or [`PramTiming::sample_tdqss`] makes
+/// from the same generator state, without a hardware divide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StrobeWindows {
+    tdqsck: UniformRange,
+    tdqss: UniformRange,
+}
+
+impl StrobeWindows {
+    /// Prepares `timing`'s windows.
+    ///
+    /// # Errors
+    ///
+    /// Names a window whose minimum is past its maximum.
+    pub fn try_of(timing: &PramTiming) -> Result<Self, String> {
+        let window = |name: &str, lo: Picos, hi: Picos| {
+            UniformRange::try_new(lo.as_ps(), hi.as_ps())
+                .ok_or_else(|| format!("timing: {name}_min {lo} is past {name}_max {hi}"))
+        };
+        Ok(StrobeWindows {
+            tdqsck: window("tdqsck", timing.tdqsck_min, timing.tdqsck_max)?,
+            tdqss: window("tdqss", timing.tdqss_min, timing.tdqss_max)?,
+        })
+    }
+
+    /// Draws a read strobe delay (tDQSCK).
+    #[inline]
+    pub fn tdqsck(&self, rng: &mut SimRng) -> Picos {
+        Picos::from_ps(rng.draw(&self.tdqsck))
+    }
+
+    /// Draws a write strobe delay (tDQSS).
+    #[inline]
+    pub fn tdqss(&self, rng: &mut SimRng) -> Picos {
+        Picos::from_ps(rng.draw(&self.tdqss))
     }
 }
 
@@ -300,6 +350,25 @@ mod tests {
             let dqss = t.sample_tdqss(&mut rng);
             assert!(dqss >= t.tdqss_min && dqss <= t.tdqss_max);
         }
+    }
+
+    #[test]
+    fn prepared_strobes_draw_what_the_samplers_draw() {
+        for t in [PramTiming::table2(), PramTiming::nor_interface()] {
+            let strobes = t.strobes();
+            let (mut a, mut b) = (SimRng::seed(9), SimRng::seed(9));
+            for _ in 0..500 {
+                assert_eq!(strobes.tdqsck(&mut a), t.sample_tdqsck(&mut b));
+                assert_eq!(strobes.tdqss(&mut a), t.sample_tdqss(&mut b));
+            }
+        }
+        let inverted = PramTiming {
+            tdqss_min: Picos::from_ns(2),
+            ..PramTiming::table2()
+        };
+        assert!(StrobeWindows::try_of(&inverted)
+            .unwrap_err()
+            .contains("tdqss_min"));
     }
 
     #[test]

@@ -216,6 +216,13 @@ impl EnergyAccount {
         self.energy += e;
         self.events += 1;
     }
+
+    /// Charges a pre-summed batch of `events` events totalling `e`: the
+    /// account `events` [`Self::charge`] calls summing to `e` leave.
+    pub fn charge_many(&mut self, e: Joules, events: u64) {
+        self.energy += e;
+        self.events += events;
+    }
 }
 
 /// A ledger of per-component energy, keyed by a stable component label.
@@ -251,19 +258,7 @@ impl EnergyBook {
 
     /// Charges `e` to `component`, creating the account on first use.
     pub fn charge(&mut self, component: &str, e: Joules) {
-        self.account_mut(component).charge(e);
-    }
-
-    /// The account for `component`, created empty on first use. The fast
-    /// path borrows the `&str` key — charging is per memory request on
-    /// the hot simulation paths, and allocating an owned `String` per
-    /// charge dominated the ledger's cost.
-    fn account_mut(&mut self, component: &str) -> &mut EnergyAccount {
-        if !self.accounts.contains_key(component) {
-            self.accounts
-                .insert(component.to_owned(), EnergyAccount::default());
-        }
-        self.accounts.get_mut(component).expect("just inserted")
+        self.charge_many(component, e, 1);
     }
 
     /// Charges a pre-summed batch of `events` charges totalling `e`.
@@ -277,9 +272,17 @@ impl EnergyBook {
         if events == 0 {
             return;
         }
-        let acct = self.account_mut(component);
-        acct.energy += e;
-        acct.events += events;
+        // One walk of the map on a hit, borrowing the `&str` key:
+        // charging is per memory request on the hot simulation paths, so
+        // neither an owned `String` per charge nor a second lookup is
+        // worth paying. Only a label's first charge allocates.
+        match self.accounts.get_mut(component) {
+            Some(acct) => acct.charge_many(e, events),
+            None => {
+                self.accounts
+                    .insert(component.to_owned(), EnergyAccount { energy: e, events });
+            }
+        }
     }
 
     /// Charges static power integrated over `dur`.
@@ -381,6 +384,26 @@ mod tests {
         assert_eq!(Joules::from_pj(5).to_string(), "5.000pJ");
         assert_eq!(Joules::from_nj(5_000).to_string(), "5.000uJ");
         assert_eq!(Joules::from_fj(10).to_string(), "10fJ");
+    }
+
+    #[test]
+    fn batched_and_single_charges_keep_the_same_ledger() {
+        // `charge` and `charge_many` share one lookup path: a label's
+        // first charge creates it with exactly that charge, later ones
+        // add to it, an empty batch creates nothing, and the ledger
+        // iterates in label order however the labels arrived.
+        let mut single = EnergyBook::new();
+        let mut batched = EnergyBook::new();
+        for (label, pj) in [("b", 3u64), ("a", 1), ("b", 4), ("c", 2), ("a", 5)] {
+            single.charge(label, Joules::from_pj(pj));
+            batched.charge_many(label, Joules::from_pj(pj), 1);
+        }
+        batched.charge_many("z", Joules::from_pj(9), 0);
+        assert_eq!(single, batched);
+        let labels: Vec<_> = single.iter().map(|(k, a)| (k, a.events)).collect();
+        assert_eq!(labels, [("a", 2), ("b", 2), ("c", 1)]);
+        assert_eq!(single.energy_of("b"), Joules::from_pj(7));
+        assert!(batched.component("z").is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The generator is the in-tree SplitMix64-seeded xoshiro256++ from
 //! [`util::rng`]; nothing here touches external crates or OS entropy.
 
-use util::rng::Rng64;
+use util::rng::{Rng64, UniformRange};
 
 /// A seeded random source with convenience helpers.
 ///
@@ -58,6 +58,13 @@ impl SimRng {
     /// Panics if `lo > hi`.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         self.inner.range_u64(lo, hi)
+    }
+
+    /// A draw from a prepared range: the value [`Self::range_u64`] over
+    /// the same bounds returns, without its divide.
+    #[inline]
+    pub fn draw(&mut self, range: &UniformRange) -> u64 {
+        self.inner.draw(range)
     }
 
     /// Uniform `f64` in `[0, 1)`.

@@ -67,6 +67,69 @@ pub fn stream_unit(seed: u64, labels: &[u64]) -> f64 {
     (stream_seed(seed, labels) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// An inclusive range `lo..=hi` prepared for repeated bias-free draws
+/// ([`Rng64::draw`]). [`Rng64::range_u64`] reduces each raw value with a
+/// hardware divide; a prepared range divides once, here, and reduces by
+/// multiplying with the 128-bit reciprocal of its span (Lemire, Kaser
+/// and Kurz, "Faster Remainder by Direct Computation", 2019: a 128-bit
+/// reciprocal gives the exact remainder for every 64-bit value and
+/// divisor). Draws are identical value for value. Multiplies pipeline
+/// where divides queue, which is what a burst of back-to-back draws
+/// (four per PRAM word program) pays for.
+///
+/// # Examples
+///
+/// ```
+/// use util::rng::{Rng64, UniformRange};
+///
+/// let window = UniformRange::new(750, 1250);
+/// let (mut a, mut b) = (Rng64::seed(7), Rng64::seed(7));
+/// for _ in 0..100 {
+///     assert_eq!(a.draw(&window), b.range_u64(750, 1250));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UniformRange {
+    lo: u64,
+    /// `hi - lo + 1`, or 0 when the range is all of `u64`.
+    span: u64,
+    /// `ceil(2^128 / span)`; it wraps to 0 for a span of 1, whose every
+    /// remainder is 0.
+    recip: u128,
+}
+
+impl UniformRange {
+    /// Prepares `lo..=hi`, or `None` when `lo > hi`.
+    pub fn try_new(lo: u64, hi: u64) -> Option<Self> {
+        let span = hi.checked_sub(lo)?.wrapping_add(1);
+        let recip = match span {
+            0 => 0,
+            _ => (u128::MAX / u128::from(span)).wrapping_add(1),
+        };
+        Some(UniformRange { lo, span, recip })
+    }
+
+    /// Prepares `lo..=hi`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    pub fn new(lo: u64, hi: u64) -> Self {
+        Self::try_new(lo, hi).unwrap_or_else(|| panic!("empty range {lo}..={hi}"))
+    }
+
+    /// `v % span` (for a non-zero span): the high 128 bits of the
+    /// 256-bit product of `v * recip mod 2^128` and `span`.
+    #[inline]
+    fn rem(&self, v: u64) -> u64 {
+        let low = self.recip.wrapping_mul(u128::from(v));
+        let span = u128::from(self.span);
+        let high = (low >> 64) * span;
+        let carry = (u128::from(low as u64) * span) >> 64;
+        ((high + carry) >> 64) as u64
+    }
+}
+
 /// A xoshiro256++ generator with convenience range/float helpers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng64 {
@@ -138,6 +201,23 @@ impl Rng64 {
             let r = v % span;
             if (v - r).checked_add(span).is_some() {
                 return lo + r;
+            }
+        }
+    }
+
+    /// A draw from a prepared range: exactly the value
+    /// [`Self::range_u64`] over the same bounds returns, consuming the
+    /// same raw values, with each remainder found by multiplication.
+    #[inline]
+    pub fn draw(&mut self, range: &UniformRange) -> u64 {
+        if range.span == 0 {
+            return self.next_u64();
+        }
+        loop {
+            let v = self.next_u64();
+            let r = range.rem(v);
+            if (v - r).checked_add(range.span).is_some() {
+                return range.lo + r;
             }
         }
     }
@@ -218,6 +298,58 @@ impl Rng64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prepared_remainders_are_exact() {
+        // The reciprocal remainder equals `%` for every span, on values
+        // at and around the multiples where a truncation error would
+        // show, and on random ones.
+        let mut rng = Rng64::seed(11);
+        let mut spans = vec![1u64, 2, 3, 7, 501, 3001, 1 << 32, (1 << 63) + 1, u64::MAX];
+        spans.extend(
+            (0..200)
+                .map(|_| rng.next_u64() >> rng.range_u64(0, 63))
+                .filter(|&d| d > 0),
+        );
+        for d in spans {
+            let range = UniformRange::new(0, d - 1);
+            let q = u64::MAX / d;
+            let mut values = vec![0, 1, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1];
+            values.extend([q * d, q * d - 1, (q / 2) * d, (q / 2) * d + d - 1]);
+            values.extend((0..200).map(|_| rng.next_u64()));
+            for v in values {
+                assert_eq!(range.rem(v), v % d, "{v} % {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_draws_match_range_u64_draw_for_draw() {
+        let mut pick = Rng64::seed(5);
+        let mut bounds = vec![
+            (0, 0),
+            (750, 1250),
+            (2500, 5500),
+            (0, u64::MAX),
+            (1, u64::MAX),
+        ];
+        bounds.extend((0..50).map(|_| {
+            let lo = pick.next_u64() >> pick.range_u64(0, 63);
+            (
+                lo,
+                lo.saturating_add(pick.next_u64() >> pick.range_u64(0, 63)),
+            )
+        }));
+        for (lo, hi) in bounds {
+            let range = UniformRange::new(lo, hi);
+            let (mut a, mut b) = (Rng64::seed(lo ^ hi), Rng64::seed(lo ^ hi));
+            for _ in 0..200 {
+                assert_eq!(a.draw(&range), b.range_u64(lo, hi), "{lo}..={hi}");
+            }
+            assert_eq!(a, b, "both consumed the same raw values");
+        }
+        assert!(UniformRange::try_new(2, 1).is_none());
+    }
 
     #[test]
     fn fixed_seed_fixed_sequence() {

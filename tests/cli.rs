@@ -273,7 +273,100 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
         &fleet.replacen("\"tenants\"", "\"tennants\"", 1),
     );
 
+    // Backend images whose shape no configuration builds, forged in
+    // checkpoint 1 of a DRAM-less recording and of a PAGE-buffer one
+    // (where the controller sits under the page cache): the restore
+    // must refuse each one and name its field before a window replay
+    // indexes the state.
+    let page_buffer = [(
+        SystemId::Preset(SystemKind::PageBuffer),
+        SystemKind::PageBuffer.spec(),
+    )];
+    let pb = replay::record_run(&page_buffer, &[w], &SystemParams::default(), every).unwrap();
+    let mut shape_rows: Vec<(String, String, String)> = Vec::new();
+    for (system, rec, ctrl) in [
+        ("dl", &rec, &["data"][..]),
+        ("pb", &pb, &["data", "store", "data", "inner", "data"]),
+    ] {
+        let c1 = rec.cells[0].checkpoints[1].requests;
+        let window = format!("{c1}..{}", rec.cells[0].fingerprint.requests);
+        let image = |path: &[&str]| -> Vec<String> {
+            ["cells", "0", "checkpoints", "1", "backend"]
+                .iter()
+                .chain(ctrl)
+                .chain(path)
+                .map(|key| key.to_string())
+                .collect()
+        };
+        // Each forgery drops the last entry of a list, or zeroes a
+        // number, at a path inside the controller image.
+        let module = ["channels", "0", "modules", "0"];
+        let forgeries: [(&str, &str, Vec<&str>, bool); 5] = [
+            (
+                "module-short",
+                "channels[0].modules holds 15 modules",
+                vec!["channels", "0", "modules"],
+                true,
+            ),
+            (
+                "program-windows",
+                "channels[0].modules[0].program_windows",
+                [&module[..], &["program_windows"]].concat(),
+                true,
+            ),
+            (
+                "word-bytes",
+                "channels[0].modules[0].geometry.word_bytes is 0",
+                [&module[..], &["geometry", "word_bytes"]].concat(),
+                false,
+            ),
+            (
+                "lanes",
+                "channels[0].modules[0].partitions.lanes",
+                [&module[..], &["partitions", "lanes"]].concat(),
+                true,
+            ),
+            (
+                "program-buffer-free",
+                "program_buffer_free[0] holds 15 modules",
+                vec!["program_buffer_free", "0"],
+                true,
+            ),
+        ];
+        for (name, needle, path, pop) in forgeries {
+            let mut forged = rec.to_json();
+            let keys = image(&path);
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let target = at(&mut forged, &keys);
+            if pop {
+                let Json::Arr(items) = target else {
+                    panic!("{keys:?} is a list")
+                };
+                items.pop();
+            } else {
+                *target = 0u64.to_json();
+            }
+            let file = format!("{system}-{name}.json");
+            dir.write(&file, &forged.render(false));
+            shape_rows.push((file, window.clone(), needle.to_string()));
+        }
+    }
+
     // Each row: a command line and a phrase its error line must carry.
+    let refuse = |line: &[&str], needle: &str| {
+        let out = dir.sim(line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{line:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{line:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{line:?}: {stderr}");
+        assert!(
+            stderr.contains(needle),
+            "{line:?} must name {needle:?}: {stderr}"
+        );
+    };
+    for (file, window, needle) in &shape_rows {
+        refuse(&["replay", file, "--window", window], needle);
+    }
     for (line, needle) in [
         (&["--scale", "inf"][..], ""),
         (&["--scale", "1e300"], ""),
@@ -397,15 +490,7 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
             "tennants",
         ),
     ] {
-        let out = dir.sim(line);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{line:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{line:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{line:?}: {stderr}");
-        assert!(
-            stderr.contains(needle),
-            "{line:?} must name {needle:?}: {stderr}"
-        );
+        refuse(line, needle);
     }
 }
 
