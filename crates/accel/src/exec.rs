@@ -235,9 +235,9 @@ pub struct ScheduleCursor {
     lanes: Vec<Lane>,
     memo_stall: StallMemo,
     buf: Vec<StreamOp>,
-    /// `pe.mem_op` samples of the current call, filled only while the
-    /// probe is live and drained into it before `advance_slice`
-    /// returns — empty between calls.
+    /// `pe.mem_op` samples of the current call's ordered steps, filled
+    /// only while the probe is live and drained into it before
+    /// `advance_slice` returns — empty between calls.
     mem_op: LatencyHistogram,
 }
 
@@ -766,8 +766,13 @@ impl Accelerator {
     /// and with `false` once every agent is parked (nothing left to run).
     /// Call boundaries are where a caller may act — image the backend,
     /// or hand the next call another one: between two calls the cursor
-    /// holds no borrowed or half-applied state, and the call's
-    /// `pe.mem_op` samples are already in the probe.
+    /// holds no borrowed or half-applied state, and the `pe.mem_op`
+    /// samples of the call's ordered steps are already in the probe.
+    ///
+    /// Ordered steps offer their spans one call at a time. A free step
+    /// does so only when the probe stores events; otherwise its span and
+    /// its `pe.mem_op` sample are tallied per class (the lane's run
+    /// counts) and reach the probe in [`Accelerator::finish_schedule`].
     pub fn advance_slice(
         &self,
         cur: &mut ScheduleCursor,
@@ -785,6 +790,7 @@ impl Accelerator {
         let width = cfg.sample_bucket.as_ps();
         let issued_before = cur.mem_requests;
         let probed = self.probe.is_enabled();
+        let stores = self.probe.stores_events();
 
         let more = loop {
             let Some(&(_, idx)) = cur.order.first() else {
@@ -941,14 +947,17 @@ impl Accelerator {
                     let t0 = a.time;
                     a.time += dt;
                     lane.power.sample(t0, e.0, start, width, &mut cur.power);
-                    if probed {
-                        let track = Track::new("pe", idx as u32 + 1);
-                        if kind == FreeKind::Compute {
-                            self.probe.span(track, "compute", t0, a.time);
-                        } else if !dt.is_zero() {
-                            self.probe.span(track, "mem", t0, a.time);
-                            cur.mem_op.record_ps(dt.as_ps());
-                        }
+                    // Only a hub that keeps events needs this step's span;
+                    // a counting hub gets the class tally and the mem-op
+                    // samples from `finish_schedule`.
+                    if stores && (kind == FreeKind::Compute || !dt.is_zero()) {
+                        let name = if kind == FreeKind::Compute {
+                            "compute"
+                        } else {
+                            "mem"
+                        };
+                        self.probe
+                            .span(Track::new("pe", idx as u32 + 1), name, t0, a.time);
                     }
                     lane.runs[class] += 1;
                     lane.ipc
@@ -969,7 +978,10 @@ impl Accelerator {
     }
 
     /// Turns a completed cursor into the [`ExecReport`]
-    /// [`Accelerator::run_schedule_at`] would have returned.
+    /// [`Accelerator::run_schedule_at`] would have returned, and hands
+    /// the probe the free steps' `pe.mem_op` samples (and, when it only
+    /// counts events, their span tally) — so a probed cursor is finished
+    /// once.
     ///
     /// # Panics
     ///
@@ -982,9 +994,12 @@ impl Accelerator {
         // values by an integer (`Picos * u64`, `Joules::scaled`, `u64`
         // products), so the fold is exact; every bucket is an integer
         // sum, so it holds the exact total whatever order its samples
-        // land in, and converts to f64 once.
+        // land in, and converts to f64 once. The probe's span count and
+        // histogram are sums too: `n` runs of a class offer `n` spans
+        // and `n` samples of its `dt`.
         let (mut compute_e, mut compute_n) = (cur.compute_e, cur.compute_n);
         let (mut stall_e, mut stall_n) = (cur.stall_e, cur.stall_n);
+        let (mut spans, mut mem_op) = (0u64, LatencyHistogram::new());
         let mut pe_stats: Vec<PeStats> = cur.agents.iter().map(|a| a.stats).collect();
         let (mut ipc, mut power) = (cur.ipc.clone(), cur.power.clone());
         let width = cfg.sample_bucket.as_ps();
@@ -1010,6 +1025,7 @@ impl Accelerator {
                         stats.compute_time += dt * n;
                         compute_e += e.scaled(n);
                         compute_n += n;
+                        spans += n;
                     }
                     FreeKind::Load | FreeKind::Store => {
                         stats.stall_time += dt * n;
@@ -1020,9 +1036,19 @@ impl Accelerator {
                         }
                         stall_e += e.scaled(n);
                         stall_n += n;
+                        if !dt.is_zero() {
+                            spans += n;
+                            mem_op.record_ps_n(dt.as_ps(), n);
+                        }
                     }
                 }
             }
+        }
+        if !self.probe.stores_events() {
+            self.probe.count_events(spans);
+        }
+        if mem_op.count() > 0 {
+            self.probe.latencies("pe.mem_op", &mem_op);
         }
         let mut energy = EnergyBook::new();
         energy.charge_many("pe.compute", compute_e, compute_n);
@@ -1848,10 +1874,11 @@ mod sched_replay_tests {
 
     #[test]
     fn mem_op_samples_reach_the_probe_by_every_call_boundary() {
-        // The replay gathers `pe.mem_op` samples per `advance_slice`
-        // call and hands them to the probe before returning: the cursor
-        // holds none between calls, and the hub ends up with exactly
-        // the samples the per-op walker records.
+        // The replay gathers its ordered steps' `pe.mem_op` samples per
+        // `advance_slice` call and hands them to the probe before
+        // returning: the cursor holds none between calls. The free
+        // steps' samples follow in `finish_schedule`, and the hub ends
+        // up with exactly the samples the per-op walker records.
         use sim_core::probe::Telemetry;
         let traces = stress_traces(3);
         let (walker_hub, replay_hub) = (Telemetry::new(0), Telemetry::new(0));
@@ -1866,11 +1893,63 @@ mod sched_replay_tests {
             assert_eq!(cur.mem_op.count(), 0, "samples left in the cursor");
         }
         assert_eq!(cur.mem_op.count(), 0);
+        accel.finish_schedule(&cur, &sched);
         let (want, got) = (walker_hub.finish().1, replay_hub.finish().1);
         let want = want
             .histogram("pe.mem_op")
             .expect("the walker recorded mem ops");
         assert_eq!(got.histogram("pe.mem_op"), Some(want));
+    }
+
+    #[test]
+    fn counting_hubs_report_what_storing_hubs_report() {
+        // A storing hub takes one call per span and per sample. Under a
+        // counting hub the replay tallies its free steps per class and
+        // the PRAM controller its words per request, while the walker
+        // still calls once per step. All three must report the same
+        // trace counters, `pe.mem_op` histogram and attribution, on the
+        // fixed backend and on the controller, with and without
+        // attribution.
+        use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
+        use sim_core::probe::Telemetry;
+        for agents in [1, 3, 7] {
+            let traces = stress_traces(agents);
+            let config = AccelConfig::default();
+            let sched = MemSchedule::build(&traces, config.l1, config.l2);
+            for (pram, attribution) in [(false, false), (true, false), (true, true)] {
+                let run = |hub: Telemetry, walk: bool| {
+                    let mut accel = Accelerator::new(AccelConfig::default());
+                    accel.set_probe(hub.probe());
+                    let mut ctrl =
+                        PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+                    ctrl.set_probe(hub.probe());
+                    let backend: &mut dyn MemoryBackend =
+                        if pram { &mut ctrl } else { &mut FixedMem };
+                    if walk {
+                        walker::run_at(&accel, Picos::ZERO, &traces, backend);
+                    } else {
+                        accel.run_schedule_at(Picos::ZERO, &sched, backend);
+                    }
+                    (hub.finish().1, hub.attribution())
+                };
+                let stored = run(
+                    if attribution {
+                        Telemetry::with_attribution(64)
+                    } else {
+                        Telemetry::new(64)
+                    },
+                    false,
+                );
+                let counted = run(Telemetry::counting(64, attribution), false);
+                let walked = run(Telemetry::counting(64, attribution), true);
+                let cell = format!("{agents} agents, pram {pram}, attribution {attribution}");
+                assert_eq!(counted, stored, "{cell}: replay, counted vs stored");
+                assert_eq!(counted, walked, "{cell}: replay vs walker, counted");
+                let recorded = counted.0.counter("trace.events_recorded").unwrap();
+                assert!(recorded > 64, "{cell}: {recorded} events fill no ring");
+                assert!(counted.0.histogram("pe.mem_op").is_some(), "{cell}");
+            }
+        }
     }
 
     /// Records a run on the PRAM controller — its tape and a backend

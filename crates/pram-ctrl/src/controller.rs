@@ -32,7 +32,7 @@ use sim_core::energy::{EnergyAccount, EnergyBook, Joules};
 use sim_core::fault::{domain, FaultCounters, FaultPlan};
 use sim_core::mem::{Access, MemoryBackend};
 use sim_core::probe::{AttrSpan, Cause, Probe};
-use sim_core::snapshot::{SnapshotError, StateImage};
+use sim_core::snapshot::{check_counter, SnapshotError, StateImage, COUNTER_CEILING};
 use sim_core::time::Picos;
 use util::fxhash::{FxHashMap, FxHashSet};
 use util::pow2;
@@ -181,6 +181,24 @@ util::json_struct!(LineFaultState {
     reads_since_write,
     errors
 });
+
+impl LineFaultState {
+    /// Checks a decoded line: its draw indices at most
+    /// [`COUNTER_CEILING`], its errors below `budget` (0 under a budget
+    /// of 0).
+    fn check(&self, budget: u32) -> Result<(), String> {
+        check_counter("reads", self.reads)?;
+        check_counter("writes", self.writes)?;
+        check_counter("reads_since_write", self.reads_since_write)?;
+        if self.errors >= budget.max(1) {
+            return Err(format!(
+                "errors is {}, at or past the plan's line_error_budget {budget}",
+                self.errors
+            ));
+        }
+        Ok(())
+    }
+}
 
 /// Runtime fault-injection + resilience state for one controller.
 ///
@@ -481,7 +499,7 @@ impl PramController {
             selective: self.cfg.scheduler.selective_erase(),
             faulted: self.faults.is_some(),
             remaps: self.faults.is_some() || self.wear.is_some(),
-            traced: self.probe.is_enabled(),
+            stores: self.probe.stores_events(),
             sync: self.cfg.phy.sync_latency,
             tck: timing.tck(),
             treset: timing.t_reset_extra + timing.twra,
@@ -505,6 +523,7 @@ impl PramController {
         let mut start = Picos::MAX;
         let mut end = Picos::ZERO;
         let mut worst: Option<AttrSpan> = None;
+        let mut words = 0;
         for frag in self.cfg.map.frags(addr, len) {
             let a = if attr_on {
                 let mut span = AttrSpan::new(at);
@@ -518,6 +537,12 @@ impl PramController {
             };
             start = start.min(a.start);
             end = end.max(a.end);
+            words += 1;
+        }
+        if !p.stores {
+            // Each word offers three events: `rab_hit` or `pre_active`,
+            // `rdb_hit` or `activate`, and `read`.
+            self.probe.count_events(3 * words);
         }
         self.stats.reads += 1;
         self.stats.read_latency_sum += end.saturating_sub(at);
@@ -538,6 +563,7 @@ impl PramController {
         let mut end = Picos::ZERO;
         let mut worst: Option<AttrSpan> = None;
         let mut off = 0usize;
+        let mut words = 0;
         for frag in self.cfg.map.frags(addr, len) {
             let chunk = data.map(|d| &d[off..off + frag.len as usize]);
             let a = if attr_on {
@@ -553,6 +579,11 @@ impl PramController {
             start = start.min(a.start);
             end = end.max(a.end);
             off += frag.len as usize;
+            words += 1;
+        }
+        if !p.stores {
+            // Each word offers two events, `write` and `program`.
+            self.probe.count_events(2 * words);
         }
         self.stats.writes += 1;
         self.stats.write_latency_sum += end.saturating_sub(at);
@@ -633,7 +664,7 @@ impl PramController {
         let part_track = Track::new("partition", row.partition.0 as u32);
         if plan.skips_pre_active() {
             self.stats.pre_active_skips += 1;
-            if p.traced {
+            if p.stores {
                 self.probe.instant(part_track, "rab_hit", t);
             }
         } else {
@@ -641,7 +672,7 @@ impl PramController {
             adv(&mut attr, Cause::ArrayAccess, t + p.tck);
             adv(&mut attr, Cause::PartitionConflict, pre.start);
             adv(&mut attr, Cause::ArrayAccess, pre.end);
-            if p.traced {
+            if p.stores {
                 self.probe
                     .span(part_track, "pre_active", pre.start, pre.end);
             }
@@ -649,7 +680,7 @@ impl PramController {
         }
         if plan.skips_activate() {
             self.stats.activate_skips += 1;
-            if p.traced {
+            if p.stores {
                 self.probe.instant(part_track, "rdb_hit", t);
             }
         } else {
@@ -657,7 +688,7 @@ impl PramController {
             adv(&mut attr, Cause::ArrayAccess, t + p.tck);
             adv(&mut attr, Cause::PartitionConflict, act.start);
             adv(&mut attr, Cause::ArrayAccess, act.end);
-            if p.traced {
+            if p.stores {
                 self.probe.span(part_track, "activate", act.start, act.end);
             }
             t = act.end;
@@ -697,7 +728,7 @@ impl PramController {
             adv(&mut attr, sense, rt.end - tburst);
             adv(&mut attr, Cause::DataBurst, rt.end);
         }
-        if p.traced {
+        if p.stores {
             self.probe.span_args(
                 self.rdb_track(ch_idx, md),
                 "read",
@@ -952,7 +983,7 @@ impl PramController {
             posted.program.end
         };
         self.program_buffer_free[ch_idx][md] = prog_end;
-        if p.traced {
+        if p.stores {
             let rdb_track = self.rdb_track(ch_idx, md);
             self.probe.span_args(
                 rdb_track,
@@ -1101,8 +1132,9 @@ struct Pass {
     /// A fault plan or wear leveling can move a line off its logical
     /// slot.
     remaps: bool,
-    /// A probe is attached, so trace spans are worth building.
-    traced: bool,
+    /// The probe keeps trace events, so each word offers its own; any
+    /// other probe gets one tally per request.
+    stores: bool,
     /// PHY clock-domain crossing.
     sync: Picos,
     /// One interface clock.
@@ -1183,9 +1215,10 @@ impl sim_core::Snapshot for PramController {
 impl PramController {
     /// Checks a decoded image against this controller, which its
     /// configuration built: as many channels and modules, every module
-    /// shaped as built ([`PramChannel::check_shape`]), and per-channel
-    /// and per-module state (`channel_serial`, `program_buffer_free`,
-    /// `wear`, the fault maps) of that shape. The request path reads its
+    /// shaped as built ([`PramChannel::check_shape`]), per-channel and
+    /// per-module state (`channel_serial`, `program_buffer_free`,
+    /// `wear`, the fault maps) of that shape, and counters in range
+    /// ([`Self::check_counters`]). The request path reads its
     /// per-request constants from the configuration and indexes this
     /// state without checking, so a forged image must stop here.
     ///
@@ -1247,6 +1280,67 @@ impl PramController {
                 for (md, map) in ch.iter().enumerate() {
                     map.check(usable)
                         .map_err(|e| format!("faults.retire[{c}][{md}].{e}"))?;
+                }
+            }
+        }
+        image.check_counters()
+    }
+
+    /// Checks a decoded image's counters, which the request path adds to
+    /// without checking: each at most [`COUNTER_CEILING`], and each
+    /// line's error count below the plan's `line_error_budget`, where the
+    /// line retires and the count restarts (0 under a budget of 0).
+    ///
+    /// # Errors
+    ///
+    /// Names the first counter out of range (`faults.lines[0][3] line 17
+    /// reads is ...`).
+    fn check_counters(&self) -> Result<(), String> {
+        let s = &self.stats;
+        for (field, value) in [
+            ("reads", s.reads),
+            ("writes", s.writes),
+            ("words_read", s.words_read),
+            ("words_written", s.words_written),
+            ("pre_active_skips", s.pre_active_skips),
+            ("activate_skips", s.activate_skips),
+            ("preerase_hits", s.preerase_hits),
+            ("preerase_misses", s.preerase_misses),
+            ("gap_moves", s.gap_moves),
+            ("overlap_wins", s.overlap_wins),
+            ("overlap_losses", s.overlap_losses),
+        ] {
+            check_counter(format_args!("stats.{field}"), value)?;
+        }
+        check_counter("ctrl_energy.events", self.ctrl_energy.events)?;
+        let Some(fs) = &self.faults else {
+            return Ok(());
+        };
+        fs.counters
+            .check()
+            .map_err(|e| format!("faults.counters.{e}"))?;
+        let budget = fs.plan.resilience.line_error_budget;
+        for (c, (lines, slots)) in fs.lines.iter().zip(&fs.slot_writes).enumerate() {
+            for (md, (lines, slots)) in lines.iter().zip(slots).enumerate() {
+                // The lowest line out of range, so the error names the
+                // same one whatever order the map iterates in.
+                let bad = lines
+                    .iter()
+                    .filter_map(|(&line, st)| st.check(budget).err().map(|e| (line, e)))
+                    .min();
+                if let Some((line, e)) = bad {
+                    return Err(format!("faults.lines[{c}][{md}] line {line} {e}"));
+                }
+                if let Some((slot, n)) = slots
+                    .iter()
+                    .map(|(&slot, &n)| (slot, n))
+                    .filter(|&(_, n)| n > COUNTER_CEILING)
+                    .min()
+                {
+                    return check_counter(
+                        format_args!("faults.slot_writes[{c}][{md}] slot {slot}"),
+                        n,
+                    );
                 }
             }
         }
@@ -1951,6 +2045,72 @@ mod extension_tests {
             wrong.restore(&img),
             Err(SnapshotError::ShapeMismatch { .. })
         ));
+
+        // Counters the request path adds to are held to 2^62, and a
+        // line's errors below the budget (1 here): past either, restore
+        // refuses the image and names the counter.
+        use util::json::Json;
+        fn at<'j>(mut v: &'j mut Json, path: &[&str]) -> &'j mut Json {
+            for key in path {
+                v = match v {
+                    Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                    Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                    _ => panic!("{key} indexes a scalar"),
+                };
+            }
+            v
+        }
+        let ceiling = COUNTER_CEILING.to_json();
+        let past = (COUNTER_CEILING + 1).to_json();
+        let line = ["faults", "lines", "0", "0", "0", "1"];
+        let counters: [(&[&str], &str); 9] = [
+            (&["stats", "words_read"], "stats.words_read is"),
+            (
+                &["faults", "counters", "retries"],
+                "faults.counters.retries",
+            ),
+            (&[&line[..], &["reads"]].concat(), "line 0 reads is"),
+            (&[&line[..], &["writes"]].concat(), "line 0 writes is"),
+            (
+                &[&line[..], &["reads_since_write"]].concat(),
+                "line 0 reads_since_write is",
+            ),
+            (
+                &["faults", "slot_writes", "0", "0", "0", "1"],
+                "faults.slot_writes[0][0] slot",
+            ),
+            (
+                &["channels", "0", "modules", "1", "stats", "read_bursts"],
+                "channels[0].modules[1].stats.read_bursts is",
+            ),
+            (
+                &["channels", "0", "modules", "0", "energy", "bus", "events"],
+                "channels[0].modules[0].energy.bus.events is",
+            ),
+            (&["ctrl_energy", "events"], "ctrl_energy.events is"),
+        ];
+        let (last_error, one_error) = (0u32.to_json(), 1u32.to_json());
+        let rows = counters
+            .iter()
+            .map(|&(path, needle)| (path.to_vec(), &ceiling, &past, needle))
+            .chain([(
+                [&line[..], &["errors"]].concat(),
+                &last_error,
+                &one_error,
+                "line 0 errors is 1, at or past the plan's line_error_budget 1",
+            )]);
+        for (path, ok, bad, needle) in rows {
+            let mut forged = img.clone();
+            *at(&mut forged.data, &path) = ok.clone();
+            mk().restore(&forged)
+                .unwrap_or_else(|e| panic!("{path:?} at its bound: {e}"));
+            *at(&mut forged.data, &path) = bad.clone();
+            let err = mk()
+                .restore(&forged)
+                .expect_err("a forged counter")
+                .to_string();
+            assert!(err.contains(needle), "{path:?}: {err}");
+        }
     }
 
     #[test]

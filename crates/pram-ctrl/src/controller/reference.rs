@@ -687,11 +687,12 @@ mod one_pass_tests {
         // unaligned, reads and writes interleaved, clocks that queue
         // behind in-flight programs — under every scheduler, with and
         // without a seeded fault plan, wear leveling, write pausing,
-        // probes and attribution, every request's `Access` and, after
-        // it, the stats, fault counters, energy book, attribution
-        // records and the snapshot image equal the reference's; the
-        // trace and metrics the probes gathered equal at the end.
-        util::for_each_case!(24, |rng| {
+        // storing or counting probes and attribution, every request's
+        // `Access` and, after it, the stats, fault counters, energy
+        // book, attribution records and the snapshot image equal the
+        // reference's; the trace and metrics the probes gathered equal
+        // at the end.
+        util::for_each_case!(32, |rng| {
             let scheduler = SchedulerKind::ALL[rng.range_usize(0, 3)];
             let seed = rng.next_u64();
             let paper = rng.chance(0.5);
@@ -728,14 +729,25 @@ mod one_pass_tests {
                 }
             };
             let (mut one, mut reference) = (build(), build());
-            // Probes: none, a trace ring, or a ring with attribution.
-            let hubs = match rng.range_u64(0, 2) {
+            // Probes: none, a trace ring, or a ring with attribution — or
+            // a counting hub, with or without attribution, where the one
+            // pass tallies its words per request and the reference still
+            // offers one call per event, so `trace.events_recorded` holds
+            // the tally to the per-call count.
+            let hubs = match rng.range_u64(0, 4) {
                 0 => None,
                 1 => Some((Telemetry::new(1 << 16), Telemetry::new(1 << 16))),
-                _ => Some((
+                2 => Some((
                     Telemetry::with_attribution(1 << 16),
                     Telemetry::with_attribution(1 << 16),
                 )),
+                n => {
+                    let attribution = n == 4;
+                    Some((
+                        Telemetry::counting(1 << 6, attribution),
+                        Telemetry::counting(1 << 6, attribution),
+                    ))
+                }
             };
             if let Some((a, b)) = &hubs {
                 one.set_probe(a.probe());

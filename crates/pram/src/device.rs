@@ -18,6 +18,7 @@ use crate::geometry::{LowerRow, PartitionId, PramGeometry, RowId, UpperRow};
 use crate::overlay::{OverlayStatus, OverlayWindow};
 use crate::timing::{BurstLen, PramTiming, StrobeWindows};
 use sim_core::energy::{EnergyAccount, EnergyBook, Joules};
+use sim_core::snapshot::check_counter;
 use sim_core::time::Picos;
 use sim_core::timeline::{Timeline, TimelineBank};
 use sim_core::SimRng;
@@ -149,6 +150,33 @@ util::json_struct!(ModuleStats {
     partition_erases,
     write_pauses,
 });
+
+impl ModuleStats {
+    /// Checks a decoded counter set: every counter at most
+    /// [`COUNTER_CEILING`](sim_core::snapshot::COUNTER_CEILING).
+    ///
+    /// # Errors
+    ///
+    /// Names the first counter past it (`stats.programs is ...`).
+    pub fn check(&self) -> Result<(), String> {
+        let s = self;
+        for (field, value) in [
+            ("pre_actives", s.pre_actives),
+            ("activates", s.activates),
+            ("read_bursts", s.read_bursts),
+            ("write_bursts", s.write_bursts),
+            ("programs", s.programs),
+            ("set_only_programs", s.set_only_programs),
+            ("overwrite_programs", s.overwrite_programs),
+            ("selective_erases", s.selective_erases),
+            ("partition_erases", s.partition_erases),
+            ("write_pauses", s.write_pauses),
+        ] {
+            check_counter(format_args!("stats.{field}"), value)?;
+        }
+        Ok(())
+    }
+}
 
 /// Fixed-slot energy accumulator for the module's five components.
 ///
@@ -305,7 +333,10 @@ impl PramModule {
     /// pausing, a cell array of that geometry, one buffer pair per RDB
     /// the timing has, and one occupancy lane and one program window per
     /// partition. The request path indexes all of these without
-    /// checking, so a forged image must stop here.
+    /// checking, and adds to every `stats` counter and energy-account
+    /// event count, which must therefore lie under the
+    /// [`COUNTER_CEILING`](sim_core::snapshot::COUNTER_CEILING) — so a
+    /// forged image must stop here.
     ///
     /// # Errors
     ///
@@ -343,6 +374,17 @@ impl PramModule {
                 "program_windows holds {} windows, the geometry has {parts} partitions",
                 self.program_windows.len()
             ));
+        }
+        self.stats.check()?;
+        let e = &self.energy;
+        for (field, acct) in [
+            ("rab", e.rab),
+            ("sense", e.sense),
+            ("bus", e.bus),
+            ("program", e.program),
+            ("erase", e.erase),
+        ] {
+            check_counter(format_args!("energy.{field}.events"), acct.events)?;
         }
         Ok(())
     }

@@ -270,6 +270,29 @@ impl FaultCounters {
     pub fn is_zero(&self) -> bool {
         *self == FaultCounters::default()
     }
+
+    /// Checks a decoded ledger: every counter at most
+    /// [`COUNTER_CEILING`](crate::snapshot::COUNTER_CEILING).
+    ///
+    /// # Errors
+    ///
+    /// Names the first counter past it (`retries is ...`).
+    pub fn check(&self) -> Result<(), String> {
+        let c = self;
+        for (field, value) in [
+            ("injected", c.injected),
+            ("ecc_corrected", c.ecc_corrected),
+            ("ecc_uncorrectable", c.ecc_uncorrectable),
+            ("retries", c.retries),
+            ("retired_lines", c.retired_lines),
+            ("ssd_transient_faults", c.ssd_transient_faults),
+            ("ssd_retries", c.ssd_retries),
+            ("retry_stall_ps", c.retry_stall_ps),
+        ] {
+            crate::snapshot::check_counter(field, value)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -152,10 +152,9 @@ pub trait MemoryBackend {
         // inner read/write calls commit keep the per-op backend-request
         // ordinals (`replay --window` units). The issuer tags the batch
         // base ordinal before calling in; timing is untouched.
-        let probe = self.probe().clone();
         for (i, op) in ops.iter().enumerate() {
             if i > 0 {
-                probe.attr_advance();
+                self.probe().attr_advance();
             }
             now += op.advance;
             if op.write {

@@ -11,8 +11,11 @@
 //! The trace sink is an [`EventTracer`] ring only when the caller will
 //! read the events back ([`Telemetry::new`],
 //! [`Telemetry::with_attribution`]). A caller that discards the trace
-//! builds a [`Telemetry::counting`] hub, whose trace calls bump one
-//! counter: no lock, no event, no ring write and no sort at `finish`.
+//! builds a [`Telemetry::counting`] hub, which only tallies the calls
+//! offered to it: no lock, no event, no ring write and no sort at
+//! `finish`. Layers that know how many events a request or a run of
+//! steps would offer ask [`Probe::stores_events`] and hand a counting
+//! hub one [`Probe::count_events`] tally instead of one call per event.
 //!
 //! One hub is created *per simulated cell* (inside the spec runner),
 //! never shared across cells, so traced sweeps stay deterministic at
@@ -212,6 +215,34 @@ impl Probe {
     /// Whether recording calls will actually store anything.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
+    }
+
+    /// Whether the hub keeps the trace events offered to it (a ring
+    /// from [`Telemetry::new`] or [`Telemetry::with_attribution`]).
+    /// False for a disabled probe and for a [`Telemetry::counting`]
+    /// hub, which only needs to know how many calls it was offered.
+    #[inline]
+    pub fn stores_events(&self) -> bool {
+        matches!(&self.0, Some(hub) if matches!(hub.trace, TraceSink::Ring(_)))
+    }
+
+    /// Adds `n` offered trace calls to a counting hub's tally — what `n`
+    /// [`span`](Self::span)/[`instant`](Self::instant) calls would add.
+    /// Only for callers that checked [`stores_events`](Self::stores_events)
+    /// is false: a storing hub needs each event, so it never receives a
+    /// tally.
+    #[inline]
+    pub fn count_events(&self, n: u64) {
+        if let Some(hub) = &self.0 {
+            match &hub.trace {
+                TraceSink::Count { offered, .. } => {
+                    offered.fetch_add(n, Ordering::Relaxed);
+                }
+                TraceSink::Ring(_) => {
+                    debug_assert!(n == 0, "a storing hub takes events one call at a time")
+                }
+            }
+        }
     }
 
     /// Records a `[start, end)` span on `track`.
@@ -490,6 +521,30 @@ mod tests {
             assert_eq!(count_metrics, ring_metrics, "capacity {capacity}");
             assert_eq!(count_metrics.counter("trace.events_recorded"), Some(4));
         }
+    }
+
+    #[test]
+    fn a_tally_counts_what_its_calls_would() {
+        // A counting hub given `count_events(n)` reports what `n`
+        // offered calls report on a ring of the same capacity; only
+        // rings say they store events.
+        for capacity in [0, 3, 16] {
+            let ring = Telemetry::new(capacity);
+            let count = Telemetry::counting(capacity, true);
+            let (p, q) = (ring.probe(), count.probe());
+            assert!(p.stores_events());
+            assert!(!q.stores_events());
+            let track = Track::new("partition", 0);
+            for i in 0..7 {
+                p.instant(track, "rab_hit", Picos::from_ns(i));
+            }
+            q.instant(track, "rab_hit", Picos::ZERO);
+            q.count_events(6);
+            q.count_events(0);
+            assert_eq!(count.finish().1, ring.finish().1, "capacity {capacity}");
+        }
+        assert!(!Probe::disabled().stores_events());
+        Probe::disabled().count_events(5);
     }
 
     #[test]

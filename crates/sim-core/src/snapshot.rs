@@ -24,6 +24,28 @@
 
 use util::json::{Json, JsonError};
 
+use crate::time::Picos;
+
+/// The largest count a counter in a state image may hold: 2^62, the
+/// clock ceiling ([`Picos::CEILING`]). A run counts far fewer events
+/// than that, so a larger count is forged or corrupt, and refusing it on
+/// restore leaves every `+= 1` of the request path 3 × 2^62 of headroom
+/// before it wraps.
+pub const COUNTER_CEILING: u64 = Picos::CEILING.as_ps();
+
+/// Checks that the counter `field` of a decoded image holds at most
+/// [`COUNTER_CEILING`].
+///
+/// # Errors
+///
+/// Names the field and its value.
+pub fn check_counter(field: impl std::fmt::Display, value: u64) -> Result<(), String> {
+    if value > COUNTER_CEILING {
+        return Err(format!("{field} is {value}, past the 2^62 counter ceiling"));
+    }
+    Ok(())
+}
+
 /// A versioned, JSON-serializable image of one component's state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateImage {
@@ -107,7 +129,8 @@ pub enum SnapshotError {
         component: String,
     },
     /// The image's shape disagrees with the restoring component's
-    /// static configuration (e.g. a different channel/module count).
+    /// static configuration (e.g. a different channel/module count), or
+    /// one of its counters lies outside what a run can reach.
     ShapeMismatch {
         /// The image kind.
         kind: String,

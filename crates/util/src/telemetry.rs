@@ -178,10 +178,16 @@ impl LatencyHistogram {
     /// Records one latency sample given in picoseconds (sub-ns samples
     /// land in the first bucket).
     pub fn record_ps(&mut self, ps: u64) {
+        self.record_ps_n(ps, 1);
+    }
+
+    /// Records `n` samples of one latency given in picoseconds — the
+    /// same buckets as `n` [`record_ps`](Self::record_ps) calls.
+    pub fn record_ps_n(&mut self, ps: u64, n: u64) {
         let ns = (ps / 1_000).max(1);
         let idx = (63 - ns.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
+        self.buckets[idx] += n;
+        self.count += n;
     }
 
     /// Total samples recorded.
@@ -1337,6 +1343,19 @@ mod tests {
         assert_eq!(h.quantile_ns(0.99), 1024);
         // Empty histogram reports zero.
         assert_eq!(LatencyHistogram::new().quantile_ns(0.5), 0);
+    }
+
+    #[test]
+    fn repeated_samples_land_where_single_samples_do() {
+        let (mut one_by_one, mut batched) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for (ps, n) in [(0, 2), (1_500, 3), (700_000, 1), (u64::MAX, 4), (9_000, 0)] {
+            for _ in 0..n {
+                one_by_one.record_ps(ps);
+            }
+            batched.record_ps_n(ps, n);
+        }
+        assert_eq!(batched, one_by_one);
+        assert_eq!(batched.count(), 10);
     }
 
     #[test]

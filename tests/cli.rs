@@ -4,8 +4,8 @@
 
 use dramless::paper::{CLAIMS_BEGIN, CLAIMS_END};
 use dramless::{
-    replay, simulate_spec_traced, ArrivalProcess, FleetSpec, ReplayError, SuiteResult, SystemId,
-    SystemKind, SystemParams,
+    replay, simulate_spec_traced, ArrivalProcess, FaultPlan, FleetSpec, ReplayError, SuiteResult,
+    SystemId, SystemKind, SystemParams, SystemSpec,
 };
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -350,6 +350,79 @@ fn malformed_command_lines_exit_1_with_an_error_line() {
             dir.write(&file, &forged.render(false));
             shape_rows.push((file, window.clone(), needle.to_string()));
         }
+    }
+    // Counters near 2^64 in checkpoint 1 of a faulted DRAM-less
+    // recording. The request path adds to each one without checking, so
+    // the restore must hold them to 2^62, and a line's errors below the
+    // plan's budget (3), naming the field.
+    let faulted = [(
+        SystemId::Preset(SystemKind::DramLess),
+        SystemSpec {
+            faults: Some(FaultPlan::from_json_str(plan).unwrap()),
+            ..SystemKind::DramLess.spec()
+        },
+    )];
+    let fr = replay::record_run(&faulted, &[w], &SystemParams::default(), every).unwrap();
+    let faulted_window = format!(
+        "{}..{}",
+        fr.cells[0].checkpoints[1].requests, fr.cells[0].fingerprint.requests
+    );
+    let near = (u64::MAX).to_json();
+    let line = ["faults", "lines", "0", "0", "0", "1"];
+    let counters: [(&str, Vec<&str>, &Json, &str); 7] = [
+        (
+            "words-read",
+            vec!["stats", "words_read"],
+            &near,
+            "stats.words_read is 18446744073709551615",
+        ),
+        (
+            "line-reads",
+            [&line[..], &["reads"]].concat(),
+            &near,
+            "faults.lines[0][0] line 0 reads is",
+        ),
+        (
+            "line-reads-since-write",
+            [&line[..], &["reads_since_write"]].concat(),
+            &near,
+            "faults.lines[0][0] line 0 reads_since_write is",
+        ),
+        (
+            "line-writes",
+            [&line[..], &["writes"]].concat(),
+            &near,
+            "faults.lines[0][0] line 0 writes is",
+        ),
+        (
+            "line-errors",
+            [&line[..], &["errors"]].concat(),
+            &3u64.to_json(),
+            "faults.lines[0][0] line 0 errors is 3, at or past the plan's line_error_budget 3",
+        ),
+        (
+            "fault-counters",
+            vec!["faults", "counters", "injected"],
+            &near,
+            "faults.counters.injected is",
+        ),
+        (
+            "module-stats",
+            vec!["channels", "0", "modules", "0", "stats", "read_bursts"],
+            &near,
+            "channels[0].modules[0].stats.read_bursts is",
+        ),
+    ];
+    for (name, path, value, needle) in counters {
+        let mut forged = fr.to_json();
+        let keys: Vec<&str> = ["cells", "0", "checkpoints", "1", "backend", "data"]
+            .into_iter()
+            .chain(path)
+            .collect();
+        *at(&mut forged, &keys) = value.clone();
+        let file = format!("counter-{name}.json");
+        dir.write(&file, &forged.render(false));
+        shape_rows.push((file, faulted_window.clone(), needle.to_string()));
     }
 
     // Each row: a command line and a phrase its error line must carry.
