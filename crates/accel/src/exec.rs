@@ -1963,7 +1963,6 @@ mod sched_replay_tests {
     /// run.
     fn assert_resume_is_byte_identical(accel: &Accelerator, traces: &[Trace]) {
         use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
-        use sim_core::Snapshot;
         let sched = MemSchedule::build(traces, accel.config().l1, accel.config().l2);
         let fresh = || PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
         let plain = accel.run_schedule_at(Picos::ZERO, &sched, &mut fresh());
@@ -1994,7 +1993,7 @@ mod sched_replay_tests {
         for slice in 1..=slices {
             assert!(accel.advance_slice(&mut cur, &sched, &mut pram_b));
             if slice % k == 0 {
-                images.push((slice, pram_b.snapshot()));
+                images.push((slice, pram_b.snapshot_state().unwrap()));
             }
         }
 
@@ -2007,7 +2006,7 @@ mod sched_replay_tests {
             let at = (cur.mem_requests(), cur.stream_fingerprint());
             assert_eq!(at, boundaries[slice - 1], "tape prefix of {slice} slices");
             let mut pram_c = fresh();
-            pram_c.restore(image).expect("backend restore");
+            pram_c.restore_state(image).expect("backend restore");
             playback.real = Some(&mut pram_c);
             while accel.advance_slice(&mut cur, &sched, &mut playback) {}
             assert_eq!(playback.mismatch, None, "resumed after {slice} slices");

@@ -668,7 +668,7 @@ impl PramController {
 mod one_pass_tests {
     use super::*;
     use sim_core::fault::{PramFaults, ResiliencePolicy};
-    use sim_core::{Snapshot, Telemetry};
+    use sim_core::Telemetry;
     use util::json::ToJson;
 
     /// Where requests go and what they carry: a draw shared by both
@@ -817,8 +817,8 @@ mod one_pass_tests {
                     assert_eq!(a.attribution(), b.attribution(), "request {i}");
                 }
                 assert_eq!(
-                    one.snapshot().to_json_string(),
-                    reference.snapshot().to_json_string(),
+                    one.snapshot_state().unwrap().to_json_string(),
+                    reference.snapshot_state().unwrap().to_json_string(),
                     "request {i}: image"
                 );
             }

@@ -18,10 +18,11 @@
 //! * [`probe`] — the runtime-switchable telemetry facade ([`Probe`] /
 //!   [`Telemetry`]) over [`util::telemetry`]; disabled probes cost one
 //!   `Option` check per call site.
-//! * [`snapshot`] — the [`Snapshot`] trait and versioned
-//!   [`StateImage`]s behind deterministic record/replay: every
-//!   stateful layer can checkpoint its complete state and resume
-//!   byte-identically.
+//! * [`snapshot`] — the versioned [`StateImage`]s behind deterministic
+//!   record/replay: a backend checkpoints its complete state through
+//!   [`MemoryBackend::snapshot_state`] and resumes byte-identically
+//!   through [`MemoryBackend::restore_state`], which refuses an image
+//!   its configuration does not build.
 //!
 //! # Examples
 //!
@@ -49,7 +50,7 @@ pub use fault::{FaultCounters, FaultPlan, PramFaults, ResiliencePolicy, SsdFault
 pub use mem::{Access, FidelityTier, MemoryBackend};
 pub use probe::{Probe, Telemetry};
 pub use rng::SimRng;
-pub use snapshot::{Snapshot, SnapshotError, StateImage};
+pub use snapshot::{SnapshotError, StateImage};
 pub use stats::TimeSeries;
 pub use time::Picos;
 pub use timeline::Timeline;
