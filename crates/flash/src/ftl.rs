@@ -12,6 +12,7 @@
 //! exactly the work the FTL caused.
 
 use crate::geometry::FlashGeometry;
+use sim_core::snapshot::{check_config, check_counter};
 use std::collections::HashMap;
 
 /// Typed FTL request failures.
@@ -122,6 +123,31 @@ impl Block {
     fn is_full(&self, pages: u32) -> bool {
         self.write_ptr == pages
     }
+
+    /// Checks a decoded block of `pages` slots: one owner per slot, the
+    /// write pointer inside them, and `valid` counting the owned slots.
+    fn check(&self, pages: u32) -> Result<(), String> {
+        if self.owners.len() != pages as usize {
+            return Err(format!(
+                "owners holds {} slots, the geometry has {pages} pages per block",
+                self.owners.len()
+            ));
+        }
+        if self.write_ptr > pages {
+            return Err(format!(
+                "write_ptr {} is past the last page",
+                self.write_ptr
+            ));
+        }
+        let held = self.owners.iter().flatten().count();
+        if self.valid as usize != held {
+            return Err(format!(
+                "valid is {}, the block holds {held} pages",
+                self.valid
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -210,6 +236,88 @@ impl Ftl {
             geometry,
             stats: FtlStats::default(),
         }
+    }
+
+    /// Checks a decoded FTL against `built`, the one its device's
+    /// configuration builds: the same geometry and GC threshold, block
+    /// and die tables of that shape with pointers inside it, counters
+    /// under their ceilings, and a map that sends each logical page to
+    /// the slot holding it, one mapping per held slot. Writes and GC
+    /// index these tables and invalidate old slots through the map
+    /// without checking.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that disagrees (`blocks[1][3].valid ...`).
+    pub fn check_shape(&self, built: &Ftl) -> Result<(), String> {
+        check_config("geometry", &self.geometry, &built.geometry)?;
+        check_config("gc_low_water", &self.gc_low_water, &built.gc_low_water)?;
+        let g = &self.geometry;
+        for (field, len) in [("blocks", self.blocks.len()), ("dies", self.dies.len())] {
+            if len != g.dies {
+                return Err(format!(
+                    "{field} holds {len} dies, the geometry has {}",
+                    g.dies
+                ));
+            }
+        }
+        if self.next_die >= g.dies {
+            return Err(format!("next_die {} is past the last die", self.next_die));
+        }
+        for (d, (blocks, die)) in self.blocks.iter().zip(&self.dies).enumerate() {
+            if blocks.len() != g.blocks_per_die as usize {
+                return Err(format!(
+                    "blocks[{d}] holds {} blocks, the geometry has {}",
+                    blocks.len(),
+                    g.blocks_per_die
+                ));
+            }
+            if let Some(b) = die.open_block.filter(|&b| b >= g.blocks_per_die) {
+                return Err(format!("dies[{d}].open_block {b} is past the last block"));
+            }
+            for (b, block) in blocks.iter().enumerate() {
+                block
+                    .check(g.pages_per_block)
+                    .map_err(|e| format!("blocks[{d}][{b}].{e}"))?;
+            }
+        }
+        let s = &self.stats;
+        for (field, n) in [
+            ("host_programs", s.host_programs),
+            ("gc_programs", s.gc_programs),
+            ("erases", s.erases),
+        ] {
+            check_counter(format_args!("stats.{field}"), n)?;
+        }
+        let held: usize = self.blocks.iter().flatten().map(|b| b.valid as usize).sum();
+        if self.map.len() != held {
+            return Err(format!(
+                "map holds {} pages, the blocks hold {held}",
+                self.map.len()
+            ));
+        }
+        let holds = |lpn: u64, p: &PhysPage| {
+            self.blocks
+                .get(p.die)
+                .and_then(|blocks| blocks.get(p.block as usize))
+                .and_then(|block| block.owners.get(p.page as usize))
+                == Some(&Some(lpn))
+        };
+        // The lowest page out of place, so the error names the same one
+        // whatever order the map iterates in.
+        let stray = self
+            .map
+            .iter()
+            .filter(|&(&lpn, p)| !holds(lpn, p))
+            .map(|(&lpn, p)| (lpn, *p))
+            .min_by_key(|&(lpn, _)| lpn);
+        if let Some((lpn, p)) = stray {
+            return Err(format!(
+                "map sends page {lpn} to die {} block {} page {}, which does not hold it",
+                p.die, p.block, p.page
+            ));
+        }
+        Ok(())
     }
 
     /// The geometry.
@@ -336,6 +444,67 @@ mod tests {
 
     fn ftl() -> Ftl {
         Ftl::new(FlashGeometry::tiny(), 2)
+    }
+
+    #[test]
+    fn decoded_ftls_are_held_to_the_built_shape() {
+        use util::json::{FromJson, ToJson};
+        let built = ftl();
+        let mut f = ftl();
+        for _ in 0..200 {
+            for lpn in 0..8 {
+                f.write(lpn).unwrap();
+            }
+        }
+        assert!(f.stats().erases > 0, "GC ran");
+        let f = Ftl::from_json(&f.to_json()).unwrap();
+        assert_eq!(f.check_shape(&built), Ok(()));
+        let refuses = |edit: &dyn Fn(&mut Ftl), needle: &str| {
+            let mut g = f.clone();
+            edit(&mut g);
+            let err = g.check_shape(&built).unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+        };
+        let held = f.translate(3).unwrap();
+        refuses(&|g| g.geometry.dies = 3, "geometry.dies is 3");
+        refuses(&|g| g.gc_low_water = 1, "gc_low_water is 1");
+        refuses(
+            &|g| {
+                g.blocks[1].pop();
+            },
+            "blocks[1] holds 15 blocks",
+        );
+        refuses(
+            &|g| {
+                g.dies.pop();
+            },
+            "dies holds 1 dies",
+        );
+        refuses(&|g| g.next_die = 2, "next_die 2 is past");
+        refuses(
+            &|g| g.dies[0].open_block = Some(16),
+            "dies[0].open_block 16",
+        );
+        refuses(
+            &|g| g.blocks[held.die][held.block as usize].valid += 1,
+            "].valid is",
+        );
+        refuses(
+            &|g| {
+                g.map.insert(
+                    3,
+                    PhysPage {
+                        page: held.page ^ 1,
+                        ..held
+                    },
+                );
+            },
+            "map sends page 3",
+        );
+        refuses(
+            &|g| g.stats.erases = sim_core::snapshot::COUNTER_CEILING + 1,
+            "stats.erases is",
+        );
     }
 
     #[test]

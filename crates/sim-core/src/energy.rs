@@ -223,6 +223,18 @@ impl EnergyAccount {
         self.energy += e;
         self.events += events;
     }
+
+    /// Checks a decoded account: its energy at most
+    /// [`ENERGY_CEILING`](crate::snapshot::ENERGY_CEILING) and its event
+    /// count at most [`COUNTER_CEILING`](crate::snapshot::COUNTER_CEILING).
+    ///
+    /// # Errors
+    ///
+    /// Names the field past its ceiling (`energy is ...`).
+    pub fn check(&self) -> Result<(), String> {
+        crate::snapshot::check_energy("energy", self.energy)?;
+        crate::snapshot::check_counter("events", self.events)
+    }
 }
 
 /// A ledger of per-component energy, keyed by a stable component label.
@@ -290,6 +302,20 @@ impl EnergyBook {
         self.charge(component, p * dur);
     }
 
+    /// Checks every account of a decoded ledger
+    /// ([`EnergyAccount::check`]).
+    ///
+    /// # Errors
+    ///
+    /// Names the account and its field (`accounts[nor.read].events is
+    /// ...`).
+    pub fn check(&self) -> Result<(), String> {
+        for (label, acct) in &self.accounts {
+            acct.check().map_err(|e| format!("accounts[{label}].{e}"))?;
+        }
+        Ok(())
+    }
+
     /// Looks up one account.
     pub fn component(&self, component: &str) -> Option<&EnergyAccount> {
         self.accounts.get(component)
@@ -323,11 +349,16 @@ impl EnergyBook {
     }
 
     /// Merges another ledger into this one.
+    ///
+    /// The sums saturate. A restore holds each account to its ceilings,
+    /// but a report merges many ledgers (the PRAM controller's 32
+    /// modules), so accounts forged at the ceiling could still sum past
+    /// `u64`; a run comes nowhere near.
     pub fn merge(&mut self, other: &EnergyBook) {
         for (k, v) in &other.accounts {
             let acc = self.accounts.entry(k.clone()).or_default();
-            acc.energy += v.energy;
-            acc.events += v.events;
+            acc.energy = Joules(acc.energy.0.saturating_add(v.energy.0));
+            acc.events = acc.events.saturating_add(v.events);
         }
     }
 }
@@ -404,6 +435,30 @@ mod tests {
         assert_eq!(labels, [("a", 2), ("b", 2), ("c", 1)]);
         assert_eq!(single.energy_of("b"), Joules::from_pj(7));
         assert!(batched.component("z").is_none());
+    }
+
+    #[test]
+    fn decoded_ledgers_are_held_to_their_ceilings_and_merges_saturate() {
+        use crate::snapshot::{COUNTER_CEILING, ENERGY_CEILING};
+        let mut book = EnergyBook::new();
+        book.charge_many("nor.read", ENERGY_CEILING, COUNTER_CEILING);
+        assert_eq!(book.check(), Ok(()));
+        let mut past = book.clone();
+        past.charge("nor.read", Joules::from_fj(1));
+        let err = past.check().unwrap_err();
+        assert!(err.starts_with("accounts[nor.read].energy is"), "{err}");
+        let mut past = book.clone();
+        past.charge_many("nor.read", Joules::ZERO, 1);
+        let err = past.check().unwrap_err();
+        assert!(err.starts_with("accounts[nor.read].events is"), "{err}");
+        // Merging many ledgers at the ceiling saturates instead of
+        // wrapping.
+        let mut sum = EnergyBook::new();
+        for _ in 0..8 {
+            sum.merge(&book);
+        }
+        assert_eq!(sum.component("nor.read").unwrap().events, u64::MAX);
+        assert_eq!(sum.energy_of("nor.read"), Joules(ENERGY_CEILING.0 * 8));
     }
 
     #[test]

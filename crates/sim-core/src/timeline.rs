@@ -64,6 +64,17 @@ impl Timeline {
         self.reservations
     }
 
+    /// Checks a decoded timeline: its reservation count at most
+    /// [`COUNTER_CEILING`](crate::snapshot::COUNTER_CEILING) (its clocks
+    /// are bounded by [`Picos`]'s decoder).
+    ///
+    /// # Errors
+    ///
+    /// Names the field (`reservations is ...`).
+    pub fn check(&self) -> Result<(), String> {
+        crate::snapshot::check_counter("reservations", self.reservations)
+    }
+
     /// Occupies the resource for `dur`, starting no earlier than `earliest`.
     ///
     /// Returns the actual start time (i.e. `max(earliest, free_at)`), and
@@ -143,6 +154,28 @@ impl TimelineBank {
         }
     }
 
+    /// Checks a decoded bank against the `lanes` its configuration
+    /// builds: that many lanes, each lane's reservation count at most
+    /// [`COUNTER_CEILING`](crate::snapshot::COUNTER_CEILING). The request
+    /// path indexes lanes by a configured count without checking.
+    ///
+    /// # Errors
+    ///
+    /// Names the field (`lanes holds 1 lanes, the configuration has
+    /// 16`; `lanes[3].reservations is ...`).
+    pub fn check(&self, lanes: usize) -> Result<(), String> {
+        if self.lanes.len() != lanes {
+            return Err(format!(
+                "lanes holds {} lanes, the configuration has {lanes}",
+                self.lanes.len()
+            ));
+        }
+        for (i, lane) in self.lanes.iter().enumerate() {
+            lane.check().map_err(|e| format!("lanes[{i}].{e}"))?;
+        }
+        Ok(())
+    }
+
     /// Number of lanes.
     pub fn len(&self) -> usize {
         self.lanes.len()
@@ -207,6 +240,21 @@ impl TimelineBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decoded_banks_must_have_the_built_lanes_and_bounded_counts() {
+        let mut bank = TimelineBank::new(4);
+        assert_eq!(bank.check(4), Ok(()));
+        assert_eq!(
+            bank.check(16).unwrap_err(),
+            "lanes holds 4 lanes, the configuration has 16"
+        );
+        bank.lanes[2].reservations = crate::snapshot::COUNTER_CEILING;
+        assert_eq!(bank.check(4), Ok(()));
+        bank.lanes[2].reservations += 1;
+        let err = bank.check(4).unwrap_err();
+        assert!(err.starts_with("lanes[2].reservations is"), "{err}");
+    }
 
     #[test]
     fn reserve_serializes_overlapping_requests() {
