@@ -142,9 +142,11 @@ impl RetireMap {
         }
     }
 
-    /// Checks a decoded map against the `lines` its module has, and
-    /// that every retired line and the next spare stay inside them, so
-    /// [`Self::resolve`] lands every line on a slot.
+    /// Checks a decoded map against the `lines` its module has, that
+    /// every retired line and the next spare stay inside them, so
+    /// [`Self::resolve`] lands every line on a slot, and that `retired`
+    /// lies under the
+    /// [`COUNTER_CEILING`](sim_core::snapshot::COUNTER_CEILING).
     ///
     /// # Errors
     ///
@@ -170,7 +172,7 @@ impl RetireMap {
                 "remap sends line {line} to {spare}, past the last line"
             ));
         }
-        Ok(())
+        sim_core::snapshot::check_counter("retired", self.retired)
     }
 
     /// The line the controller should actually address for `line`.

@@ -12,6 +12,8 @@
 //! physical slots minus the gap — property-tested in the repository's
 //! `prop_invariants` suite as well as here.
 
+use sim_core::snapshot::check_counter;
+
 /// A line copy the controller must perform because the gap moved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapMove {
@@ -80,8 +82,10 @@ impl StartGap {
     }
 
     /// Checks a decoded leveler against the `lines` and `interval` its
-    /// configuration builds it with, and that its gap and start lie
-    /// inside them, so [`Self::map`] lands every line on a slot.
+    /// configuration builds it with, that its gap and start lie inside
+    /// them, so [`Self::map`] lands every line on a slot, and that the
+    /// counters [`Self::on_write`] adds to lie under the
+    /// [`COUNTER_CEILING`](sim_core::snapshot::COUNTER_CEILING).
     ///
     /// # Errors
     ///
@@ -105,7 +109,8 @@ impl StartGap {
         if self.start >= self.lines {
             return Err(format!("start {} is past the last line", self.start));
         }
-        Ok(())
+        check_counter("writes_since_move", self.writes_since_move)?;
+        check_counter("total_moves", self.total_moves)
     }
 
     /// Number of logical lines.
